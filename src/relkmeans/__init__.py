@@ -14,7 +14,6 @@ from .relational import (
     SchemaError,
     SchemaGraph,
     Table,
-    filter_by_box,
     gyo_reduce,
     load_database,
     tables_to_schema,
@@ -24,13 +23,12 @@ from .sumprod import (
     GroupedResult,
     JoinEvaluator,
     SemiringSpec,
-    boxed_cost_grouped,
     costpair_semiring,
     counting_semiring,
     eval_sumprod,
     eval_sumprod_grouped,
 )
-from .boxes import LaminarForest, build_boxes, smallest_containing_box
+from .boxes import LaminarForest, build_boxes
 from .sampling import SamplerConfig, SamplingState, run_kmeanspp
 from .weighting import WeightConfig, WeightedCoreset, compute_weights
 from .clustering import (
@@ -52,7 +50,6 @@ __all__ = [
     "compute_weights",
     "relational_cost",
     "run_kmeanspp",
-    "smallest_containing_box",
     "solve_weighted_kmeans",
     "weighted_kmeanspp_seed",
     "weighted_lloyd",
@@ -67,12 +64,10 @@ __all__ = [
     "SchemaGraph",
     "SemiringSpec",
     "Table",
-    "boxed_cost_grouped",
     "costpair_semiring",
     "counting_semiring",
     "eval_sumprod",
     "eval_sumprod_grouped",
-    "filter_by_box",
     "gyo_reduce",
     "load_database",
     "tables_to_schema",

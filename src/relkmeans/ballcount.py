@@ -263,17 +263,8 @@ class BallSampler:
         self.spec = multiset_semiring(names, self.center,
                                       _feature_index(tables), self.bucketizer)
         self._stage_cache: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
-        self._coord_source = self._feature_sources(tables)
 
-    @staticmethod
-    def _feature_sources(tables: list[Table]) -> list[tuple[int, int, int]]:
-        src: dict[int, tuple[int, int, int]] = {}
-        for t in tables:
-            for pos, f in enumerate(t.features):
-                src.setdefault(f.index, (f.index, t.id, pos))
-        return [src[i] for i in sorted(src)]
-
-    def _effective(self, sq_radius: float, stage: int = 0) -> float:
+    def _effective(self, sq_radius: float, stage: int) -> float:
         """Widened membership threshold for one sampling stage.
 
         Rounded keys depend on the message-pass root, so a point admitted at
@@ -304,7 +295,8 @@ class BallSampler:
             self._stage_cache[prefix] = rows
         return self._stage_cache[prefix]
 
-    def _stage_weights(self, prefix: tuple[int, ...], eff_radius: float) -> np.ndarray:
+    def _stage_weights(self, prefix: tuple[int, ...], sq_radius: float) -> np.ndarray:
+        eff_radius = self._effective(sq_radius, len(prefix))
         rows = self._stage_multisets(prefix)
         w = np.zeros(len(rows))
         for i, (keys, cums) in enumerate(rows):
@@ -313,16 +305,12 @@ class BallSampler:
                 w[i] = cums[idx]
         return w
 
-    def approx_count(self, sq_radius: float) -> int:
-        return int(self._stage_weights((), sq_radius).sum())
-
     def sample_batch(self, sq_radius: float, size: int,
                      rng: np.random.Generator) -> np.ndarray:
         """``size`` independent near-uniform draws from the closed ball."""
-        if self._stage_weights((), self._effective(sq_radius)).sum() <= 0:
+        if self._stage_weights((), sq_radius).sum() <= 0:
             raise EmptyBall(f"no join points within squared radius {sq_radius}")
-        d = len(self._coord_source)
-        out = np.empty((size, d))
+        out = np.empty((size, self.ev.n_features))
         got = rounds = 0
         while got < size:
             rounds += 1
@@ -330,37 +318,16 @@ class BallSampler:
                 raise RuntimeError("ball sampling keeps rejecting; the shell "
                                    "outside the ball dominates its interior")
             draw = (size - got) + max(8, (size - got) // 4)
-            pts = self._draw(sq_radius, draw, rng)
+            prov = self.ev.sample_rows(
+                draw, lambda prefix: self._stage_weights(prefix, sq_radius),
+                rng, EmptyBall)
+            pts = self.ev.gather(prov)
             diffs = pts - self.center
             member = np.einsum("ij,ij->i", diffs, diffs) <= sq_radius
             take = pts[member][: size - got]
             out[got: got + take.shape[0]] = take
             got += take.shape[0]
         return out
-
-    def _draw(self, sq_radius: float, size: int,
-              rng: np.random.Generator) -> np.ndarray:
-        prov = np.zeros((size, self.m), dtype=np.int64)
-        groups: dict[tuple[int, ...], np.ndarray] = {(): np.arange(size)}
-        for stage in range(self.m):
-            eff = self._effective(sq_radius, stage)
-            next_groups: dict[tuple[int, ...], list[np.ndarray]] = {}
-            for prefix in sorted(groups):
-                idx = groups[prefix]
-                w = self._stage_weights(prefix, eff)
-                total = w.sum()
-                if total <= 0:
-                    raise EmptyBall("conditioned ball emptied during sampling")
-                rows = rng.choice(len(w), size=idx.size, p=w / total)
-                prov[idx, stage] = rows
-                for r in np.unique(rows):
-                    sub = idx[rows == r]
-                    next_groups.setdefault(prefix + (int(r),), []).append(sub)
-            groups = {p: np.concatenate(c) for p, c in next_groups.items()}
-        pts = np.empty((size, len(self._coord_source)))
-        for fidx, tid, pos in self._coord_source:
-            pts[:, fidx] = self.tables[tid].rows[prov[:, tid], pos]
-        return pts
 
 
 def sample_in_ball(tree: JoinTree, tables: list[Table], center: np.ndarray,

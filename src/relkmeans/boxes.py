@@ -208,31 +208,11 @@ def _inclusion_parents(entries: list[BoxRect], root_index: int,
     return tuple(parents)
 
 
-def smallest_containing_box(forest: LaminarForest,
-                            point: np.ndarray) -> tuple[BoxRect, int]:
-    """The inclusion-minimal forest box containing the point (the root
-    guarantees one exists) and its representative center index."""
-    p = np.asarray(point, dtype=np.float64)
-    kids = forest.children()
-    current = forest.root_index
-    while True:
-        advanced = False
-        for c in kids[current]:
-            if forest.entries[c].contains(p):
-                current = c
-                advanced = True
-                break
-        if not advanced:
-            box = forest.entries[current]
-            return box, box.representative
-
-
-def assignment_sq_cost(forest: LaminarForest, point: np.ndarray) -> float:
-    """Squared distance from the point to the representative of its
-    smallest containing box (the surrogate cost the sampler corrects)."""
-    _, rep = smallest_containing_box(forest, point)
-    diff = np.asarray(point, dtype=np.float64) - forest.centers[rep]
-    return float(diff @ diff)
+def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from each point to each center; the argmin
+    along axis 1 is the nearest center, ties to the lowest index."""
+    diffs = points[:, None, :] - centers[None, :, :]
+    return np.einsum("ijk,ijk->ij", diffs, diffs)
 
 
 def assignment_reps_batch(forest: LaminarForest,

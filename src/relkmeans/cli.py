@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import WeightedPointSet, relational_cost, solve_weighted_kmeans
+from .clustering import (InsufficientDistinctPoints, WeightedPointSet,
+                         relational_cost, solve_weighted_kmeans)
 from .oracle import MaterializationGuard, materialize, exact_cost
 from .relational import CyclicVerdict, SchemaError, gyo_reduce, load_database
 from .sampling import run_kmeanspp
@@ -43,10 +44,6 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if not 0.0 < self.epsilon <= 0.2:
-            raise ValueError("epsilon must lie in (0, 0.2]")
-        if self.tau < 30:
-            raise ValueError("tau must be at least 30")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 
@@ -68,8 +65,12 @@ def coreset_size(cfg: RunConfig, n_rows: int) -> int:
 
 def run(cfg: RunConfig) -> dict:
     """Execute the pipeline per the configured mode and return the result
-    document (raises SchemaError / ValueError / MaterializationGuard with
-    diagnostics; cyclic schemas raise ValueError mentioning the residual)."""
+    document (raises SchemaError / ValueError / MaterializationGuard /
+    InsufficientDistinctPoints with diagnostics; cyclic schemas raise
+    ValueError mentioning the residual).  The accuracy knobs are checked
+    before any table is read."""
+    wcfg = WeightConfig(epsilon=cfg.epsilon, delta=cfg.delta, tau=cfg.tau,
+                        seed=cfg.seed, max_ring_samples=cfg.ring_cap)
     clock = _StageClock()
     tables, schema = load_database(cfg.schema)
     verdict = gyo_reduce(schema)
@@ -86,8 +87,6 @@ def run(cfg: RunConfig) -> dict:
     centers, state = run_kmeanspp(tree, tables, k_prime, seed=cfg.seed)
     clock.lap("sample")
 
-    wcfg = WeightConfig(epsilon=cfg.epsilon, delta=cfg.delta, tau=cfg.tau,
-                        seed=cfg.seed, max_ring_samples=cfg.ring_cap)
     coreset, ring_stats = compute_weights(tree, tables, centers, wcfg)
     clock.lap("weigh")
 
@@ -183,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
                         mode=args.mode, out=args.out, guard=args.guard,
                         ring_cap=args.ring_cap)
         doc = run(cfg)
-    except SchemaError as exc:
+    except (SchemaError, InsufficientDistinctPoints) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MaterializationGuard as exc:

@@ -6,10 +6,10 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .boxes import build_boxes
+from .boxes import build_boxes, sq_dists
 from .oracle import exact_cost, materialize
 from .relational import JoinTree, Table
-from .sumprod import JoinEvaluator
+from .sampling import assignment_cost_grouped
 
 
 class InsufficientDistinctPoints(Exception):
@@ -39,13 +39,8 @@ class WeightedPointSet:
         return self.points.shape[0]
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diffs = points[:, None, :] - centers[None, :, :]
-    return np.einsum("ijk,ijk->ij", diffs, diffs)
-
-
 def weighted_cost(ps: WeightedPointSet, centers: np.ndarray) -> float:
-    return float(ps.weights @ _sq_dists(ps.points, centers).min(axis=1))
+    return float(ps.weights @ sq_dists(ps.points, centers).min(axis=1))
 
 
 def weighted_kmeanspp_seed(ps: WeightedPointSet, k: int,
@@ -74,7 +69,7 @@ def weighted_lloyd(ps: WeightedPointSet, centers: np.ndarray,
     k = centers.shape[0]
     prev_cost = np.inf
     for _ in range(max_iters):
-        d2 = _sq_dists(ps.points, centers)
+        d2 = sq_dists(ps.points, centers)
         assign = np.argmin(d2, axis=1)
         point_cost = ps.weights * d2[np.arange(ps.size), assign]
         cost = float(point_cost.sum())
@@ -126,14 +121,5 @@ def relational_cost(tree: JoinTree, tables: list[Table],
     if mode != "surrogate":
         raise ValueError(f"unknown mode {mode!r}")
     forest = build_boxes(centers)
-    ev = JoinEvaluator(tree, tables)
-    total = 0.0
-    for idx, box in enumerate(forest.entries):
-        masks = ev.masks_for_box(box)
-        own, _ = ev.costpair_grouped(tree.root, forest.rep_point(idx), masks)
-        total += float(own.sum())
-        parent = forest.parents[idx]
-        if parent is not None:
-            par, _ = ev.costpair_grouped(tree.root, forest.rep_point(parent), masks)
-            total -= float(par.sum())
-    return max(total, 0.0)
+    per_row = assignment_cost_grouped(tree, tables, forest, tree.root)
+    return max(float(per_row.sum()), 0.0)

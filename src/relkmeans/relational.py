@@ -379,24 +379,10 @@ def running_intersection_holds(tree: JoinTree) -> bool:
     return True
 
 
-def filter_by_box(tables: list[Table], box: BoxRect) -> list[Table]:
-    """Restrict every table to rows inside the box on the features it holds.
-
-    The join of the outputs is exactly the set of join rows lying in the box;
-    the schema is unchanged.
-    """
-    out = []
-    for t in tables:
-        mask = np.ones(t.n_rows, dtype=bool)
-        for pos, f in enumerate(t.features):
-            if f.index < box.dim:
-                mask &= box.mask_for(t.rows[:, pos], f.index)
-        out.append(t.with_rows(t.rows[mask]))
-    return out
-
-
 def box_row_masks(tables: list[Table], box: BoxRect) -> list[np.ndarray]:
-    """Per-table boolean masks equivalent to :func:`filter_by_box` (no copies)."""
+    """Per-table boolean masks of the rows inside the box on the features
+    each table holds.  The join of the masked tables is exactly the set of
+    join rows lying in the box."""
     masks = []
     for t in tables:
         mask = np.ones(t.n_rows, dtype=bool)

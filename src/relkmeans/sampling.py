@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boxes import LaminarForest, assignment_reps_batch, build_boxes
+from .boxes import LaminarForest, assignment_reps_batch, build_boxes, sq_dists
 from .relational import JoinTree, Table
 from .sumprod import JoinEvaluator
 
@@ -91,7 +91,7 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 class _SequentialSampler:
-    """Stage-wise row sampling with per-prefix weight caching.
+    """Per-prefix stage weights for :meth:`JoinEvaluator.sample_rows`, cached.
 
     Subclasses provide the grouped weight vector for one table given the
     rows already fixed in the preceding tables.
@@ -102,15 +102,6 @@ class _SequentialSampler:
         self.tables = tables
         self.ev = JoinEvaluator(tree, tables)
         self._weights: dict[tuple[int, ...], np.ndarray] = {}
-        self._coord_source = self._feature_sources(tables)
-
-    @staticmethod
-    def _feature_sources(tables: list[Table]) -> list[tuple[int, int, int]]:
-        src: dict[int, tuple[int, int, int]] = {}
-        for t in tables:
-            for pos, f in enumerate(t.features):
-                src.setdefault(f.index, (f.index, t.id, pos))
-        return [src[i] for i in sorted(src)]
 
     def stage_weights(self, prefix: tuple[int, ...]) -> np.ndarray:
         if prefix not in self._weights:
@@ -128,32 +119,8 @@ class _SequentialSampler:
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` independent join rows; returns (size, m) row indices."""
-        m = len(self.tables)
-        prov = np.zeros((size, m), dtype=np.int64)
-        groups: dict[tuple[int, ...], np.ndarray] = {(): np.arange(size)}
-        for stage in range(m):
-            next_groups: dict[tuple[int, ...], list[np.ndarray]] = {}
-            for prefix in sorted(groups):
-                idx = groups[prefix]
-                w = self.stage_weights(prefix)
-                total = w.sum()
-                if total <= 0.0:
-                    raise DegenerateDistribution(
-                        f"zero total weight at table {stage} for prefix {prefix}")
-                rows = rng.choice(len(w), size=idx.size, p=w / total)
-                prov[idx, stage] = rows
-                for r in np.unique(rows):
-                    sub = idx[rows == r]
-                    next_groups.setdefault(prefix + (int(r),), []).append(sub)
-            groups = {p: np.concatenate(chunks) for p, chunks in next_groups.items()}
-        return prov
-
-    def points_from_provenance(self, prov: np.ndarray) -> np.ndarray:
-        d = len(self._coord_source)
-        pts = np.empty((prov.shape[0], d))
-        for fidx, tid, pos in self._coord_source:
-            pts[:, fidx] = self.tables[tid].rows[prov[:, tid], pos]
-        return pts
+        return self.ev.sample_rows(size, self.stage_weights, rng,
+                                   DegenerateDistribution)
 
 
 class _UniformSampler(_SequentialSampler):
@@ -213,7 +180,7 @@ def sample_uniform_row(tree: JoinTree, tables: list[Table],
     if s.total_mass() == 0:
         raise EmptyJoin("join has no rows")
     prov = s.sample_batch(rng, 1)
-    coords = s.points_from_provenance(prov)[0]
+    coords = s.ev.gather(prov)[0]
     return CandidatePoint(coords, tuple(int(r) for r in prov[0]))
 
 
@@ -224,7 +191,7 @@ def sample_from_surrogate(state: SamplingState, tree: JoinTree,
     representative)."""
     s = _surrogate_for(state, tree, tables)
     prov = s.sample_batch(state.rng, 1)
-    coords = s.points_from_provenance(prov)[0]
+    coords = s.ev.gather(prov)[0]
     return CandidatePoint(coords, tuple(int(r) for r in prov[0]))
 
 
@@ -240,11 +207,6 @@ def _surrogate_for(state: SamplingState, tree: JoinTree,
             state._surrogate = None
             raise DegenerateDistribution("total assignment cost is zero")
     return state._surrogate
-
-
-def _min_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diffs = points[:, None, :] - centers[None, :, :]
-    return np.min(np.einsum("ijk,ijk->ij", diffs, diffs), axis=1)
 
 
 def sample_next_center(state: SamplingState, tree: JoinTree,
@@ -274,9 +236,9 @@ def rejection_sample_batch(state: SamplingState, tree: JoinTree,
     batch = max(state.config.batch_size, min(1024, 4 * n_accepted))
     while got < n_accepted:
         prov = s.sample_batch(state.rng, batch)
-        pts = s.points_from_provenance(prov)
+        pts = s.ev.gather(prov)
         surrogate = assignment_reps_batch(state.forest, pts)[1]
-        true_cost = _min_sq_dist(pts, centers)
+        true_cost = sq_dists(pts, centers).min(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
             accept = state.rng.random(batch) < true_cost / surrogate
         candidates += batch

@@ -9,7 +9,9 @@ features shared between tables.
 Two implementations live here: a generic one that works for any carrier
 (used by the bucketed distance multisets), and :class:`JoinEvaluator`, a
 numpy fast path for the counting and cost-pair instances that the samplers
-hammer with thousands of box-restricted grouped queries.
+hammer with thousands of box-restricted grouped queries.  The evaluator
+also holds the one table-by-table row walk both samplers draw join rows
+with; they differ only in the stage weights they feed it.
 """
 
 from __future__ import annotations
@@ -199,7 +201,8 @@ class JoinEvaluator:
         self.n_features = len({f.name for t in tables for f in t.features})
         self._edge_keys: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
         self._orders: dict[int, list[tuple[int, int | None]]] = {}
-        # owned column positions per node, plus feature index for box lookups
+        # owned column positions per node, plus feature index for box
+        # lookups and for gathering drawn rows into points
         self._owned: dict[int, list[tuple[int, int]]] = {}
         for t in tables:
             self._owned[t.id] = [
@@ -305,16 +308,44 @@ class JoinEvaluator:
             masks.append(m)
         return masks
 
+    def sample_rows(self, size: int,
+                    stage_weights: Callable[[tuple[int, ...]], np.ndarray],
+                    rng: np.random.Generator,
+                    empty: type[Exception]) -> np.ndarray:
+        """Draw ``size`` join rows one table at a time, in table-id order.
 
-def boxed_cost_grouped(tree: JoinTree, tables: list[Table], box: BoxRect,
-                       target: np.ndarray, group: int,
-                       evaluator: JoinEvaluator | None = None,
-                       conditioned: list[np.ndarray] | None = None) -> np.ndarray:
-    """For each row r of the group table, the total squared distance to
-    ``target`` of the join rows that extend r and lie inside ``box``.
-    Rows filtered out by the box get 0.
-    """
-    ev = evaluator if evaluator is not None else JoinEvaluator(tree, tables)
-    masks = ev.masks_for_box(box, conditioned)
-    cost, _ = ev.costpair_grouped(group, np.asarray(target, dtype=np.float64), masks)
-    return cost
+        ``stage_weights(prefix)`` gives the (unnormalized) weight of each row
+        of table ``len(prefix)`` given that the earlier tables are fixed to
+        the rows in ``prefix``.  Draws sharing a prefix are batched into one
+        ``rng.choice``; prefixes are visited in sorted order, so the draws
+        depend only on the RNG state.  A prefix whose weights sum to zero
+        raises ``empty``.  Returns (size, m) row indices.
+        """
+        m = len(self.tables)
+        prov = np.zeros((size, m), dtype=np.int64)
+        groups: dict[tuple[int, ...], np.ndarray] = {(): np.arange(size)}
+        for stage in range(m):
+            next_groups: dict[tuple[int, ...], list[np.ndarray]] = {}
+            for prefix in sorted(groups):
+                idx = groups[prefix]
+                w = stage_weights(prefix)
+                total = w.sum()
+                if total <= 0.0:
+                    raise empty(
+                        f"zero total weight at table {stage} for prefix {prefix}")
+                rows = rng.choice(len(w), size=idx.size, p=w / total)
+                prov[idx, stage] = rows
+                for r in np.unique(rows):
+                    sub = idx[rows == r]
+                    next_groups.setdefault(prefix + (int(r),), []).append(sub)
+            groups = {p: np.concatenate(chunks) for p, chunks in next_groups.items()}
+        return prov
+
+    def gather(self, prov: np.ndarray) -> np.ndarray:
+        """Join points, positional by feature index, of the rows chosen per
+        table in ``prov`` (as returned by :meth:`sample_rows`)."""
+        pts = np.empty((prov.shape[0], self.n_features))
+        for t in self.tables:
+            for pos, fidx in self._owned[t.id]:
+                pts[:, fidx] = t.rows[prov[:, t.id], pos]
+        return pts

@@ -23,6 +23,7 @@ from .ballcount import (
     distance_profile,
     radius_for_count,
 )
+from .boxes import sq_dists
 from .relational import JoinTree, Table
 from .sumprod import JoinEvaluator
 
@@ -48,8 +49,8 @@ class WeightConfig:
             raise ValueError("epsilon must lie in (0, 0.2]")
         if self.tau < 30:
             raise ValueError("tau must be at least 30")
-        if self.delta is not None and self.delta > self.epsilon / 2:
-            raise ValueError("delta must not exceed epsilon / 2")
+        if self.delta is not None and not 0.0 < self.delta <= self.epsilon / 2:
+            raise ValueError("delta must lie in (0, epsilon / 2]")
 
     @property
     def ball_slack(self) -> float:
@@ -76,12 +77,6 @@ class WeightedCoreset:
     centers: np.ndarray
     weights: np.ndarray
     alias: dict[int, int]
-
-
-def nearest_center(point: np.ndarray, centers: np.ndarray) -> int:
-    """Index of the closest center, ties to the lowest index."""
-    diffs = np.asarray(centers, dtype=np.float64) - np.asarray(point)
-    return int(np.argmin(np.einsum("ij,ij->i", diffs, diffs)))
 
 
 def ring_sample_size(cfg: WeightConfig, n_centers: int, n_rows: int) -> int:
@@ -151,9 +146,7 @@ def compute_weights(tree: JoinTree, tables: list[Table],
             in_donut = (d2_own > prev_radius) & (d2_own <= r_j)
             s_ij = int(in_donut.sum())
             if s_ij:
-                donut_pts = draws[in_donut]
-                diffs = donut_pts[:, None, :] - cs[None, :, :]
-                owner = np.argmin(np.einsum("ijk,ijk->ij", diffs, diffs), axis=1)
+                owner = np.argmin(sq_dists(draws[in_donut], cs), axis=1)
                 t_ij = int((owner == i).sum())
                 f_ij = t_ij / s_ij
             else:

@@ -63,6 +63,25 @@ def brute_force_join(tables: list[Table], cap: int = 500_000) -> np.ndarray:
     return data.reshape(len(partial), len(order))
 
 
+def surrogate_costs(join_rows: np.ndarray, forest) -> np.ndarray:
+    """Independent per-row surrogate cost: scan every forest box for the
+    smallest-volume one containing the row, then square the distance to its
+    representative."""
+    costs = np.zeros(len(join_rows))
+    for i, p in enumerate(join_rows):
+        best_vol, best_rep = None, None
+        for e in forest.entries:
+            lo_ok = np.where(e.low_open, p > e.low, p >= e.low)
+            hi_ok = np.where(e.high_open, p < e.high, p <= e.high)
+            if lo_ok.all() and hi_ok.all():
+                vol = float(np.prod(e.high - e.low))
+                if best_vol is None or vol < best_vol:
+                    best_vol, best_rep = vol, e.representative
+        diff = p - forest.centers[best_rep]
+        costs[i] = diff @ diff
+    return costs
+
+
 def random_acyclic_tables(rng: np.random.Generator, max_tables: int = 5,
                           max_rows: int = 8, max_features: int = 6,
                           integer_values: bool = False) -> list[Table]:

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from relkmeans.boxes import (
-    assignment_reps_batch,
-    assignment_sq_cost,
-    build_boxes,
-    is_laminar,
-    smallest_containing_box,
-)
+from relkmeans.boxes import assignment_reps_batch, build_boxes, is_laminar
+
+from conftest import surrogate_costs
 
 
 def random_centers(rng, k, d, scale=20.0):
@@ -29,36 +25,29 @@ class TestDerivedFixture:
         assert shapes == [(-np.inf, np.inf, 0), (-8.0, 8.0, 0), (8.0, 24.0, 1)]
 
     def test_smallest_box_queries(self, forest):
-        box, rep = smallest_containing_box(forest, np.array([9.0]))
-        assert (box.low[0], box.high[0], rep) == (8.0, 24.0, 1)
-        assert assignment_sq_cost(forest, np.array([9.0])) == 49.0
-
-        box, rep = smallest_containing_box(forest, np.array([7.0]))
-        assert (box.low[0], box.high[0], rep) == (-8.0, 8.0, 0)
-        assert assignment_sq_cost(forest, np.array([7.0])) == 49.0
-
-        box, rep = smallest_containing_box(forest, np.array([-100.0]))
-        assert rep == 0 and not np.isfinite(box.low[0])
-        assert assignment_sq_cost(forest, np.array([-100.0])) == 10_000.0
+        # 9 sits in [8,24) with rep 16, 7 in [-8,8) with rep 0, and -100
+        # only in the whole-space root, whose rep is center 0; the half-open
+        # upper faces put 8 in [8,24) and 24 in the root only
+        reps, costs = assignment_reps_batch(
+            forest, np.array([[9.0], [7.0], [-100.0], [8.0], [24.0]]))
+        assert reps.tolist() == [1, 0, 0, 1, 0]
+        assert costs.tolist() == [49.0, 49.0, 10_000.0, 64.0, 576.0]
 
     def test_batch_assignment_matches_single(self, forest):
         pts = np.array([[9.0], [7.0], [-100.0], [8.0], [23.9], [24.0]])
-        reps, costs = assignment_reps_batch(forest, pts)
-        for p, r, c in zip(pts, reps, costs):
-            box, rep = smallest_containing_box(forest, p)
-            assert rep == r
-            assert c == pytest.approx(assignment_sq_cost(forest, p))
+        _, costs = assignment_reps_batch(forest, pts)
+        assert costs == pytest.approx(surrogate_costs(pts, forest))
 
     def test_two_center_piecewise_assignment(self, forest):
         # power-of-two sided disjoint cubes around each center, as large as
         # possible; outside both, points assign to the first center
         c0, c1 = 0.0, 16.0
-        for x in [-7.9, 0.0, 3.0, 7.9]:
-            assert assignment_sq_cost(forest, np.array([x])) == (x - c0) ** 2
-        for x in [8.0, 9.0, 16.0, 23.9]:
-            assert assignment_sq_cost(forest, np.array([x])) == (x - c1) ** 2
-        for x in [-50.0, 24.0, 300.0]:
-            assert assignment_sq_cost(forest, np.array([x])) == (x - c0) ** 2
+        cases = [(x, c0) for x in [-7.9, 0.0, 3.0, 7.9]] + \
+            [(x, c1) for x in [8.0, 9.0, 16.0, 23.9]] + \
+            [(x, c0) for x in [-50.0, 24.0, 300.0]]
+        xs = np.array([[x] for x, _ in cases])
+        _, costs = assignment_reps_batch(forest, xs)
+        assert costs.tolist() == [(x - c) ** 2 for x, c in cases]
 
 
 class TestDegenerateInputs:

@@ -84,10 +84,23 @@ class TestDiagnostics:
         assert "guard" in err
 
     def test_bad_epsilon_rejected(self, schema_path, capsys):
-        code, _, err = run_cli(
-            ["--schema", schema_path, "--k", "2", "--epsilon", "0.5"], capsys)
-        assert code == 1
-        assert "epsilon" in err
+        # delta must lie in (0, epsilon/2]; every bad knob fails before sampling
+        for bad in (["--epsilon", "0.5"], ["--delta", "-0.5"], ["--delta", "0.9"]):
+            code, _, err = run_cli(
+                ["--schema", schema_path, "--k", "2", *bad], capsys)
+            assert code == 1
+            assert "epsilon" in err
+            assert "[sample]" not in err
+
+    def test_too_few_distinct_points_exits_1(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text("x\n0\n0\n0\n5\n5\n5\n9\n9\n")
+        doc = tmp_path / "s.txt"
+        doc.write_text("T: x @ t.csv\n")
+        code, out, err = run_cli(
+            ["--schema", str(doc), "--k", "4", "--ring-cap", "400"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "3 distinct points" in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -11,7 +11,8 @@ from relkmeans.clustering import (
     weighted_kmeanspp_seed,
     weighted_lloyd,
 )
-from relkmeans.oracle import MaterializationGuard
+from relkmeans.boxes import assignment_reps_batch, build_boxes
+from relkmeans.oracle import MaterializationGuard, materialize
 from relkmeans.sampling import make_rng
 
 
@@ -139,6 +140,30 @@ class TestRelationalCost:
         assert relational_cost(tree, tables, cs) == pytest.approx(114.0)
         assert relational_cost(tree, tables, cs, mode="exact") == \
             pytest.approx(114.0)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e7])
+    def test_surrogate_matches_direct_box_assignment(self, offset):
+        # the laminar inclusion-exclusion subtracts per-box costs of nearly
+        # equal size; shifting every coordinate by 1e7 makes those costs
+        # large without changing the geometry
+        rng = np.random.default_rng(8)
+        hubs = np.arange(6.0)
+        hub = np.column_stack([hubs, rng.normal(0, 5, 6)])
+        leaf1 = np.column_stack([np.repeat(hubs, 3), rng.normal(0, 5, 18)])
+        leaf2 = np.column_stack([np.repeat(hubs, 2), rng.normal(0, 5, 12)])
+        tables = [
+            Table(0, "H", (FeatureId("h", 0), FeatureId("a", 1)), hub + offset),
+            Table(1, "L1", (FeatureId("h", 0), FeatureId("b", 2)), leaf1 + offset),
+            Table(2, "L2", (FeatureId("h", 0), FeatureId("c", 3)), leaf2 + offset),
+        ]
+        tree = gyo_reduce(tables_to_schema(tables))
+        join = materialize(tables, tree=tree)
+        assert join.n_rows == 36
+        centers = join.rows[rng.choice(36, 5, replace=False)] + \
+            rng.normal(0, 0.5, size=(5, 4))
+        direct = assignment_reps_batch(build_boxes(centers), join.rows)[1].sum()
+        got = relational_cost(tree, tables, centers)
+        assert abs(got - direct) <= 1e-9 * direct
 
     def test_guard_in_exact_mode(self, path_tree, path_tables):
         with pytest.raises(MaterializationGuard):

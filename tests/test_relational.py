@@ -8,12 +8,11 @@ from relkmeans import (
     FeatureId,
     SchemaError,
     Table,
-    filter_by_box,
     gyo_reduce,
     load_database,
     tables_to_schema,
 )
-from relkmeans.relational import running_intersection_holds
+from relkmeans.relational import box_row_masks, running_intersection_holds
 
 from conftest import brute_force_join, random_acyclic_tables
 
@@ -135,23 +134,28 @@ class TestGyoReduce:
             assert running_intersection_holds(tree)
 
 
+def apply_box_masks(tables, box):
+    """The tables restricted to the rows their box masks keep."""
+    return [t.with_rows(t.rows[m]) for t, m in zip(tables, box_row_masks(tables, box))]
+
+
 class TestFilterByBox:
     def test_shared_column_restriction(self, path_tables):
         box = BoxRect(np.array([-np.inf, 1, -np.inf]), np.array([np.inf, 1, np.inf]))
-        out = filter_by_box(path_tables, box)
+        out = apply_box_masks(path_tables, box)
         assert out[0].rows.tolist() == [[1, 1], [2, 1]]
         assert out[1].rows.tolist() == [[1, 1], [1, 2]]
         assert len(brute_force_join(out)) == 4
 
     def test_whole_space_is_identity(self, path_tables):
-        out = filter_by_box(path_tables, BoxRect.whole_space(3))
+        out = apply_box_masks(path_tables, BoxRect.whole_space(3))
         for a, b in zip(out, path_tables):
             assert np.array_equal(a.rows, b.rows)
 
     def test_excluding_box_empties_join(self, path_tables):
         box = BoxRect(np.array([100.0, -np.inf, -np.inf]),
                       np.array([200.0, np.inf, np.inf]))
-        out = filter_by_box(path_tables, box)
+        out = apply_box_masks(path_tables, box)
         assert out[0].n_rows == 0
         assert len(brute_force_join(out)) == 0
 
@@ -160,8 +164,8 @@ class TestFilterByBox:
         closed = BoxRect(np.array([0.0]), np.array([1.0]))
         half_open = BoxRect(np.array([0.0]), np.array([1.0]),
                             high_open=np.array([True]))
-        assert filter_by_box([t], closed)[0].n_rows == 2
-        assert filter_by_box([t], half_open)[0].n_rows == 1
+        assert apply_box_masks([t], closed)[0].n_rows == 2
+        assert apply_box_masks([t], half_open)[0].n_rows == 1
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(ValueError, match="low > high"):
@@ -181,5 +185,5 @@ class TestFilterByBox:
         joined = brute_force_join(tables)
         expected = joined[(joined[:, dim] >= lo) & (joined[:, dim] <= lo + width)] \
             if len(joined) else joined
-        got = brute_force_join(filter_by_box(tables, box))
+        got = brute_force_join(apply_box_masks(tables, box))
         assert sorted(map(tuple, got)) == sorted(map(tuple, expected))

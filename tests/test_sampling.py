@@ -19,7 +19,7 @@ from relkmeans.sampling import (
     sample_uniform_row,
 )
 
-from conftest import random_acyclic_tables
+from conftest import random_acyclic_tables, surrogate_costs
 
 
 def single_table(values) -> tuple:
@@ -27,25 +27,6 @@ def single_table(values) -> tuple:
     feats = tuple(FeatureId(f"x{i}", i) for i in range(rows.shape[1]))
     t = Table(0, "T", feats, rows)
     return [t], gyo_reduce(tables_to_schema([t]))
-
-
-def surrogate_costs(join_rows: np.ndarray, forest) -> np.ndarray:
-    """Independent per-row surrogate cost: scan every forest box for the
-    smallest-volume one containing the row, then square the distance to its
-    representative."""
-    costs = np.zeros(len(join_rows))
-    for i, p in enumerate(join_rows):
-        best_vol, best_rep = None, None
-        for e in forest.entries:
-            lo_ok = np.where(e.low_open, p > e.low, p >= e.low)
-            hi_ok = np.where(e.high_open, p < e.high, p <= e.high)
-            if lo_ok.all() and hi_ok.all():
-                vol = float(np.prod(e.high - e.low))
-                if best_vol is None or vol < best_vol:
-                    best_vol, best_rep = vol, e.representative
-        diff = p - forest.centers[best_rep]
-        costs[i] = diff @ diff
-    return costs
 
 
 def empirical_tv(samples: np.ndarray, support: np.ndarray,
@@ -65,7 +46,7 @@ class TestUniformRow:
         from relkmeans.sampling import _UniformSampler
         sampler = _UniformSampler(path_tree, path_tables)
         prov = sampler.sample_batch(rng, 100_000)
-        pts = sampler.points_from_provenance(prov)
+        pts = sampler.ev.gather(prov)
         join = materialize(path_tables).rows
         tv = empirical_tv(pts, join, np.full(5, 0.2))
         assert tv < 0.02

@@ -8,7 +8,6 @@ from relkmeans import (
     FeatureId,
     JoinEvaluator,
     Table,
-    boxed_cost_grouped,
     costpair_semiring,
     counting_semiring,
     eval_sumprod,
@@ -75,24 +74,32 @@ class TestGroupedQueries:
         assert [v.a for v in got.values] == [4.0, 9.0]
 
 
+def boxed_cost(tree, tables, box, target, group):
+    """Per group-table row, the squared distance to ``target`` summed over
+    the join rows extending the row that lie inside ``box``."""
+    ev = JoinEvaluator(tree, tables)
+    cost, _ = ev.costpair_grouped(group, target, ev.masks_for_box(box))
+    return cost
+
+
 class TestBoxedCostGrouped:
     def test_whole_space_origin(self, path_tree, path_tables):
-        got = boxed_cost_grouped(path_tree, path_tables, BoxRect.whole_space(3),
-                                 np.zeros(3), 0)
+        got = boxed_cost(path_tree, path_tables, BoxRect.whole_space(3),
+                         np.zeros(3), 0)
         # brute force per T1 row; the row (2,1) extends to (2,1,1) and (2,1,2)
         assert got.tolist() == [9.0, 15.0, 22.0, 0.0, 0.0]
 
     def test_empty_box_is_all_zero(self, path_tree, path_tables):
         box = BoxRect(np.full(3, 50.0), np.full(3, 60.0))
-        got = boxed_cost_grouped(path_tree, path_tables, box, np.zeros(3), 0)
+        got = boxed_cost(path_tree, path_tables, box, np.zeros(3), 0)
         assert got.tolist() == [0.0] * 5
 
     def test_single_row_join_at_target_is_zero(self):
         t = Table(0, "T", (FeatureId("x", 0), FeatureId("y", 1)),
                   np.array([[2.0, 5.0]]))
         tree = gyo_reduce(tables_to_schema([t]))
-        got = boxed_cost_grouped(tree, [t], BoxRect.whole_space(2),
-                                 np.array([2.0, 5.0]), 0)
+        got = boxed_cost(tree, [t], BoxRect.whole_space(2),
+                         np.array([2.0, 5.0]), 0)
         assert got.tolist() == [0.0]
 
     def test_matches_filter_then_costpair(self, path_tree, path_tables, rng):
@@ -100,7 +107,7 @@ class TestBoxedCostGrouped:
             low = rng.uniform(-1, 3, size=3)
             high = low + rng.uniform(0, 4, size=3)
             box = BoxRect(low, high)
-            got = boxed_cost_grouped(path_tree, path_tables, box, np.zeros(3), 1)
+            got = boxed_cost(path_tree, path_tables, box, np.zeros(3), 1)
             joined = brute_force_join(path_tables)
             inside = joined[np.all((joined >= low) & (joined <= high), axis=1)] \
                 if len(joined) else joined

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from relkmeans import FeatureId, Table, gyo_reduce, tables_to_schema
+from relkmeans.boxes import sq_dists
 from relkmeans.weighting import (
     RingStats,
     WeightConfig,
     WeightedCoreset,
     compute_weights,
-    nearest_center,
     ring_sample_size,
 )
 
@@ -34,18 +34,18 @@ def two_cluster_db(rng):
 class TestNearestCenter:
     def test_point_at_center(self):
         cs = np.array([[0.0, 0.0], [3.0, 4.0]])
-        assert nearest_center(np.array([3.0, 4.0]), cs) == 1
+        assert np.argmin(sq_dists(np.array([[3.0, 4.0]]), cs), axis=1).tolist() == [1]
 
     def test_tie_goes_to_lowest_index(self):
         cs = np.array([[0.0], [2.0]])
-        assert nearest_center(np.array([1.0]), cs) == 0
+        assert np.argmin(sq_dists(np.array([[1.0]]), cs), axis=1).tolist() == [0]
 
     def test_matches_brute_force(self, rng):
         cs = rng.normal(size=(6, 3))
-        for _ in range(50):
-            p = rng.normal(size=3)
-            d2 = ((cs - p) ** 2).sum(axis=1)
-            assert nearest_center(p, cs) == int(np.argmin(d2))
+        pts = rng.normal(size=(50, 3))
+        d2 = ((cs[None, :, :] - pts[:, None, :]) ** 2).sum(axis=2)
+        assert np.array_equal(np.argmin(sq_dists(pts, cs), axis=1),
+                              np.argmin(d2, axis=1))
 
 
 class TestConfig:
@@ -58,6 +58,9 @@ class TestConfig:
             WeightConfig(epsilon=0.3)
         with pytest.raises(ValueError):
             WeightConfig(epsilon=0.1, delta=0.2)
+        for delta in (-0.5, 0.0):
+            with pytest.raises(ValueError, match="delta"):
+                WeightConfig(epsilon=0.1, delta=delta)
         with pytest.raises(ValueError):
             WeightConfig(tau=10)
 
@@ -129,7 +132,7 @@ class TestComputeWeights:
             if not in_donut.any() or s.samples == 0:
                 continue
             donut_pts = pts[in_donut]
-            owners = np.array([nearest_center(p, centers) for p in donut_pts])
+            owners = np.argmin(sq_dists(donut_pts, centers), axis=1)
             f_true = float((owners == s.center_index).mean())
             if f_true > (1 + cfg.epsilon) * threshold:
                 assert abs(s.ratio - f_true) <= cfg.epsilon * max(f_true, 1e-9)
