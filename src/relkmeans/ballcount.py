@@ -1,13 +1,14 @@
 """Approximate counting and near-uniform sampling inside hyperspheres.
 
-Exact in-ball counting on a join is intractable, so distances are pushed
-through a SumProd query whose carrier is a multiset of squared distances:
-q_f contributes the squared deviation on one coordinate, multiset
-convolution adds deviations across features, and multiset union aggregates
-over join rows.  Keeping every exact distance would make intermediate
-results as large as the join, so keys are rounded up onto a (1+delta)
-geometric grid once per table; the rounding compounds to at most
-(1+delta)^m on the radius axis.  All radii in this module are squared
+Exact in-ball counting on a join is intractable, so squared distances to a
+center are pushed through the join tree as sparse histograms
+(:meth:`JoinEvaluator.distance_grouped`): a row's key is its own squared
+deviation plus one key from each child's message, and a message is the
+union of its rows' histograms per separator key.  Keeping every exact
+distance would make intermediate results as large as the join, so keys are
+rounded up onto a (1+delta) geometric grid once per table; the rounding
+compounds to at most (1+delta)^m on the radius axis.  Counts are float64,
+like every count of the evaluator.  All radii in this module are squared
 distances.
 """
 
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .relational import JoinTree, Table
-from .sumprod import SemiringSpec, eval_sumprod, eval_sumprod_grouped, JoinEvaluator
-
-Multiset = dict  # squared distance -> count
+from .sumprod import JoinEvaluator
 
 
 class EmptyBall(Exception):
@@ -44,82 +43,24 @@ class Bucketizer:
     delta: float
     v_min: float
 
-    def round_up(self, value: float) -> float:
-        if value <= 0.0:
-            return 0.0
-        ratio = value / self.v_min
+    def round_up(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(values.shape)
+        pos = values > 0.0
         # epsilon guard keeps exact grid points in their own bucket
-        idx = math.ceil(math.log(ratio) / math.log1p(self.delta) - 1e-9)
-        return self.v_min * (1.0 + self.delta) ** max(idx, 0)
+        steps = np.ceil(np.log(values[pos] / self.v_min)
+                        / math.log1p(self.delta) - 1e-9)
+        steps, inv = np.unique(np.maximum(steps, 0.0), return_inverse=True)
+        # one float pow per grid index: widen() thresholds land within ulps
+        # of grid values, so a grid value computed any other way could flip
+        # a key <= threshold test
+        grid = [self.v_min * (1.0 + self.delta) ** int(i) for i in steps]
+        out[pos] = np.array(grid)[inv]
+        return out
 
     def widen(self, sq_radius: float, m_tables: int) -> float:
         """Radius covering everything whose rounded key might exceed the
         true key after m per-table roundings."""
         return sq_radius * (1.0 + self.delta) ** m_tables
-
-
-def multiset_plus(a: Multiset, b: Multiset) -> Multiset:
-    if len(a) < len(b):
-        a, b = b, a
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return out
-
-
-def multiset_times(a: Multiset, b: Multiset) -> Multiset:
-    out: Multiset = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = ka + kb
-            out[k] = out.get(k, 0) + ca * cb
-    return out
-
-
-def _compactor(bucketizer: Bucketizer | None):
-    if bucketizer is None:
-        return None
-
-    def compact(ms: Multiset) -> Multiset:
-        out: Multiset = {}
-        for k, c in ms.items():
-            key = bucketizer.round_up(k)
-            out[key] = out.get(key, 0) + c
-        return out
-
-    return compact
-
-
-def multiset_semiring(features: list[str], center: np.ndarray | dict,
-                      feature_index: dict[str, int] | None = None,
-                      bucketizer: Bucketizer | None = None) -> SemiringSpec:
-    """Distance-multiset semiring: q_f(v) = {(v - c_f)^2: 1}, plus is
-    multiset union, times is sumset convolution.
-
-    The embedding stays exact (per-row products are singletons, so nothing
-    grows until rows are merged); rounding happens only in the per-node
-    compaction hook, so keys inflate by at most (1+delta) per table.
-    """
-    def coord(name: str) -> float:
-        if isinstance(center, dict):
-            return float(center[name])
-        return float(center[feature_index[name]])
-
-    def q(name: str):
-        cf = coord(name)
-        return lambda v: {(v - cf) ** 2: 1}
-
-    return SemiringSpec(
-        zero={}, one={0.0: 1},
-        plus=multiset_plus,
-        times=multiset_times,
-        feature_map={f: q(f) for f in features},
-        compact=_compactor(bucketizer),
-    )
-
-
-def _feature_index(tables: list[Table]) -> dict[str, int]:
-    return {f.name: f.index for t in tables for f in t.features}
 
 
 def smallest_positive_deviation(tables: list[Table], center: np.ndarray) -> float:
@@ -190,8 +131,7 @@ class DistanceProfile:
 
 
 def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
-                     delta: float | None = None,
-                     masks: list[np.ndarray] | None = None) -> DistanceProfile:
+                     delta: float | None = None) -> DistanceProfile:
     """Profile of squared distances from all join points to the center.
 
     ``delta`` is the per-table bucketing error; None or 0 keeps exact
@@ -199,24 +139,12 @@ def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
     """
     center = np.asarray(center, dtype=np.float64)
     bucketizer = make_bucketizer(tables, center, delta)
-    spec = multiset_semiring(
-        sorted({f.name for t in tables for f in t.features}),
-        center, _feature_index(tables), bucketizer)
-    total = eval_sumprod(tree, tables, spec, masks=masks)
-    if not total:
-        return DistanceProfile(center, delta or 0.0, np.array([]), np.array([]),
-                               len(tables))
-    keys = np.array(sorted(total))
-    counts = np.array([total[k] for k in keys], dtype=np.int64)
+    _, keys, counts = JoinEvaluator(tree, tables).distance_grouped(
+        tree.root, center, bucketizer.round_up if bucketizer else None)
+    keys, inv = np.unique(keys, return_inverse=True)
+    counts = np.bincount(inv, weights=counts, minlength=keys.size)
     return DistanceProfile(center, delta or 0.0, keys, np.cumsum(counts),
                            len(tables))
-
-
-def count_in_ball(profile: DistanceProfile, sq_radius: float) -> int:
-    """Approximate |join ∩ ball|: exact in exact mode, otherwise the count
-    at a radius within (1+delta)^m of the request (rounding is upward, so
-    the count is never inflated past the true count at sq_radius)."""
-    return profile.count_at(sq_radius)
 
 
 def radius_for_count(tree: JoinTree, tables: list[Table], center: np.ndarray,
@@ -243,7 +171,7 @@ def radius_for_count(tree: JoinTree, tables: list[Table], center: np.ndarray,
 class BallSampler:
     """Near-uniform sampling of join points inside balls around one center.
 
-    Grouped distance multisets are cached per fixed-row prefix, so one
+    Grouped distance histograms are cached per fixed-row prefix, so one
     sampler amortizes across many radii and many draws.  Stage weights use
     a widened radius so every true ball member stays sampleable despite
     upward rounding; points outside the requested ball are rejected against
@@ -252,17 +180,12 @@ class BallSampler:
 
     def __init__(self, tree: JoinTree, tables: list[Table], center: np.ndarray,
                  delta: float | None = None):
-        self.tree = tree
-        self.tables = tables
         self.center = np.asarray(center, dtype=np.float64)
         self.m = len(tables)
-        self.delta = delta
         self.bucketizer = make_bucketizer(tables, self.center, delta)
         self.ev = JoinEvaluator(tree, tables)
-        names = sorted({f.name for t in tables for f in t.features})
-        self.spec = multiset_semiring(names, self.center,
-                                      _feature_index(tables), self.bucketizer)
-        self._stage_cache: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = {}
+        self._stage_cache: dict[tuple[int, ...],
+                                tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _effective(self, sq_radius: float, stage: int) -> float:
         """Widened membership threshold for one sampling stage.
@@ -277,33 +200,22 @@ class BallSampler:
             return sq_radius
         return self.bucketizer.widen(sq_radius, self.m * (stage + 1))
 
-    def _stage_multisets(self, prefix: tuple[int, ...],
-                         ) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _stage_histogram(self, prefix: tuple[int, ...],
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, keys, counts) of table ``len(prefix)`` with the earlier
+        tables pinned to the rows in ``prefix``."""
         if prefix not in self._stage_cache:
-            stage = len(prefix)
-            masks = self.ev.singleton_masks({t: r for t, r in enumerate(prefix)})
-            grouped = eval_sumprod_grouped(
-                self.tree, self.tables, self.spec, stage, masks=masks)
-            rows = []
-            for ms in grouped.values:
-                if ms:
-                    keys = np.array(sorted(ms))
-                    cums = np.cumsum([ms[k] for k in keys])
-                else:
-                    keys, cums = np.array([]), np.array([])
-                rows.append((keys, cums))
-            self._stage_cache[prefix] = rows
+            masks = self.ev.singleton_masks(dict(enumerate(prefix)))
+            self._stage_cache[prefix] = self.ev.distance_grouped(
+                len(prefix), self.center,
+                self.bucketizer.round_up if self.bucketizer else None, masks)
         return self._stage_cache[prefix]
 
     def _stage_weights(self, prefix: tuple[int, ...], sq_radius: float) -> np.ndarray:
-        eff_radius = self._effective(sq_radius, len(prefix))
-        rows = self._stage_multisets(prefix)
-        w = np.zeros(len(rows))
-        for i, (keys, cums) in enumerate(rows):
-            idx = np.searchsorted(keys, eff_radius, side="right") - 1
-            if idx >= 0:
-                w[i] = cums[idx]
-        return w
+        rows, keys, counts = self._stage_histogram(prefix)
+        inside = keys <= self._effective(sq_radius, len(prefix))
+        return np.bincount(rows[inside], weights=counts[inside],
+                           minlength=self.ev.tables[len(prefix)].n_rows)
 
     def sample_batch(self, sq_radius: float, size: int,
                      rng: np.random.Generator) -> np.ndarray:

@@ -61,13 +61,6 @@ class LaminarForest:
     def size(self) -> int:
         return len(self.entries)
 
-    def children(self) -> dict[int, list[int]]:
-        kids: dict[int, list[int]] = {i: [] for i in range(self.size)}
-        for i, p in enumerate(self.parents):
-            if p is not None:
-                kids[p].append(i)
-        return kids
-
     def rep_point(self, entry_index: int) -> np.ndarray:
         return self.centers[self.entries[entry_index].representative]
 

@@ -27,6 +27,11 @@ from .weighting import WeightConfig, compute_weights
 MODES = ("coreset", "cluster", "baseline", "verify")
 
 
+class CyclicSchemaError(Exception):
+    """The schema's join hypergraph is cyclic; the message names the
+    residual hypergraph GYO reduction got stuck on."""
+
+
 @dataclass(frozen=True)
 class RunConfig:
     schema: str
@@ -67,7 +72,7 @@ def run(cfg: RunConfig) -> dict:
     """Execute the pipeline per the configured mode and return the result
     document (raises SchemaError / ValueError / MaterializationGuard /
     InsufficientDistinctPoints with diagnostics; cyclic schemas raise
-    ValueError mentioning the residual).  The accuracy knobs are checked
+    CyclicSchemaError naming the residual).  The accuracy knobs are checked
     before any table is read."""
     wcfg = WeightConfig(epsilon=cfg.epsilon, delta=cfg.delta, tau=cfg.tau,
                         seed=cfg.seed, max_ring_samples=cfg.ring_cap)
@@ -75,7 +80,7 @@ def run(cfg: RunConfig) -> dict:
     tables, schema = load_database(cfg.schema)
     verdict = gyo_reduce(schema)
     if isinstance(verdict, CyclicVerdict):
-        raise ValueError(f"cyclic schema: {verdict.describe()}")
+        raise CyclicSchemaError(f"cyclic schema: {verdict.describe()}")
     tree = verdict
     clock.lap("load")
 
@@ -182,15 +187,15 @@ def main(argv: list[str] | None = None) -> int:
                         mode=args.mode, out=args.out, guard=args.guard,
                         ring_cap=args.ring_cap)
         doc = run(cfg)
-    except (SchemaError, InsufficientDistinctPoints) as exc:
+    except (SchemaError, InsufficientDistinctPoints, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CyclicSchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except MaterializationGuard as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if "cyclic schema" in str(exc) else 1
     text = json.dumps(doc, indent=2)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:

@@ -51,9 +51,6 @@ class Table:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.feature_names().index(name)]
-
     def with_rows(self, rows: np.ndarray) -> "Table":
         return Table(self.id, self.name, self.features, rows)
 
@@ -68,9 +65,6 @@ class SchemaGraph:
     @property
     def n_features(self) -> int:
         return len(self.vertices)
-
-    def feature_order(self) -> tuple[str, ...]:
-        return tuple(f.name for f in sorted(self.vertices, key=lambda f: f.index))
 
 
 @dataclass(frozen=True)
@@ -173,12 +167,6 @@ class BoxRect:
     def whole_space(cls, dim: int, representative: int | None = None) -> "BoxRect":
         return cls(np.full(dim, -np.inf), np.full(dim, np.inf),
                    representative=representative)
-
-    def contains(self, point: np.ndarray) -> bool:
-        p = np.asarray(point, dtype=np.float64)
-        lo_ok = np.where(self.low_open, p > self.low, p >= self.low)
-        hi_ok = np.where(self.high_open, p < self.high, p <= self.high)
-        return bool(np.all(lo_ok) and np.all(hi_ok))
 
     def mask_for(self, values: np.ndarray, dim_index: int) -> np.ndarray:
         """Vectorized membership of a value column against one dimension."""

@@ -1,4 +1,4 @@
-"""SumProd queries over a join tree for arbitrary commutative semirings.
+"""SumProd queries over a join tree.
 
 The value computed is the semiring sum, over all rows of the (virtual)
 join, of the semiring product of per-feature values q_f(x_f).  Evaluation
@@ -6,12 +6,13 @@ is one message pass over the join tree, so the join itself is never built.
 Each feature is applied at exactly one owner node to avoid double-counting
 features shared between tables.
 
-Two implementations live here: a generic one that works for any carrier
-(used by the bucketed distance multisets), and :class:`JoinEvaluator`, a
-numpy fast path for the counting and cost-pair instances that the samplers
-hammer with thousands of box-restricted grouped queries.  The evaluator
-also holds the one table-by-table row walk both samplers draw join rows
-with; they differ only in the stage weights they feed it.
+:class:`JoinEvaluator` is the one evaluator the pipeline runs.  It carries
+counts, cost pairs and sparse squared-distance histograms as numpy arrays,
+and it holds the one table-by-table row walk both samplers draw join rows
+with; they differ only in the stage weights they feed it.  The generic
+dict engine (:func:`eval_sumprod`, :func:`eval_sumprod_grouped`) takes any
+carrier one row at a time; it is the reference the evaluator is tested
+against, not a pipeline path.
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ class SemiringSpec:
     """A commutative semiring plus the per-feature embedding q_f.
 
     ``feature_map`` maps feature name to a function from the real feature
-    value into the carrier.  ``compact``, when set, is applied to every
-    per-row value and message entry as it is formed; it is the hook the
-    approximate counter uses for geometric re-bucketing and must satisfy
-    compact(plus(a, b)) == plus(compact(a), compact(b)).
+    value into the carrier.
     """
 
     zero: Any
@@ -40,7 +38,6 @@ class SemiringSpec:
     plus: Callable[[Any, Any], Any]
     times: Callable[[Any, Any], Any]
     feature_map: Mapping[str, Callable[[float], Any]]
-    compact: Callable[[Any], Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -121,14 +118,12 @@ def _sep_key(table: Table, row: int, separator: tuple[str, ...]) -> tuple:
 
 def eval_sumprod_grouped(tree: JoinTree, tables: list[Table], spec: SemiringSpec,
                          group: int,
-                         ownership: Mapping[str, int] | None = None,
-                         masks: list[np.ndarray] | None = None) -> GroupedResult:
+                         ownership: Mapping[str, int] | None = None) -> GroupedResult:
     """Grouped SumProd: entry r is the query value with the group table
     pinned to its single row r.  One upward pass rooted at the group table.
     """
     owner = dict(ownership) if ownership is not None else default_ownership(tree, tables)
     order = tree.rooted_order(group)
-    compact = spec.compact or (lambda v: v)
 
     # messages[node] = dict: separator key -> carrier, sent to its parent
     messages: dict[int, dict[tuple, Any]] = {}
@@ -142,54 +137,80 @@ def eval_sumprod_grouped(tree: JoinTree, tables: list[Table], spec: SemiringSpec
     values_at: dict[int, list[Any]] = {}
     for node, par in order:
         table = tables[node]
-        mask = masks[node] if masks is not None else None
         vals = []
         for row in range(table.n_rows):
-            if mask is not None and not mask[row]:
-                vals.append(spec.zero)
-                continue
             v = _node_value(table, row, spec, owner)
-            dead = False
             for c in children[node]:
-                key = _sep_key(table, row, sep_of[c])
-                incoming = messages[c].get(key)
+                incoming = messages[c].get(_sep_key(table, row, sep_of[c]))
                 if incoming is None:
-                    dead = True
+                    v = spec.zero
                     break
                 v = spec.times(v, incoming)
-            vals.append(spec.zero if dead else compact(v))
+            vals.append(v)
         values_at[node] = vals
         if par is not None:
             msg: dict[tuple, Any] = {}
             for row, v in enumerate(vals):
-                if mask is not None and not mask[row]:
-                    continue
                 key = _sep_key(table, row, sep_of[node])
-                msg[key] = compact(spec.plus(msg[key], v)) if key in msg else v
+                msg[key] = spec.plus(msg[key], v) if key in msg else v
             messages[node] = msg
 
     return GroupedResult(group, tuple(values_at[group]))
 
 
 def eval_sumprod(tree: JoinTree, tables: list[Table], spec: SemiringSpec,
-                 ownership: Mapping[str, int] | None = None,
-                 masks: list[np.ndarray] | None = None) -> Any:
+                 ownership: Mapping[str, int] | None = None) -> Any:
     """Scalar SumProd over all join rows; zero for an empty join."""
-    grouped = eval_sumprod_grouped(tree, tables, spec, tree.root, ownership, masks)
+    grouped = eval_sumprod_grouped(tree, tables, spec, tree.root, ownership)
     total = spec.zero
     for v in grouped.values:
         total = spec.plus(total, v)
-    compact = spec.compact or (lambda v: v)
-    return compact(total)
+    return total
+
+
+def _merge(ids: np.ndarray, keys: np.ndarray, counts: np.ndarray,
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the counts of equal (id, key) pairs; the result is sorted by id,
+    then key."""
+    order = np.lexsort((keys, ids))
+    ids, keys, counts = ids[order], keys[order], counts[order]
+    new = np.ones(ids.size, dtype=bool)
+    new[1:] = (ids[1:] != ids[:-1]) | (keys[1:] != keys[:-1])
+    return ids[new], keys[new], np.bincount(np.cumsum(new) - 1, weights=counts)
+
+
+def _convolve(hist: tuple[np.ndarray, np.ndarray, np.ndarray],
+              ids_par: np.ndarray, msg: tuple[np.ndarray, np.ndarray, np.ndarray],
+              n_keys: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair every (row, key, count) entry with every message entry under the
+    row's separator key: keys add, counts multiply.  Rows whose separator
+    key has no message entry drop out."""
+    rows, keys, counts = hist
+    msg_ids, msg_keys, msg_counts = msg  # sorted by separator key id
+    lens = np.bincount(msg_ids, minlength=n_keys)
+    first = np.cumsum(lens) - lens
+    sep = ids_par[rows]
+    reps = lens[sep]
+    src = np.repeat(np.arange(rows.size), reps)
+    pick = np.repeat(first[sep] - (np.cumsum(reps) - reps), reps) + np.arange(src.size)
+    return rows[src], keys[src] + msg_keys[pick], counts[src] * msg_counts[pick]
 
 
 class JoinEvaluator:
-    """Vectorized counting / cost-pair queries against one (tree, tables) pair.
+    """Vectorized count, cost-pair and distance-histogram queries against one
+    (tree, tables) pair.
 
     Separator keys are factorized once per edge; every query after that is
     masked bincount aggregation, so box-restricted and row-conditioned
-    variants cost O(total rows) each.  Key comparison is bit-exact (values
-    come from input files, never from arithmetic).
+    variants cost O(total rows) each (times the histogram sizes for
+    distances).  Key comparison is exact (values come from input files,
+    never from arithmetic), with -0.0 equal to 0.0.
+
+    Counts are float64 throughout: exact below 2**53 join rows and never
+    overflowing beyond.  Every count is a sum or product of non-negative
+    floats, so past 2**53 only the relative error grows, by at most one
+    float64 rounding per operation (test_ballcount's 40**13-row star is off
+    by under 1e-15).
     """
 
     def __init__(self, tree: JoinTree, tables: list[Table],
@@ -221,28 +242,27 @@ class JoinEvaluator:
         if edge not in self._edge_keys:
             sep = self.tree.edge_separator(*edge)
             ta, tb = self.tables[edge[0]], self.tables[edge[1]]
-            codes: dict[tuple, int] = {}
-
-            def encode(t: Table) -> np.ndarray:
-                names = t.feature_names()
-                cols = [t.rows[:, names.index(s)] for s in sep]
-                ids = np.empty(t.n_rows, dtype=np.int64)
-                for i in range(t.n_rows):
-                    key = tuple(c[i] for c in cols)
-                    ids[i] = codes.setdefault(key, len(codes))
-                return ids
-
-            ids_a, ids_b = encode(ta), encode(tb)
-            self._edge_keys[edge] = (ids_a, ids_b, len(codes))
+            cols = [t.rows[:, [t.feature_names().index(s) for s in sep]]
+                    for t in (ta, tb)]
+            uniq, ids = np.unique(np.vstack(cols), axis=0, return_inverse=True)
+            ids = ids.reshape(-1)
+            self._edge_keys[edge] = (ids[:ta.n_rows], ids[ta.n_rows:], len(uniq))
         ids_a, ids_b, n = self._edge_keys[edge]
         if child == min(child, parent):
             return ids_a, ids_b, n
         return ids_b, ids_a, n
 
+    def _owned_sq_dist(self, t: Table, target: np.ndarray) -> np.ndarray:
+        """Per row, the squared distance to ``target`` over the features the
+        table owns, summed from 0.0 in table-feature order."""
+        d = np.zeros(t.n_rows)
+        for pos, fidx in self._owned[t.id]:
+            d += (t.rows[:, pos] - target[fidx]) ** 2
+        return d
+
     def count_grouped(self, group: int,
                       masks: list[np.ndarray] | None = None) -> np.ndarray:
-        """Join-row counts extending each row of the group table (float64,
-        exact for counts below 2**53)."""
+        """Join-row counts extending each row of the group table."""
         base = {
             t.id: (masks[t.id].astype(np.float64) if masks is not None
                    else np.ones(t.n_rows))
@@ -273,10 +293,7 @@ class JoinEvaluator:
             active = (masks[t.id] if masks is not None
                       else np.ones(t.n_rows, dtype=bool))
             b = active.astype(np.float64)
-            a = np.zeros(t.n_rows)
-            for pos, fidx in self._owned[t.id]:
-                a += (t.rows[:, pos] - target[fidx]) ** 2
-            a_at[t.id] = a * b
+            a_at[t.id] = self._owned_sq_dist(t, target) * b
             b_at[t.id] = b
         for node, par in self._order(group):
             if par is None:
@@ -287,6 +304,40 @@ class JoinEvaluator:
             ma, mb = msg_a[ids_par], msg_b[ids_par]
             a_at[par], b_at[par] = a_at[par] * mb + ma * b_at[par], b_at[par] * mb
         return a_at[group], b_at[group]
+
+    def distance_grouped(self, group: int, center: np.ndarray,
+                         round_up: Callable[[np.ndarray], np.ndarray] | None = None,
+                         masks: list[np.ndarray] | None = None,
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparse histogram of squared distances to ``center`` per group-table
+        row, as (rows, keys, counts) sorted by row, then key: ``counts[i]``
+        join rows extending group-table row ``rows[i]`` lie at squared
+        distance ``keys[i]``.  Rows with no join rows have no entries.
+
+        A node's keys are its owned squared distance plus one message key per
+        child, added in the order the rooted order lists the children;
+        equal (row, key) pairs are merged after each child.  ``round_up``,
+        when given, rounds each node's keys once, after its last child, and a
+        message is the union of its rows' rounded keys per separator key.
+        """
+        def start(node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            t = self.tables[node]
+            rows = (np.flatnonzero(masks[node]) if masks is not None
+                    else np.arange(t.n_rows))
+            return rows, self._owned_sq_dist(t, center)[rows], np.ones(rows.size)
+
+        hist: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        for node, par in self._order(group):
+            rows, keys, counts = hist.pop(node) if node in hist else start(node)
+            if round_up is not None:
+                rows, keys, counts = _merge(rows, round_up(keys), counts)
+            if par is None:
+                break
+            ids_child, ids_par, n = self._keys(node, par)
+            msg = _merge(ids_child[rows], keys, counts)
+            into = hist.pop(par) if par in hist else start(par)
+            hist[par] = _merge(*_convolve(into, ids_par, msg, n))
+        return rows, keys, counts
 
     def masks_for_box(self, box: BoxRect,
                       conditioned: list[np.ndarray] | None = None,

@@ -1,17 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from relkmeans import FeatureId, Table, gyo_reduce, tables_to_schema
+from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_schema
 from relkmeans.ballcount import (
     BallSampler,
     Bucketizer,
     EmptyBall,
     TargetExceedsN,
-    count_in_ball,
     distance_profile,
-    multiset_plus,
-    multiset_semiring,
-    multiset_times,
     radius_for_count,
     sample_in_ball,
 )
@@ -39,10 +37,10 @@ class TestDistanceProfile:
 
     def test_counts_at_radii(self, path_tree, path_tables):
         p = distance_profile(path_tree, path_tables, ORIGIN3)
-        assert count_in_ball(p, 3.0) == 1
-        assert count_in_ball(p, 6.0) == 3
-        assert count_in_ball(p, 22.0) == 5
-        assert count_in_ball(p, 2.99) == 0
+        assert p.count_at(3.0) == 1
+        assert p.count_at(6.0) == 3
+        assert p.count_at(22.0) == 5
+        assert p.count_at(2.99) == 0
 
     def test_single_row_at_center_hits_zero_bucket(self):
         t = Table(0, "T", (FeatureId("x", 0), FeatureId("y", 1)),
@@ -79,7 +77,7 @@ class TestDistanceProfile:
                 continue
             factor = (1 + delta) ** m
             for r in np.concatenate([p.sq_radii, rng.uniform(0, d2.max(), 5)]):
-                got = count_in_ball(p, r)
+                got = p.count_at(r)
                 hi = int((d2 <= r).sum())
                 lo = int((d2 <= r / factor).sum())
                 assert lo <= got <= hi
@@ -161,35 +159,62 @@ class TestSampleInBall:
             assert (((pts - center) ** 2).sum(axis=1) <= r).all()
 
 
-class TestMultisetSemiring:
-    def test_axioms_exact_on_integer_keys(self):
-        spec = multiset_semiring(["x"], {"x": 0.0})
-        rng = np.random.default_rng(3)
-        els = [
-            {float(k): int(c) for k, c in
-             zip(rng.integers(0, 6, size=3), rng.integers(1, 4, size=3))}
-            for _ in range(10)
-        ] + [spec.zero, spec.one]
-        for _ in range(1000):
-            x, y, z = (els[i] for i in rng.integers(len(els), size=3))
-            assert multiset_plus(x, y) == multiset_plus(y, x)
-            assert multiset_plus(multiset_plus(x, y), z) == \
-                multiset_plus(x, multiset_plus(y, z))
-            assert multiset_plus(x, spec.zero) == x
-            assert multiset_times(x, y) == multiset_times(y, x)
-            assert multiset_times(multiset_times(x, y), z) == \
-                multiset_times(x, multiset_times(y, z))
-            assert multiset_times(x, spec.one) == x
-            assert multiset_times(x, spec.zero) == spec.zero
-            assert multiset_times(x, multiset_plus(y, z)) == \
-                multiset_plus(multiset_times(x, y), multiset_times(x, z))
+class TestGroupedDistancePass:
+    """The grouped pass the in-ball sampler runs, row by row, against brute
+    force over the join rows extending each group-table row."""
 
+    def test_rows_match_brute_force_with_and_without_pins(self, rng):
+        for _ in range(20):
+            tables = random_acyclic_tables(rng, max_tables=4)
+            tree = gyo_reduce(tables_to_schema(tables))
+            center = rng.normal(size=len({f.name for t in tables
+                                          for f in t.features}))
+            ev = JoinEvaluator(tree, tables)
+            for group in range(len(tables)):
+                pins = [{}]
+                if group > 0:
+                    earlier = int(rng.integers(group))
+                    pins.append({earlier: int(rng.integers(tables[earlier].n_rows))})
+                for pin in pins:
+                    rows, keys, counts = ev.distance_grouped(
+                        group, center, masks=ev.singleton_masks(pin))
+                    for r in range(tables[group].n_rows):
+                        fixed = {**pin, group: r}
+                        sub = [t.with_rows(t.rows[[fixed[t.id]]])
+                               if t.id in fixed else t for t in tables]
+                        mine = rows == r
+                        got = np.sort(np.repeat(keys[mine],
+                                                counts[mine].astype(int)))
+                        np.testing.assert_allclose(
+                            got, exact_sq_dists(sub, center),
+                            rtol=1e-9, atol=1e-12)
+
+
+class TestHugeJoin:
+    def test_thirteen_table_star_profile_in_closed_form(self):
+        # 13 tables of 40 rows on one shared key: 40^13 ~ 6.7e20 join rows,
+        # past int64; s tables at x = 1 put a join row at squared distance s
+        x = np.r_[np.ones(10), np.zeros(30)]
+        tables = [Table(i, f"T{i}", (FeatureId("k", 0), FeatureId(f"x{i}", i + 1)),
+                        np.column_stack([np.zeros(40), x])) for i in range(13)]
+        tree = gyo_reduce(tables_to_schema(tables))
+        p = distance_profile(tree, tables, np.zeros(14))
+        per_key = [math.comb(13, s) * 10 ** s * 30 ** (13 - s) for s in range(14)]
+        assert p.sq_radii.tolist() == list(range(14))
+        np.testing.assert_allclose(p.cum_counts, np.cumsum(per_key, dtype=float),
+                                   rtol=1e-12)
+        for s in range(14):
+            assert p.count_at(s) == pytest.approx(sum(per_key[: s + 1]), rel=1e-12)
+        assert p.total == pytest.approx(40 ** 13, rel=1e-12)
+
+
+class TestBucketizer:
     def test_bucketizer_rounds_up_onto_grid(self):
         b = Bucketizer(0.05, 1.0)
-        assert b.round_up(0.0) == 0.0
-        assert b.round_up(1.0) == 1.0
         grid_point = 1.05 ** 7
-        assert b.round_up(grid_point) == pytest.approx(grid_point, rel=1e-12)
-        v = 1.3
-        rounded = b.round_up(v)
-        assert v <= rounded <= v * 1.05
+        got = b.round_up(np.array([0.0, 1.0, grid_point, 1.3]))
+        assert got[:2].tolist() == [0.0, 1.0]
+        assert got[2] == pytest.approx(grid_point, rel=1e-12)
+        assert 1.3 <= got[3] <= 1.3 * 1.05
+        # grid values stay put, so a message may union rounded row keys
+        assert b.round_up(got).tolist() == got.tolist()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from relkmeans.cli import main
+from relkmeans.cli import CyclicSchemaError, RunConfig, main, run
 
 TABLE1 = "f1,f2\n1,1\n2,1\n3,2\n4,3\n5,4\n"
 TABLE2 = "f2,f3\n1,1\n1,2\n2,3\n5,4\n5,5\n"
@@ -67,6 +67,10 @@ class TestDiagnostics:
         code, _, err = run_cli(["--schema", cyclic_path, "--k", "2"], capsys)
         assert code == 2
         assert "cyclic schema" in err and "residual hypergraph" in err
+
+    def test_cyclic_schema_raises_typed_error(self, cyclic_path):
+        with pytest.raises(CyclicSchemaError, match="residual hypergraph"):
+            run(RunConfig(schema=cyclic_path, k=2))
 
     def test_parse_failure_exits_1(self, tmp_path, capsys):
         (tmp_path / "t.csv").write_text("x\nnot_a_number\n")
