@@ -19,15 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relational import JoinTree, Table
+from .relational import JoinTree, SamplingGaveUp, Table
 from .sumprod import JoinEvaluator
 
 
-class EmptyBall(Exception):
+# rejection rounds one BallSampler.sample_batch call may take
+MAX_DRAW_ROUNDS = 200
+
+
+class EmptyBall(SamplingGaveUp):
     """The requested ball contains no join points."""
 
 
-class TargetExceedsN(Exception):
+class TargetExceedsN(SamplingGaveUp):
     """A count target larger than the join itself has no radius."""
 
 
@@ -202,20 +206,22 @@ class BallSampler:
 
     def _stage_histogram(self, prefix: tuple[int, ...],
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, keys, counts) of table ``len(prefix)`` with the earlier
-        tables pinned to the rows in ``prefix``."""
+        """(rows, keys, counts) of table ``walk[len(prefix)]`` with the
+        tables before it in the walk pinned to the rows in ``prefix``."""
         if prefix not in self._stage_cache:
-            masks = self.ev.singleton_masks(dict(enumerate(prefix)))
+            walk = self.ev.walk
+            masks = self.ev.singleton_masks(dict(zip(walk, prefix)))
             self._stage_cache[prefix] = self.ev.distance_grouped(
-                len(prefix), self.center,
+                walk[len(prefix)], self.center,
                 self.bucketizer.round_up if self.bucketizer else None, masks)
         return self._stage_cache[prefix]
 
     def _stage_weights(self, prefix: tuple[int, ...], sq_radius: float) -> np.ndarray:
         rows, keys, counts = self._stage_histogram(prefix)
         inside = keys <= self._effective(sq_radius, len(prefix))
+        table = self.ev.tables[self.ev.walk[len(prefix)]]
         return np.bincount(rows[inside], weights=counts[inside],
-                           minlength=self.ev.tables[len(prefix)].n_rows)
+                           minlength=table.n_rows)
 
     def sample_batch(self, sq_radius: float, size: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -226,9 +232,9 @@ class BallSampler:
         got = rounds = 0
         while got < size:
             rounds += 1
-            if rounds > 200:
-                raise RuntimeError("ball sampling keeps rejecting; the shell "
-                                   "outside the ball dominates its interior")
+            if rounds > MAX_DRAW_ROUNDS:
+                raise SamplingGaveUp("ball sampling keeps rejecting; the shell "
+                                     "outside the ball dominates its interior")
             draw = (size - got) + max(8, (size - got) // 4)
             prov = self.ev.sample_rows(
                 draw, lambda prefix: self._stage_weights(prefix, sq_radius),

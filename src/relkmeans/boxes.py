@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relational import BoxRect
+from .relational import BoxRect, SamplingGaveUp
 
 
 @dataclass
@@ -129,7 +129,7 @@ def build_boxes(centers: list[np.ndarray] | np.ndarray,
     while len(active) > 1:
         round_index += 1
         if round_index > 4400:
-            raise RuntimeError("box construction failed to converge")
+            raise SamplingGaveUp("box construction failed to converge")
         for b in active:
             b.doubled()
             b.meld_product = False

@@ -19,7 +19,8 @@ import numpy as np
 from .clustering import (InsufficientDistinctPoints, WeightedPointSet,
                          relational_cost, solve_weighted_kmeans)
 from .oracle import MaterializationGuard, materialize, exact_cost
-from .relational import CyclicVerdict, SchemaError, gyo_reduce, load_database
+from .relational import (CyclicVerdict, SamplingGaveUp, SchemaError, gyo_reduce,
+                         load_database)
 from .sampling import run_kmeanspp
 from .sumprod import JoinEvaluator
 from .weighting import WeightConfig, compute_weights
@@ -72,8 +73,9 @@ def run(cfg: RunConfig) -> dict:
     """Execute the pipeline per the configured mode and return the result
     document (raises SchemaError / ValueError / MaterializationGuard /
     InsufficientDistinctPoints with diagnostics; cyclic schemas raise
-    CyclicSchemaError naming the residual).  The accuracy knobs are checked
-    before any table is read."""
+    CyclicSchemaError naming the residual; randomized stages that give up
+    raise SamplingGaveUp).  The accuracy knobs are checked before any table
+    is read."""
     wcfg = WeightConfig(epsilon=cfg.epsilon, delta=cfg.delta, tau=cfg.tau,
                         seed=cfg.seed, max_ring_samples=cfg.ring_cap)
     clock = _StageClock()
@@ -196,6 +198,10 @@ def main(argv: list[str] | None = None) -> int:
     except MaterializationGuard as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except SamplingGaveUp as exc:
+        print(f"error: sampling gave up ({exc}); another --seed may succeed",
+              file=sys.stderr)
+        return 4
     text = json.dumps(doc, indent=2)
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:

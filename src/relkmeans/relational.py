@@ -21,6 +21,12 @@ class SchemaError(Exception):
     """Malformed schema document or CSV payload (message carries file/line)."""
 
 
+class SamplingGaveUp(RuntimeError):
+    """A randomized stage stopped without a result (a rejection budget or
+    round limit ran out, a ball or a count came out empty); another seed may
+    succeed."""
+
+
 @dataclass(frozen=True)
 class FeatureId:
     """A named column of the design matrix and its ordinal position."""

@@ -3,14 +3,20 @@ rejection.
 
 Candidates come from an easy surrogate distribution: probability
 proportional to each join row's squared distance to the representative of
-its smallest laminar box.  Sampling one row per table in schema order,
-weighted by grouped box-restricted cost queries, realizes the surrogate
-exactly; accepting with probability (true nearest-center cost) /
-(surrogate cost) corrects it to the k-means++ target distribution.
+its smallest laminar box.  Accepting with probability (true nearest-center
+cost) / (surrogate cost) corrects it to the k-means++ target distribution.
 
-Per-table stage weights depend only on the rows fixed so far, so they are
-cached per prefix; on small joins this makes repeated sampling from the
-same state cheap enough for frequency tests.
+The surrogate is realized exactly by drawing one row per table along the
+evaluator's walk (table 0, then always the smallest-id unvisited table next
+to a visited one, so each table's tree parent is fixed before it).  The
+laminar difference is a stack of 2*|forest|-1 signed (box, target) terms;
+one upward cost-pair pass per forest, rooted at table 0, keeps every
+table's subtree (cost, count) arrays and every edge's messages for all
+terms, with each box's masks built once.  The weights of the next table
+given the rows fixed so far are then read off those arrays in O(terms *
+rows of the table), with no further pass; they are cached per prefix.  The
+first center is drawn uniformly from the count component of one
+whole-space term of the same pass.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boxes import LaminarForest, assignment_reps_batch, build_boxes, sq_dists
-from .relational import JoinTree, Table
+from .relational import JoinTree, SamplingGaveUp, Table
 from .sumprod import JoinEvaluator
 
 log = logging.getLogger(__name__)
@@ -35,7 +41,7 @@ class DegenerateDistribution(Exception):
     """Total surrogate cost is zero: every join point coincides with a center."""
 
 
-class RejectionBudgetExceeded(Exception):
+class RejectionBudgetExceeded(SamplingGaveUp):
     """Too many consecutive rejections; retry with a new seed or check the
     rejection budget."""
 
@@ -77,7 +83,7 @@ class SamplingState:
     rng: np.random.Generator
     config: SamplerConfig = field(default_factory=SamplerConfig)
     telemetry: list[CenterTelemetry] = field(default_factory=list)
-    _surrogate: "_SequentialSampler | None" = None
+    _surrogate: "_StageSampler | None" = None
 
     def refresh_forest(self) -> None:
         self.forest = build_boxes(np.asarray(self.centers)) if self.centers else None
@@ -90,29 +96,99 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-class _SequentialSampler:
-    """Per-prefix stage weights for :meth:`JoinEvaluator.sample_rows`, cached.
+class _StageSampler:
+    """Stage weights for :meth:`JoinEvaluator.sample_rows`, read off one
+    upward pass (:meth:`JoinEvaluator.costpair_walk`) over a stack of
+    signed terms (box mask, target, sign s_t), and cached per prefix.
 
-    Subclasses provide the grouped weight vector for one table given the
-    rows already fixed in the preceding tables.
+    Let v be the next table in the walk and p its walk parent, fixed to row
+    r_p.  The weight of row r of v is
+
+        [key(r) = key(r_p)] * sum_t s_t I_t ((F_t b_t(r) + a_t(r)) PC_t
+                                             + b_t(r) PA_t)
+
+    clamped at 0, where (a_t, b_t) are v's subtree (cost, count) arrays, I_t
+    is 1 when every fixed row lies in term t's box, F_t is the fixed rows'
+    owned squared distance to term t's target, and (PA_t, PC_t) is the
+    cost-pair product of the messages of the unvisited subtrees hanging off
+    fixed tables (other than v's own), each read at its fixed parent row's
+    key.  With ``count_only`` the weight is sum_t s_t I_t b_t(r) PC_t
+    instead.  The walk only reaches prefixes that extend to a join row;
+    elsewhere these weights need not vanish.
     """
 
-    def __init__(self, tree: JoinTree, tables: list[Table]):
-        self.tree = tree
-        self.tables = tables
-        self.ev = JoinEvaluator(tree, tables)
+    def __init__(self, ev: JoinEvaluator, targets: np.ndarray,
+                 signs: list[float], masks: list[np.ndarray] | None = None,
+                 count_only: bool = False):
+        self.ev = ev
+        self.up = ev.costpair_walk(targets, masks)
+        self.signs = np.asarray(signs, dtype=np.float64)
+        self.count_only = count_only
+        self._children = {u: [c for c in ev.walk if ev.walk_parent[c] == u]
+                          for u in ev.walk}
         self._weights: dict[tuple[int, ...], np.ndarray] = {}
+
+    @classmethod
+    def uniform(cls, tree: JoinTree, tables: list[Table]) -> "_StageSampler":
+        """Join rows uniformly: the count of one whole-space term."""
+        ev = JoinEvaluator(tree, tables)
+        return cls(ev, np.zeros((1, ev.n_features)), [1.0], count_only=True)
+
+    @classmethod
+    def surrogate(cls, tree: JoinTree, tables: list[Table],
+                  forest: LaminarForest) -> "_StageSampler":
+        """Join rows by surrogate cost: the laminar difference of
+        :func:`assignment_cost_grouped` as 2*|forest|-1 terms, each box's
+        masks built once."""
+        ev = JoinEvaluator(tree, tables)
+        entries, targets, signs = [], [], []
+        for idx, parent in enumerate(forest.parents):
+            entries.append(idx)
+            targets.append(forest.rep_point(idx))
+            signs.append(1.0)
+            if parent is not None:
+                entries.append(idx)
+                targets.append(forest.rep_point(parent))
+                signs.append(-1.0)
+        box_masks = [ev.masks_for_box(box) for box in forest.entries]
+        masks = [np.stack([box_masks[e][t.id] for e in entries]) for t in tables]
+        return cls(ev, np.array(targets), signs, masks)
 
     def stage_weights(self, prefix: tuple[int, ...]) -> np.ndarray:
         if prefix not in self._weights:
-            fixed = {tid: row for tid, row in enumerate(prefix)}
-            w = self._compute_weights(len(prefix), fixed)
-            w = np.maximum(w, 0.0)  # inclusion-exclusion may leave -0-size noise
-            self._weights[prefix] = w
+            self._weights[prefix] = self._compute_weights(prefix)
         return self._weights[prefix]
 
-    def _compute_weights(self, group: int, fixed: dict[int, int]) -> np.ndarray:
-        raise NotImplementedError
+    def _compute_weights(self, prefix: tuple[int, ...]) -> np.ndarray:
+        ev, up = self.ev, self.up
+        v = ev.walk[len(prefix)]
+        fixed = dict(zip(ev.walk, prefix))
+        inside = np.ones(self.signs.size, dtype=bool)
+        f_cost = np.zeros(self.signs.size)
+        p_cost, p_count = np.zeros(self.signs.size), np.ones(self.signs.size)
+        for u, r in fixed.items():
+            inside &= up.masks[u][:, r]
+            f_cost += up.owned[u][:, r]
+            for c in self._children[u]:
+                if c != v and c not in fixed:
+                    key = ev.edge_keys(c, u)[1][r]
+                    ma, mb = up.msg_cost[c][:, key], up.msg_count[c][:, key]
+                    p_cost, p_count = p_cost * mb + ma * p_count, p_count * mb
+        w = np.zeros(ev.tables[v].n_rows)
+        if prefix:
+            par = ev.walk_parent[v]
+            ids_v, ids_par, _ = ev.edge_keys(v, par)
+            rows = np.flatnonzero(ids_v == ids_par[fixed[par]])
+        else:
+            rows = np.arange(w.size)
+        a, b = up.cost[v][:, rows], up.count[v][:, rows]
+        if self.count_only:
+            terms = b * p_count[:, None]
+        else:
+            terms = (f_cost[:, None] * b + a) * p_count[:, None] + b * p_cost[:, None]
+        # inclusion-exclusion may leave -0-size noise
+        w[rows] = np.maximum(((self.signs * inside)[:, None] * terms).sum(axis=0), 0.0)
+        return w
 
     def total_mass(self) -> float:
         return float(self.stage_weights(()).sum())
@@ -121,24 +197,6 @@ class _SequentialSampler:
         """Draw ``size`` independent join rows; returns (size, m) row indices."""
         return self.ev.sample_rows(size, self.stage_weights, rng,
                                    DegenerateDistribution)
-
-
-class _UniformSampler(_SequentialSampler):
-    def _compute_weights(self, group: int, fixed: dict[int, int]) -> np.ndarray:
-        masks = self.ev.singleton_masks(fixed)
-        return self.ev.count_grouped(group, masks)
-
-
-class _SurrogateSampler(_SequentialSampler):
-    def __init__(self, tree: JoinTree, tables: list[Table], forest: LaminarForest):
-        super().__init__(tree, tables)
-        self.forest = forest
-
-    def _compute_weights(self, group: int, fixed: dict[int, int]) -> np.ndarray:
-        masks = self.ev.singleton_masks(fixed)
-        return assignment_cost_grouped(
-            self.tree, self.tables, self.forest, group, fixed,
-            evaluator=self.ev, conditioned=masks)
 
 
 def assignment_cost_grouped(tree: JoinTree, tables: list[Table],
@@ -173,10 +231,10 @@ def assignment_cost_grouped(tree: JoinTree, tables: list[Table],
 
 def sample_uniform_row(tree: JoinTree, tables: list[Table],
                        rng: np.random.Generator,
-                       sampler: _UniformSampler | None = None) -> CandidatePoint:
-    """A join row uniformly at random, one table at a time, weighted by
-    grouped counting queries conditioned on the rows already fixed."""
-    s = sampler if sampler is not None else _UniformSampler(tree, tables)
+                       sampler: _StageSampler | None = None) -> CandidatePoint:
+    """A join row uniformly at random, one table at a time, weighted by the
+    join-row counts that extend the rows already fixed."""
+    s = sampler if sampler is not None else _StageSampler.uniform(tree, tables)
     if s.total_mass() == 0:
         raise EmptyJoin("join has no rows")
     prov = s.sample_batch(rng, 1)
@@ -196,13 +254,13 @@ def sample_from_surrogate(state: SamplingState, tree: JoinTree,
 
 
 def _surrogate_for(state: SamplingState, tree: JoinTree,
-                   tables: list[Table]) -> _SurrogateSampler:
+                   tables: list[Table]) -> _StageSampler:
     if not state.centers:
         raise ValueError("surrogate sampling requires at least one center")
     if state.forest is None:
         state.refresh_forest()
     if state._surrogate is None:
-        state._surrogate = _SurrogateSampler(tree, tables, state.forest)
+        state._surrogate = _StageSampler.surrogate(tree, tables, state.forest)
         if state._surrogate.total_mass() <= 0.0:
             state._surrogate = None
             raise DegenerateDistribution("total assignment cost is zero")
@@ -273,7 +331,7 @@ def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
     """
     state = SamplingState([], None, make_rng(seed),
                           config or SamplerConfig())
-    uniform = _UniformSampler(tree, tables)
+    uniform = _StageSampler.uniform(tree, tables)
     if uniform.total_mass() == 0:
         raise EmptyJoin("join has no rows")
     first = sample_uniform_row(tree, tables, state.rng, sampler=uniform)

@@ -8,8 +8,10 @@ features shared between tables.
 
 :class:`JoinEvaluator` is the one evaluator the pipeline runs.  It carries
 counts, cost pairs and sparse squared-distance histograms as numpy arrays,
-and it holds the one table-by-table row walk both samplers draw join rows
-with; they differ only in the stage weights they feed it.  The generic
+and it holds the one table-by-table row walk (and its table order) both
+samplers draw join rows with; they differ only in the stage weights they
+feed it.  :meth:`JoinEvaluator.costpair_walk` is the upward pass the
+k-means++ sampler reads every stage weight from.  The generic
 dict engine (:func:`eval_sumprod`, :func:`eval_sumprod_grouped`) takes any
 carrier one row at a time; it is the reference the evaluator is tested
 against, not a pipeline path.
@@ -196,6 +198,27 @@ def _convolve(hist: tuple[np.ndarray, np.ndarray, np.ndarray],
     return rows[src], keys[src] + msg_keys[pick], counts[src] * msg_counts[pick]
 
 
+@dataclass(frozen=True, eq=False)
+class WalkMessages:
+    """What :meth:`JoinEvaluator.costpair_walk` keeps for a stack of T terms.
+
+    Per table v, arrays of shape (T, rows of v): ``owned[v]``, each row's
+    squared distance to the term's target over the features v owns;
+    ``masks[v]``, the term's row mask; ``cost[v]`` and ``count[v]``, the
+    (cost, count) pair of the join rows of v's subtree (the tree rooted at
+    the walk's first table) that extend each row.  Per table other than the
+    first, arrays of shape (T, separator keys): ``msg_cost[v]`` and
+    ``msg_count[v]``, the message v sends its walk parent.
+    """
+
+    owned: dict[int, np.ndarray]
+    masks: dict[int, np.ndarray]
+    cost: dict[int, np.ndarray]
+    count: dict[int, np.ndarray]
+    msg_cost: dict[int, np.ndarray]
+    msg_count: dict[int, np.ndarray]
+
+
 class JoinEvaluator:
     """Vectorized count, cost-pair and distance-histogram queries against one
     (tree, tables) pair.
@@ -211,6 +234,12 @@ class JoinEvaluator:
     floats, so past 2**53 only the relative error grows, by at most one
     float64 rounding per operation (test_ballcount's 40**13-row star is off
     by under 1e-15).
+
+    Samplers visit the tables in one fixed order, ``walk``: table 0 first,
+    then repeatedly the smallest-id unvisited table adjacent in the join
+    tree to a visited one.  It equals table-id order whenever that order is
+    connected.  ``walk_parent[v]`` is v's one visited neighbour when v is
+    reached (None for table 0), i.e. its parent in the tree rooted at 0.
     """
 
     def __init__(self, tree: JoinTree, tables: list[Table],
@@ -230,13 +259,21 @@ class JoinEvaluator:
                 (pos, f.index) for pos, f in enumerate(t.features)
                 if self.owner[f.name] == t.id
             ]
+        self._owned_dists: dict[tuple[int, bytes], np.ndarray] = {}
+        adj = tree.adjacency()
+        walk, self.walk_parent = [0], {0: None}
+        while len(walk) < len(tables):
+            nxt = min(u for w in walk for u in adj[w] if u not in self.walk_parent)
+            self.walk_parent[nxt] = next(w for w in adj[nxt] if w in self.walk_parent)
+            walk.append(nxt)
+        self.walk: tuple[int, ...] = tuple(walk)
 
     def _order(self, root: int) -> list[tuple[int, int | None]]:
         if root not in self._orders:
             self._orders[root] = self.tree.rooted_order(root)
         return self._orders[root]
 
-    def _keys(self, child: int, parent: int) -> tuple[np.ndarray, np.ndarray, int]:
+    def edge_keys(self, child: int, parent: int) -> tuple[np.ndarray, np.ndarray, int]:
         """(child row key ids, parent row key ids, number of keys) for an edge."""
         edge = (min(child, parent), max(child, parent))
         if edge not in self._edge_keys:
@@ -254,11 +291,16 @@ class JoinEvaluator:
 
     def _owned_sq_dist(self, t: Table, target: np.ndarray) -> np.ndarray:
         """Per row, the squared distance to ``target`` over the features the
-        table owns, summed from 0.0 in table-feature order."""
-        d = np.zeros(t.n_rows)
-        for pos, fidx in self._owned[t.id]:
-            d += (t.rows[:, pos] - target[fidx]) ** 2
-        return d
+        table owns, summed from 0.0 in table-feature order.  Memoized per
+        (table, target); the array is read-only."""
+        key = (t.id, np.asarray(target, dtype=np.float64).tobytes())
+        if key not in self._owned_dists:
+            d = np.zeros(t.n_rows)
+            for pos, fidx in self._owned[t.id]:
+                d += (t.rows[:, pos] - target[fidx]) ** 2
+            d.flags.writeable = False
+            self._owned_dists[key] = d
+        return self._owned_dists[key]
 
     def count_grouped(self, group: int,
                       masks: list[np.ndarray] | None = None) -> np.ndarray:
@@ -272,7 +314,7 @@ class JoinEvaluator:
         for node, par in self._order(group):
             if par is None:
                 break
-            ids_child, ids_par, n = self._keys(node, par)
+            ids_child, ids_par, n = self.edge_keys(node, par)
             msg = np.bincount(ids_child, weights=vals[node], minlength=n)
             vals[par] = vals[par] * msg[ids_par]
         return vals[group]
@@ -298,12 +340,48 @@ class JoinEvaluator:
         for node, par in self._order(group):
             if par is None:
                 break
-            ids_child, ids_par, n = self._keys(node, par)
+            ids_child, ids_par, n = self.edge_keys(node, par)
             msg_a = np.bincount(ids_child, weights=a_at[node], minlength=n)
             msg_b = np.bincount(ids_child, weights=b_at[node], minlength=n)
             ma, mb = msg_a[ids_par], msg_b[ids_par]
             a_at[par], b_at[par] = a_at[par] * mb + ma * b_at[par], b_at[par] * mb
         return a_at[group], b_at[group]
+
+    def costpair_walk(self, targets: np.ndarray,
+                      masks: list[np.ndarray] | None = None) -> WalkMessages:
+        """One upward cost-pair pass, rooted at the walk's first table, for a
+        stack of T terms at once.  Term t sums squared distances to
+        ``targets[t]`` over the join rows whose row in every table v has
+        ``masks[v][t]`` set (``masks[v]`` has shape (T, rows of v); None
+        keeps every row).
+
+        Every table's subtree pairs and every edge's messages are kept, so
+        the stage weights of any prefix of the walk are read off them
+        without another pass.  Memory: O(T * total rows) floats.
+        """
+        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+        n_terms = targets.shape[0]
+        owned, active, cost, count = {}, {}, {}, {}
+        for t in self.tables:
+            owned[t.id] = np.stack([self._owned_sq_dist(t, y) for y in targets])
+            active[t.id] = (masks[t.id] if masks is not None
+                            else np.ones((n_terms, t.n_rows), dtype=bool))
+            count[t.id] = active[t.id].astype(np.float64)
+            cost[t.id] = owned[t.id] * count[t.id]
+        msg_cost, msg_count = {}, {}
+        for node, par in self._order(self.walk[0]):
+            if par is None:
+                break
+            ids_child, ids_par, n = self.edge_keys(node, par)
+            # one bincount over (term, key) bins: bin t*n + key
+            bins = (np.arange(n_terms)[:, None] * n + ids_child).ravel()
+            ma, mb = (np.bincount(bins, weights=v[node].ravel(),
+                                  minlength=n_terms * n).reshape(n_terms, n)
+                      for v in (cost, count))
+            msg_cost[node], msg_count[node] = ma, mb
+            ma, mb = ma[:, ids_par], mb[:, ids_par]
+            cost[par], count[par] = cost[par] * mb + ma * count[par], count[par] * mb
+        return WalkMessages(owned, active, cost, count, msg_cost, msg_count)
 
     def distance_grouped(self, group: int, center: np.ndarray,
                          round_up: Callable[[np.ndarray], np.ndarray] | None = None,
@@ -333,7 +411,7 @@ class JoinEvaluator:
                 rows, keys, counts = _merge(rows, round_up(keys), counts)
             if par is None:
                 break
-            ids_child, ids_par, n = self._keys(node, par)
+            ids_child, ids_par, n = self.edge_keys(node, par)
             msg = _merge(ids_child[rows], keys, counts)
             into = hist.pop(par) if par in hist else start(par)
             hist[par] = _merge(*_convolve(into, ids_par, msg, n))
@@ -363,19 +441,19 @@ class JoinEvaluator:
                     stage_weights: Callable[[tuple[int, ...]], np.ndarray],
                     rng: np.random.Generator,
                     empty: type[Exception]) -> np.ndarray:
-        """Draw ``size`` join rows one table at a time, in table-id order.
+        """Draw ``size`` join rows one table at a time, in walk order.
 
         ``stage_weights(prefix)`` gives the (unnormalized) weight of each row
-        of table ``len(prefix)`` given that the earlier tables are fixed to
-        the rows in ``prefix``.  Draws sharing a prefix are batched into one
-        ``rng.choice``; prefixes are visited in sorted order, so the draws
-        depend only on the RNG state.  A prefix whose weights sum to zero
-        raises ``empty``.  Returns (size, m) row indices.
+        of table ``walk[len(prefix)]`` given that the tables before it in the
+        walk are fixed to the rows in ``prefix``.  Draws sharing a prefix are
+        batched into one ``rng.choice``; prefixes are visited in sorted
+        order, so the draws depend only on the RNG state.  A prefix whose
+        weights sum to zero raises ``empty``.  Returns (size, m) row indices
+        by table id.
         """
-        m = len(self.tables)
-        prov = np.zeros((size, m), dtype=np.int64)
+        prov = np.zeros((size, len(self.tables)), dtype=np.int64)
         groups: dict[tuple[int, ...], np.ndarray] = {(): np.arange(size)}
-        for stage in range(m):
+        for table in self.walk:
             next_groups: dict[tuple[int, ...], list[np.ndarray]] = {}
             for prefix in sorted(groups):
                 idx = groups[prefix]
@@ -383,9 +461,9 @@ class JoinEvaluator:
                 total = w.sum()
                 if total <= 0.0:
                     raise empty(
-                        f"zero total weight at table {stage} for prefix {prefix}")
+                        f"zero total weight at table {table} for prefix {prefix}")
                 rows = rng.choice(len(w), size=idx.size, p=w / total)
-                prov[idx, stage] = rows
+                prov[idx, table] = rows
                 for r in np.unique(rows):
                     sub = idx[rows == r]
                     next_groups.setdefault(prefix + (int(r),), []).append(sub)

@@ -24,7 +24,7 @@ from .ballcount import (
     radius_for_count,
 )
 from .boxes import sq_dists
-from .relational import JoinTree, Table
+from .relational import JoinTree, SamplingGaveUp, Table
 from .sumprod import JoinEvaluator
 
 log = logging.getLogger(__name__)
@@ -127,7 +127,8 @@ def compute_weights(tree: JoinTree, tables: list[Table],
             continue
         center = cs[i]
         profile = distance_profile(tree, tables, center, bucket_delta)
-        assert profile.total >= 1, "smallest ball around a center is empty"
+        if profile.total < 1:
+            raise SamplingGaveUp(f"the distance profile of center {i} is empty")
         sampler = BallSampler(tree, tables, center, bucket_delta)
         prev_radius = profile.smallest_radius_for(1)
         for j in range(1, n_rings + 1):

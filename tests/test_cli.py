@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from relkmeans import ballcount, boxes, sampling, weighting
 from relkmeans.cli import CyclicSchemaError, RunConfig, main, run
 
 TABLE1 = "f1,f2\n1,1\n2,1\n3,2\n4,3\n5,4\n"
@@ -104,6 +106,56 @@ class TestDiagnostics:
             ["--schema", str(doc), "--k", "4", "--ring-cap", "400"], capsys)
         assert code == 1 and out == ""
         assert err.count("error:") == 1 and "3 distinct points" in err
+        assert "Traceback" not in err
+
+
+def _never_accept(monkeypatch):
+    # true cost 0 everywhere: every candidate is rejected
+    monkeypatch.setattr(sampling, "sq_dists",
+                        lambda pts, cs: np.zeros((len(pts), len(cs))))
+
+
+def _empty_ball(monkeypatch):
+    monkeypatch.setattr(ballcount.BallSampler, "_effective",
+                        lambda self, sq_radius, stage: -1.0)
+
+
+def _target_past_join(monkeypatch):
+    def short(self, count):
+        raise ballcount.TargetExceedsN(f"needed {count} points")
+    monkeypatch.setattr(ballcount.DistanceProfile, "smallest_radius_for", short)
+
+
+def _boxes_never_meld(monkeypatch):
+    monkeypatch.setattr(boxes, "_strictly_overlap", lambda a, b: False)
+
+
+def _ball_draws_exhausted(monkeypatch):
+    monkeypatch.setattr(ballcount, "MAX_DRAW_ROUNDS", 0)
+
+
+def _empty_profile(monkeypatch):
+    def empty(tree, tables, center, delta=None):
+        return ballcount.DistanceProfile(center, delta or 0.0, np.array([]),
+                                         np.array([]), len(tables))
+    monkeypatch.setattr(weighting, "distance_profile", empty)
+
+
+class TestSamplingGaveUp:
+    @pytest.mark.parametrize("give_up", [
+        _never_accept, _empty_ball, _target_past_join, _boxes_never_meld,
+        _ball_draws_exhausted, _empty_profile])
+    def test_exits_4_with_one_line(self, schema_path, capsys, monkeypatch,
+                                   give_up):
+        give_up(monkeypatch)
+        with np.errstate(over="ignore"):
+            code, out, err = run_cli(
+                ["--schema", schema_path, "--k", "2", "--ring-cap", "400"],
+                capsys)
+        assert code == 4 and out == ""
+        lines = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert len(lines) == 1
+        assert "sampling gave up" in lines[0] and "another --seed" in lines[0]
         assert "Traceback" not in err
 
 

@@ -1,7 +1,13 @@
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from relkmeans import FeatureId, Table, gyo_reduce, tables_to_schema
+from relkmeans import (FeatureId, JoinEvaluator, Table, gyo_reduce,
+                       load_database, tables_to_schema)
+from relkmeans.ballcount import BallSampler
 from relkmeans.boxes import build_boxes
 from relkmeans.oracle import materialize, exact_cost, exact_kmeanspp_distribution
 from relkmeans.sampling import (
@@ -17,6 +23,8 @@ from relkmeans.sampling import (
     sample_from_surrogate,
     sample_next_center,
     sample_uniform_row,
+    _StageSampler,
+    _surrogate_for,
 )
 
 from conftest import random_acyclic_tables, surrogate_costs
@@ -43,8 +51,7 @@ def empirical_tv(samples: np.ndarray, support: np.ndarray,
 class TestUniformRow:
     def test_uniform_on_path_fixture(self, path_tree, path_tables):
         rng = make_rng(1)
-        from relkmeans.sampling import _UniformSampler
-        sampler = _UniformSampler(path_tree, path_tables)
+        sampler = _StageSampler.uniform(path_tree, path_tables)
         prov = sampler.sample_batch(rng, 100_000)
         pts = sampler.ev.gather(prov)
         join = materialize(path_tables).rows
@@ -217,3 +224,160 @@ class TestRunKmeanspp:
             ]
             means.append(np.mean(costs))
         assert means[0] >= means[1] >= means[2]
+
+
+def consistent_prefixes(ev: JoinEvaluator) -> list[tuple[int, ...]]:
+    """Every walk prefix short of a whole join row whose fixed rows extend
+    to at least one join row, found with the per-prefix counting pass."""
+    out, frontier = [], [()]
+    while frontier:
+        prefix = frontier.pop()
+        out.append(prefix)
+        if len(prefix) + 1 < len(ev.tables):
+            fixed = dict(zip(ev.walk, prefix))
+            counts = ev.count_grouped(ev.walk[len(prefix)],
+                                      ev.singleton_masks(fixed))
+            frontier += [prefix + (int(r),) for r in np.flatnonzero(counts > 0)]
+    return out
+
+
+def split_star() -> tuple[list[Table], object]:
+    """T0(a,x0), T1(b,x1), T2(a,b,x2): tables 0 and 1 meet only through
+    table 2, so table-id order is not connected."""
+    a, x0, b, x1, x2 = (FeatureId(n, i) for i, n in enumerate(
+        ("a", "x0", "b", "x1", "x2")))
+    tables = [
+        Table(0, "T0", (a, x0), np.array(
+            [[0, 1.0], [0, -2.0], [1, 3.5], [2, 0.5]])),
+        Table(1, "T1", (b, x1), np.array(
+            [[0, 4.0], [1, -1.0], [1, 2.0]])),
+        Table(2, "T2", (a, b, x2), np.array(
+            [[0, 0, 1.0], [0, 1, 5.0], [1, 1, -3.0], [1, 0, 0.0], [2, 2, 9.0]])),
+    ]
+    return tables, gyo_reduce(tables_to_schema(tables))
+
+
+class TestStageWeights:
+    def test_match_per_prefix_reference(self, rng):
+        """Weights read off the one upward pass equal the per-prefix
+        reference passes (surrogate: assignment_cost_grouped clamped at 0;
+        uniform: count_grouped) at every join-consistent prefix."""
+        schemas, not_id, prefixes, worst = 0, 0, 0, 0.0
+        cases = [split_star()]
+        while schemas < 150:
+            if cases:
+                tables, tree = cases.pop()
+            else:
+                tables = random_acyclic_tables(rng, max_tables=5)
+                tree = gyo_reduce(tables_to_schema(tables))
+            join = materialize(tables, tree=tree)
+            if join.n_rows < 2:
+                continue
+            schemas += 1
+            k = int(rng.integers(2, 4))
+            centers = join.rows[rng.choice(join.n_rows, min(k, join.n_rows),
+                                           replace=False)]
+            forest = build_boxes(centers)
+            surrogate = _StageSampler.surrogate(tree, tables, forest)
+            uniform = _StageSampler.uniform(tree, tables)
+            ev = surrogate.ev
+            not_id += ev.walk != tuple(range(len(tables)))
+            scale = surrogate.total_mass()
+            for prefix in consistent_prefixes(ev):
+                group = ev.walk[len(prefix)]
+                fixed = dict(zip(ev.walk, prefix))
+                want = np.maximum(assignment_cost_grouped(
+                    tree, tables, forest, group, fixed_rows=fixed), 0.0)
+                got = surrogate.stage_weights(prefix)
+                np.testing.assert_allclose(got, want, rtol=1e-9,
+                                           atol=1e-12 * scale)
+                err = np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
+                worst = max(worst, float(err[want > 1e-9 * scale].max(initial=0)))
+                assert uniform.stage_weights(prefix).tolist() == \
+                    ev.count_grouped(group, ev.singleton_masks(fixed)).tolist()
+                prefixes += 1
+        assert not_id >= 10 and prefixes >= 700
+        assert worst <= 1e-9
+
+
+class TestWalkOrder:
+    def test_split_star_walks_through_the_middle(self):
+        tables, tree = split_star()
+        assert JoinEvaluator(tree, tables).walk == (0, 2, 1)
+
+    def test_uniform_draws_on_split_star(self):
+        tables, tree = split_star()
+        join = materialize(tables, tree=tree).rows
+        sampler = _StageSampler.uniform(tree, tables)
+        pts = sampler.ev.gather(sampler.sample_batch(make_rng(5), 100_000))
+        probs = np.full(len(join), 1.0 / len(join))
+        assert empirical_tv(pts, join, probs) < 0.02
+
+    def test_surrogate_draws_on_split_star(self):
+        tables, tree = split_star()
+        join = materialize(tables, tree=tree).rows
+        state = SamplingState([join[0], join[3]], None, make_rng(6))
+        state.refresh_forest()
+        costs = surrogate_costs(join, state.forest)
+        s = _surrogate_for(state, tree, tables)
+        pts = s.ev.gather(s.sample_batch(state.rng, 100_000))
+        assert empirical_tv(pts, join, costs / costs.sum()) < 0.02
+
+    def test_ball_draws_on_split_star_stay_inside(self):
+        tables, tree = split_star()
+        join = materialize(tables, tree=tree).rows
+        center = join[0]
+        d2 = ((join - center) ** 2).sum(axis=1)
+        sq_radius = float(np.sort(d2)[len(d2) // 2])
+        pts = BallSampler(tree, tables, center, 0.01).sample_batch(
+            sq_radius, 2_000, make_rng(7))
+        assert (((pts - center) ** 2).sum(axis=1) <= sq_radius).all()
+        inside = {tuple(r) for r in join[d2 <= sq_radius]}
+        assert {tuple(r) for r in pts} == inside
+
+    def test_id_order_on_benchmark_shapes(self, tmp_path):
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.pop(0)
+        for name, make in workloads.GENERATORS.items():
+            out = tmp_path / name
+            out.mkdir()
+            inst = make(out, 0, **workloads.TINY[name])
+            tables, schema = load_database(inst.schema)
+            ev = JoinEvaluator(gyo_reduce(schema), tables)
+            assert ev.walk == tuple(range(len(tables))), name
+
+
+class TestPassCount:
+    def test_passes_do_not_grow_with_prefixes(self, monkeypatch):
+        """Drawing 64 or 4,096 candidates from one forest builds each box's
+        masks once and runs no per-prefix cost-pair pass."""
+        rng = np.random.default_rng(8)
+        h, x = FeatureId("h", 0), [FeatureId(f"x{i}", i + 1) for i in range(3)]
+        tables = [Table(i, f"T{i}", (h, x[i]), np.column_stack(
+            [rng.integers(0, 6, 40).astype(float), rng.normal(0, 3, 40)]))
+            for i in range(3)]
+        tree = gyo_reduce(tables_to_schema(tables))
+        join = materialize(tables, tree=tree).rows
+        centers = list(join[rng.choice(len(join), 3, replace=False)])
+        calls: Counter = Counter()
+        for name in ("masks_for_box", "costpair_grouped"):
+            original = getattr(JoinEvaluator, name)
+
+            def spy(self, *args, _fn=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(self, *args, **kwargs)
+            monkeypatch.setattr(JoinEvaluator, name, spy)
+        seen, n_prefixes = [], []
+        for size in (64, 4096):
+            calls.clear()
+            state = SamplingState(list(centers), None, make_rng(9))
+            state.refresh_forest()
+            s = _surrogate_for(state, tree, tables)
+            s.sample_batch(state.rng, size)
+            seen.append(dict(calls))
+            n_prefixes.append(len(s._weights))
+        assert n_prefixes[1] > 2 * n_prefixes[0]
+        assert seen[0] == seen[1] == {"masks_for_box": state.forest.size}
