@@ -20,7 +20,6 @@ from .relational import (
 )
 from .sumprod import (
     CostPair,
-    GroupedResult,
     JoinEvaluator,
     SemiringSpec,
     costpair_semiring,
@@ -57,7 +56,6 @@ __all__ = [
     "CostPair",
     "CyclicVerdict",
     "FeatureId",
-    "GroupedResult",
     "JoinEvaluator",
     "JoinTree",
     "SchemaError",

@@ -7,9 +7,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .boxes import build_boxes, sq_dists
-from .oracle import exact_cost, materialize
 from .relational import JoinTree, Table
-from .sampling import assignment_cost_grouped
+from .sampling import StageSampler
 
 
 class InsufficientDistinctPoints(Exception):
@@ -106,20 +105,11 @@ def solve_weighted_kmeans(ps: WeightedPointSet, k: int, seed: int = 0,
 
 
 def relational_cost(tree: JoinTree, tables: list[Table],
-                    centers: np.ndarray, mode: str = "surrogate",
-                    guard: int = 100_000) -> float:
-    """Clustering cost of the centers over the whole join.
-
-    ``surrogate`` sums each join row's squared distance to the
-    representative of its smallest laminar box (an upper bound on the
-    exact cost, computable without materializing); ``exact`` materializes
-    the join under the guard and scans it.
-    """
-    centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    if mode == "exact":
-        return exact_cost(materialize(tables, guard=guard, tree=tree), centers)
-    if mode != "surrogate":
-        raise ValueError(f"unknown mode {mode!r}")
-    forest = build_boxes(centers)
-    per_row = assignment_cost_grouped(tree, tables, forest, tree.root)
-    return max(float(per_row.sum()), 0.0)
+                    centers: np.ndarray) -> float:
+    """Surrogate clustering cost of the centers over the whole join: each
+    join row's squared distance to the representative of its smallest
+    laminar box, an upper bound on the exact cost.  It is the total mass of
+    the centers' k-means++ surrogate sampler, so the join is never
+    materialized (``oracle.exact_cost`` gives the exact cost)."""
+    forest = build_boxes(np.atleast_2d(np.asarray(centers, dtype=np.float64)))
+    return StageSampler.surrogate(tree, tables, forest).total_mass()

@@ -9,14 +9,18 @@ cost) / (surrogate cost) corrects it to the k-means++ target distribution.
 The surrogate is realized exactly by drawing one row per table along the
 evaluator's walk (table 0, then always the smallest-id unvisited table next
 to a visited one, so each table's tree parent is fixed before it).  The
-laminar difference is a stack of 2*|forest|-1 signed (box, target) terms;
-one upward cost-pair pass per forest, rooted at table 0, keeps every
+surrogate cost is the one laminar inclusion-exclusion of the package
+(:meth:`StageSampler.surrogate`): a stack of 2*|forest|-1 signed (box,
+target) terms.  One upward cost-pair pass per forest
+(:meth:`JoinEvaluator.costpair_walk`), rooted at table 0, keeps every
 table's subtree (cost, count) arrays and every edge's messages for all
 terms, with each box's masks built once.  The weights of the next table
 given the rows fixed so far are then read off those arrays in O(terms *
 rows of the table), with no further pass; they are cached per prefix.  The
 first center is drawn uniformly from the count component of one
-whole-space term of the same pass.
+whole-space term of the same pass, and the surrogate cost of a set of
+centers (:func:`relkmeans.clustering.relational_cost`) is the total mass of
+their surrogate sampler.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .relational import JoinTree, SamplingGaveUp, Table
 from .sumprod import JoinEvaluator
 
 log = logging.getLogger(__name__)
+
+# candidates drawn per rejection round, at the least
+BATCH_SIZE = 64
 
 
 class EmptyJoin(Exception):
@@ -52,7 +59,6 @@ class SamplerConfig:
     i-th center over d features."""
 
     budget_factor: int = 64
-    batch_size: int = 64
 
     def rejection_budget(self, i: int, d: int) -> int:
         return self.budget_factor * i * i * max(d, 1)
@@ -83,7 +89,7 @@ class SamplingState:
     rng: np.random.Generator
     config: SamplerConfig = field(default_factory=SamplerConfig)
     telemetry: list[CenterTelemetry] = field(default_factory=list)
-    _surrogate: "_StageSampler | None" = None
+    _surrogate: "StageSampler | None" = None
 
     def refresh_forest(self) -> None:
         self.forest = build_boxes(np.asarray(self.centers)) if self.centers else None
@@ -96,7 +102,7 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-class _StageSampler:
+class StageSampler:
     """Stage weights for :meth:`JoinEvaluator.sample_rows`, read off one
     upward pass (:meth:`JoinEvaluator.costpair_walk`) over a stack of
     signed terms (box mask, target, sign s_t), and cached per prefix.
@@ -129,17 +135,19 @@ class _StageSampler:
         self._weights: dict[tuple[int, ...], np.ndarray] = {}
 
     @classmethod
-    def uniform(cls, tree: JoinTree, tables: list[Table]) -> "_StageSampler":
+    def uniform(cls, tree: JoinTree, tables: list[Table]) -> "StageSampler":
         """Join rows uniformly: the count of one whole-space term."""
         ev = JoinEvaluator(tree, tables)
         return cls(ev, np.zeros((1, ev.n_features)), [1.0], count_only=True)
 
     @classmethod
     def surrogate(cls, tree: JoinTree, tables: list[Table],
-                  forest: LaminarForest) -> "_StageSampler":
-        """Join rows by surrogate cost: the laminar difference of
-        :func:`assignment_cost_grouped` as 2*|forest|-1 terms, each box's
-        masks built once."""
+                  forest: LaminarForest) -> "StageSampler":
+        """Join rows by surrogate cost, the squared distance to the
+        representative of the smallest box holding the row.  It is the
+        laminar difference as 2*|forest|-1 terms: every box's cost to its
+        own representative, minus, for a non-root box, its cost to its
+        parent's representative.  Each box's masks are built once."""
         ev = JoinEvaluator(tree, tables)
         entries, targets, signs = [], [], []
         for idx, parent in enumerate(forest.parents):
@@ -199,42 +207,11 @@ class _StageSampler:
                                    DegenerateDistribution)
 
 
-def assignment_cost_grouped(tree: JoinTree, tables: list[Table],
-                            forest: LaminarForest, group: int,
-                            fixed_rows: dict[int, int] | None = None,
-                            evaluator: JoinEvaluator | None = None,
-                            conditioned: list[np.ndarray] | None = None,
-                            ) -> np.ndarray:
-    """Per-row total box-assignment cost of the join rows extending each row
-    of the group table (with earlier tables optionally pinned to single
-    rows).
-
-    Expands the laminar difference recursively: every forest box contributes
-    its cost to its own representative minus, for non-root boxes, its cost
-    to the parent's representative.  That is 2*|forest|-1 box-restricted
-    grouped queries.
-    """
-    ev = evaluator if evaluator is not None else JoinEvaluator(tree, tables)
-    if conditioned is None:
-        conditioned = ev.singleton_masks(fixed_rows or {})
-    total = np.zeros(tables[group].n_rows)
-    for idx, box in enumerate(forest.entries):
-        masks = ev.masks_for_box(box, conditioned)
-        own_cost, _ = ev.costpair_grouped(group, forest.rep_point(idx), masks)
-        total += own_cost
-        parent = forest.parents[idx]
-        if parent is not None:
-            par_cost, _ = ev.costpair_grouped(group, forest.rep_point(parent), masks)
-            total -= par_cost
-    return total
-
-
 def sample_uniform_row(tree: JoinTree, tables: list[Table],
-                       rng: np.random.Generator,
-                       sampler: _StageSampler | None = None) -> CandidatePoint:
+                       rng: np.random.Generator) -> CandidatePoint:
     """A join row uniformly at random, one table at a time, weighted by the
     join-row counts that extend the rows already fixed."""
-    s = sampler if sampler is not None else _StageSampler.uniform(tree, tables)
+    s = StageSampler.uniform(tree, tables)
     if s.total_mass() == 0:
         raise EmptyJoin("join has no rows")
     prov = s.sample_batch(rng, 1)
@@ -242,25 +219,14 @@ def sample_uniform_row(tree: JoinTree, tables: list[Table],
     return CandidatePoint(coords, tuple(int(r) for r in prov[0]))
 
 
-def sample_from_surrogate(state: SamplingState, tree: JoinTree,
-                          tables: list[Table]) -> CandidatePoint:
-    """One draw from the box-assignment surrogate distribution (probability
-    of a join row proportional to its squared distance to its smallest box's
-    representative)."""
-    s = _surrogate_for(state, tree, tables)
-    prov = s.sample_batch(state.rng, 1)
-    coords = s.ev.gather(prov)[0]
-    return CandidatePoint(coords, tuple(int(r) for r in prov[0]))
-
-
 def _surrogate_for(state: SamplingState, tree: JoinTree,
-                   tables: list[Table]) -> _StageSampler:
+                   tables: list[Table]) -> StageSampler:
     if not state.centers:
         raise ValueError("surrogate sampling requires at least one center")
     if state.forest is None:
         state.refresh_forest()
     if state._surrogate is None:
-        state._surrogate = _StageSampler.surrogate(tree, tables, state.forest)
+        state._surrogate = StageSampler.surrogate(tree, tables, state.forest)
         if state._surrogate.total_mass() <= 0.0:
             state._surrogate = None
             raise DegenerateDistribution("total assignment cost is zero")
@@ -291,7 +257,7 @@ def rejection_sample_batch(state: SamplingState, tree: JoinTree,
     out = np.empty((n_accepted, d))
     got = accepted = candidates = rejections_run = 0
     telem = CenterTelemetry(i, 0, 0)
-    batch = max(state.config.batch_size, min(1024, 4 * n_accepted))
+    batch = max(BATCH_SIZE, min(1024, 4 * n_accepted))
     while got < n_accepted:
         prov = s.sample_batch(state.rng, batch)
         pts = s.ev.gather(prov)
@@ -331,10 +297,7 @@ def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
     """
     state = SamplingState([], None, make_rng(seed),
                           config or SamplerConfig())
-    uniform = _StageSampler.uniform(tree, tables)
-    if uniform.total_mass() == 0:
-        raise EmptyJoin("join has no rows")
-    first = sample_uniform_row(tree, tables, state.rng, sampler=uniform)
+    first = sample_uniform_row(tree, tables, state.rng)
     state.centers.append(first.coords)
     state.refresh_forest()
     while len(state.centers) < n_centers:

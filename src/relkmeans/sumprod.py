@@ -7,14 +7,14 @@ Each feature is applied at exactly one owner node to avoid double-counting
 features shared between tables.
 
 :class:`JoinEvaluator` is the one evaluator the pipeline runs.  It carries
-counts, cost pairs and sparse squared-distance histograms as numpy arrays,
-and it holds the one table-by-table row walk (and its table order) both
-samplers draw join rows with; they differ only in the stage weights they
-feed it.  :meth:`JoinEvaluator.costpair_walk` is the upward pass the
-k-means++ sampler reads every stage weight from.  The generic
-dict engine (:func:`eval_sumprod`, :func:`eval_sumprod_grouped`) takes any
-carrier one row at a time; it is the reference the evaluator is tested
-against, not a pipeline path.
+cost pairs and sparse squared-distance histograms as numpy arrays, and it
+holds the one table-by-table row walk (and its table order) both samplers
+draw join rows with; they differ only in the stage weights they feed it.
+:meth:`JoinEvaluator.costpair_walk` is the one cost/count pass: the join
+count, the surrogate cost and every k-means++ stage weight are read off
+it.  The generic dict engine (:func:`eval_sumprod`,
+:func:`eval_sumprod_grouped`) takes any carrier one row at a time; it is
+the reference the evaluator is tested against, not a pipeline path.
 """
 
 from __future__ import annotations
@@ -220,14 +220,14 @@ class WalkMessages:
 
 
 class JoinEvaluator:
-    """Vectorized count, cost-pair and distance-histogram queries against one
+    """Vectorized cost-pair and distance-histogram passes against one
     (tree, tables) pair.
 
-    Separator keys are factorized once per edge; every query after that is
-    masked bincount aggregation, so box-restricted and row-conditioned
-    variants cost O(total rows) each (times the histogram sizes for
-    distances).  Key comparison is exact (values come from input files,
-    never from arithmetic), with -0.0 equal to 0.0.
+    Separator keys are factorized once per edge; every pass after that is
+    masked bincount aggregation, so a cost-pair pass costs O(terms * total
+    rows) and a distance pass O(total rows) times the histogram sizes.  Key
+    comparison is exact (values come from input files, never from
+    arithmetic), with -0.0 equal to 0.0.
 
     Counts are float64 throughout: exact below 2**53 join rows and never
     overflowing beyond.  Every count is a sum or product of non-negative
@@ -302,50 +302,11 @@ class JoinEvaluator:
             self._owned_dists[key] = d
         return self._owned_dists[key]
 
-    def count_grouped(self, group: int,
-                      masks: list[np.ndarray] | None = None) -> np.ndarray:
-        """Join-row counts extending each row of the group table."""
-        base = {
-            t.id: (masks[t.id].astype(np.float64) if masks is not None
-                   else np.ones(t.n_rows))
-            for t in self.tables
-        }
-        vals = dict(base)
-        for node, par in self._order(group):
-            if par is None:
-                break
-            ids_child, ids_par, n = self.edge_keys(node, par)
-            msg = np.bincount(ids_child, weights=vals[node], minlength=n)
-            vals[par] = vals[par] * msg[ids_par]
-        return vals[group]
-
-    def count_scalar(self, masks: list[np.ndarray] | None = None) -> float:
-        return float(self.count_grouped(self.tree.root, masks).sum())
-
-    def costpair_grouped(self, group: int, target: np.ndarray,
-                         masks: list[np.ndarray] | None = None,
-                         ) -> tuple[np.ndarray, np.ndarray]:
-        """(cost, count) per group-table row for squared distance to target.
-
-        ``target`` is positional by feature index over the full space.
-        """
-        a_at: dict[int, np.ndarray] = {}
-        b_at: dict[int, np.ndarray] = {}
-        for t in self.tables:
-            active = (masks[t.id] if masks is not None
-                      else np.ones(t.n_rows, dtype=bool))
-            b = active.astype(np.float64)
-            a_at[t.id] = self._owned_sq_dist(t, target) * b
-            b_at[t.id] = b
-        for node, par in self._order(group):
-            if par is None:
-                break
-            ids_child, ids_par, n = self.edge_keys(node, par)
-            msg_a = np.bincount(ids_child, weights=a_at[node], minlength=n)
-            msg_b = np.bincount(ids_child, weights=b_at[node], minlength=n)
-            ma, mb = msg_a[ids_par], msg_b[ids_par]
-            a_at[par], b_at[par] = a_at[par] * mb + ma * b_at[par], b_at[par] * mb
-        return a_at[group], b_at[group]
+    def count_scalar(self) -> float:
+        """Number of join rows: the count component of one whole-space
+        :meth:`costpair_walk` term, summed over the walk's first table."""
+        up = self.costpair_walk(np.zeros(self.n_features))
+        return float(up.count[self.walk[0]].sum())
 
     def costpair_walk(self, targets: np.ndarray,
                       masks: list[np.ndarray] | None = None) -> WalkMessages:
@@ -417,13 +378,9 @@ class JoinEvaluator:
             hist[par] = _merge(*_convolve(into, ids_par, msg, n))
         return rows, keys, counts
 
-    def masks_for_box(self, box: BoxRect,
-                      conditioned: list[np.ndarray] | None = None,
-                      ) -> list[np.ndarray]:
-        masks = box_row_masks(self.tables, box)
-        if conditioned is not None:
-            masks = [m & c for m, c in zip(masks, conditioned)]
-        return masks
+    def masks_for_box(self, box: BoxRect) -> list[np.ndarray]:
+        """Per-table row masks of ``box`` (see :func:`box_row_masks`)."""
+        return box_row_masks(self.tables, box)
 
     def singleton_masks(self, fixed_rows: Mapping[int, int]) -> list[np.ndarray]:
         """Masks pinning the given tables to single rows (no table mutation)."""

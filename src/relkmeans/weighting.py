@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballcount import (
-    BallSampler,
-    TargetExceedsN,
-    distance_profile,
-    radius_for_count,
-)
+from .ballcount import BallSampler, distance_profile, radius_for_count
 from .boxes import sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
 from .sumprod import JoinEvaluator
@@ -130,13 +125,14 @@ def compute_weights(tree: JoinTree, tables: list[Table],
         if profile.total < 1:
             raise SamplingGaveUp(f"the distance profile of center {i} is empty")
         sampler = BallSampler(tree, tables, center, bucket_delta)
-        prev_radius = profile.smallest_radius_for(1)
+        # the first donut is [0, r_1], so join rows at the center count
+        prev_radius = -math.inf
         for j in range(1, n_rings + 1):
-            try:
+            if 2 ** j > profile.total:
+                r_j = math.inf  # outermost ball covers the whole space
+            else:
                 r_j = radius_for_count(tree, tables, center, 2 ** j,
                                        cfg.ball_slack, profile=profile)
-            except TargetExceedsN:
-                r_j = math.inf  # outermost ball covers the whole space
             rng = np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(cfg.seed, spawn_key=(i, j))))
             if r_j <= prev_radius:

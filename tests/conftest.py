@@ -33,14 +33,17 @@ PATH_JOIN_ROWS = [
 ]
 
 
-def brute_force_join(tables: list[Table], cap: int = 500_000) -> np.ndarray:
+def brute_force_join_rows(tables: list[Table], cap: int = 500_000,
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Naive join oracle: fold tables row by row, matching shared features.
-    Independent of join trees and the SumProd engine."""
-    partial: list[dict[str, float]] = [{}]
+    Independent of join trees and the SumProd engine.  Returns, per join
+    row, the row index taken from each table (by table id) and the point in
+    feature-index order."""
+    partial: list[tuple[dict[str, float], tuple[int, ...]]] = [({}, ())]
     for t in tables:
         names = t.feature_names()
-        grown: list[dict[str, float]] = []
-        for row in partial:
+        grown: list[tuple[dict[str, float], tuple[int, ...]]] = []
+        for row, prov in partial:
             for i in range(t.n_rows):
                 cand = dict(row)
                 ok = True
@@ -53,14 +56,21 @@ def brute_force_join(tables: list[Table], cap: int = 500_000) -> np.ndarray:
                     else:
                         cand[nm] = v
                 if ok:
-                    grown.append(cand)
+                    grown.append((cand, prov + (i,)))
                     if len(grown) > cap:
                         raise RuntimeError("brute-force join too large")
         partial = grown
     order = sorted({f.name: f.index for t in tables for f in t.features}.items(),
                    key=lambda kv: kv[1])
-    data = np.array([[row[nm] for nm, _ in order] for row in partial])
-    return data.reshape(len(partial), len(order))
+    data = np.array([[row[nm] for nm, _ in order] for row, _ in partial])
+    prov = np.array([p for _, p in partial], dtype=np.int64)
+    return (prov.reshape(len(partial), len(tables)),
+            data.reshape(len(partial), len(order)))
+
+
+def brute_force_join(tables: list[Table], cap: int = 500_000) -> np.ndarray:
+    """The points of :func:`brute_force_join_rows`."""
+    return brute_force_join_rows(tables, cap)[1]
 
 
 def surrogate_costs(join_rows: np.ndarray, forest) -> np.ndarray:

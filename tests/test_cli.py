@@ -8,6 +8,8 @@ from relkmeans.cli import CyclicSchemaError, RunConfig, main, run
 
 TABLE1 = "f1,f2\n1,1\n2,1\n3,2\n4,3\n5,4\n"
 TABLE2 = "f2,f3\n1,1\n1,2\n2,3\n5,4\n5,5\n"
+# eight rows on three distinct points
+CODED = "x\n0\n0\n0\n5\n5\n5\n9\n9\n"
 
 
 @pytest.fixture
@@ -64,6 +66,20 @@ class TestModes:
         assert "surrogate_cost" in doc and "exact_cost" not in doc
 
 
+    def test_rows_at_centers_weigh_their_centers(self, tmp_path, capsys):
+        # k' covers the join, so every join row becomes a sampled center
+        (tmp_path / "t.csv").write_text(CODED)
+        doc = tmp_path / "s.txt"
+        doc.write_text("T: x @ t.csv\n")
+        code, out, err = run_cli(
+            ["--schema", str(doc), "--k", "2", "--ring-cap", "400"], capsys)
+        assert code == 0
+        assert "all ring fractions under threshold" not in err
+        result = json.loads(out)
+        assert sorted(c[0] for c in result["sampled_centers"]) == [0.0, 5.0, 9.0]
+        assert all(w > 0 for w in result["weights"])
+
+
 class TestDiagnostics:
     def test_cyclic_schema_exits_2_with_residual(self, cyclic_path, capsys):
         code, _, err = run_cli(["--schema", cyclic_path, "--k", "2"], capsys)
@@ -99,7 +115,7 @@ class TestDiagnostics:
             assert "[sample]" not in err
 
     def test_too_few_distinct_points_exits_1(self, tmp_path, capsys):
-        (tmp_path / "t.csv").write_text("x\n0\n0\n0\n5\n5\n5\n9\n9\n")
+        (tmp_path / "t.csv").write_text(CODED)
         doc = tmp_path / "s.txt"
         doc.write_text("T: x @ t.csv\n")
         code, out, err = run_cli(

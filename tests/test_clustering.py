@@ -12,7 +12,7 @@ from relkmeans.clustering import (
     weighted_lloyd,
 )
 from relkmeans.boxes import assignment_reps_batch, build_boxes
-from relkmeans.oracle import MaterializationGuard, materialize
+from relkmeans.oracle import exact_cost, materialize
 from relkmeans.sampling import make_rng
 
 
@@ -123,7 +123,7 @@ class TestRelationalCost:
     def test_single_center_surrogate_equals_exact(self, path_tree, path_tables):
         c = np.array([[1.0, 1.0, 1.0]])
         sur = relational_cost(path_tree, path_tables, c)
-        ex = relational_cost(path_tree, path_tables, c, mode="exact")
+        ex = exact_cost(materialize(path_tables, tree=path_tree), c)
         assert sur == pytest.approx(ex, rel=1e-12)
 
     def test_surrogate_upper_bounds_exact(self, path_tree, path_tables, rng):
@@ -131,14 +131,14 @@ class TestRelationalCost:
             k = int(rng.integers(1, 4))
             cs = rng.normal(2, 2, size=(k, 3))
             sur = relational_cost(path_tree, path_tables, cs)
-            ex = relational_cost(path_tree, path_tables, cs, mode="exact")
+            ex = exact_cost(materialize(path_tables, tree=path_tree), cs)
             assert sur >= ex - 1e-9
 
     def test_derived_fixture_value(self, fixture_db):
         tables, tree = fixture_db
         cs = np.array([[0.0], [16.0]])
         assert relational_cost(tree, tables, cs) == pytest.approx(114.0)
-        assert relational_cost(tree, tables, cs, mode="exact") == \
+        assert exact_cost(materialize(tables, tree=tree), cs) == \
             pytest.approx(114.0)
 
     @pytest.mark.parametrize("offset", [0.0, 1e7])
@@ -164,8 +164,3 @@ class TestRelationalCost:
         direct = assignment_reps_batch(build_boxes(centers), join.rows)[1].sum()
         got = relational_cost(tree, tables, centers)
         assert abs(got - direct) <= 1e-9 * direct
-
-    def test_guard_in_exact_mode(self, path_tree, path_tables):
-        with pytest.raises(MaterializationGuard):
-            relational_cost(path_tree, path_tables, np.zeros((1, 3)),
-                            mode="exact", guard=2)

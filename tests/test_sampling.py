@@ -1,5 +1,5 @@
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -16,18 +16,16 @@ from relkmeans.sampling import (
     RejectionBudgetExceeded,
     SamplerConfig,
     SamplingState,
-    assignment_cost_grouped,
+    StageSampler,
     make_rng,
     rejection_sample_batch,
     run_kmeanspp,
-    sample_from_surrogate,
     sample_next_center,
     sample_uniform_row,
-    _StageSampler,
     _surrogate_for,
 )
 
-from conftest import random_acyclic_tables, surrogate_costs
+from conftest import brute_force_join_rows, random_acyclic_tables, surrogate_costs
 
 
 def single_table(values) -> tuple:
@@ -35,6 +33,14 @@ def single_table(values) -> tuple:
     feats = tuple(FeatureId(f"x{i}", i) for i in range(rows.shape[1]))
     t = Table(0, "T", feats, rows)
     return [t], gyo_reduce(tables_to_schema([t]))
+
+
+def sample_from_surrogate(state: SamplingState, tree, tables) -> np.ndarray:
+    """One draw from the box-assignment surrogate distribution (probability
+    of a join row proportional to its squared distance to its smallest box's
+    representative)."""
+    s = _surrogate_for(state, tree, tables)
+    return s.ev.gather(s.sample_batch(state.rng, 1))[0]
 
 
 def empirical_tv(samples: np.ndarray, support: np.ndarray,
@@ -51,7 +57,7 @@ def empirical_tv(samples: np.ndarray, support: np.ndarray,
 class TestUniformRow:
     def test_uniform_on_path_fixture(self, path_tree, path_tables):
         rng = make_rng(1)
-        sampler = _StageSampler.uniform(path_tree, path_tables)
+        sampler = StageSampler.uniform(path_tree, path_tables)
         prov = sampler.sample_batch(rng, 100_000)
         pts = sampler.ev.gather(prov)
         join = materialize(path_tables).rows
@@ -72,26 +78,30 @@ class TestUniformRow:
 
 
 class TestAssignmentCostGrouped:
+    """Per-row box-assignment cost of the join rows extending each row,
+    read off the surrogate sampler's stage weights."""
+
     def test_single_center_reduces_to_cost_vector(self, path_tree, path_tables):
         forest = build_boxes(np.array([[0.0, 0.0, 0.0]]))
-        got = assignment_cost_grouped(path_tree, path_tables, forest, 0)
-        assert got.tolist() == [9.0, 15.0, 22.0, 0.0, 0.0]
+        got = StageSampler.surrogate(path_tree, path_tables, forest)
+        assert got.stage_weights(()).tolist() == [9.0, 15.0, 22.0, 0.0, 0.0]
 
     def test_two_center_fixture(self):
         tables, tree = single_table([[7.0], [9.0], [12.0]])
         forest = build_boxes(np.array([[0.0], [16.0]]), initial_half_side=0.5)
-        got = assignment_cost_grouped(tree, tables, forest, 0)
-        assert got.tolist() == [49.0, 49.0, 16.0]
+        got = StageSampler.surrogate(tree, tables, forest)
+        assert got.stage_weights(()).tolist() == [49.0, 49.0, 16.0]
 
     def test_total_matches_brute_force(self, path_tree, path_tables):
         centers = np.array([[1.0, 1.0, 1.0], [3.0, 2.0, 3.0]])
         forest = build_boxes(centers)
-        h = assignment_cost_grouped(path_tree, path_tables, forest, 0)
+        s = StageSampler.surrogate(path_tree, path_tables, forest)
         join = materialize(path_tables).rows
         want = surrogate_costs(join, forest).sum()
-        assert h.sum() == pytest.approx(want, rel=1e-9)
-        other = assignment_cost_grouped(path_tree, path_tables, forest, 1)
-        assert other.sum() == pytest.approx(want, rel=1e-9)
+        assert s.total_mass() == pytest.approx(want, rel=1e-9)
+        second = sum(s.stage_weights((r,)).sum()
+                     for r in range(path_tables[0].n_rows))
+        assert second == pytest.approx(want, rel=1e-9)
 
     def test_conditioned_sums_telescope(self, rng):
         for _ in range(10):
@@ -103,11 +113,10 @@ class TestAssignmentCostGrouped:
             if join.n_rows < 2:
                 continue
             centers = join.rows[rng.choice(join.n_rows, 2, replace=False)]
-            forest = build_boxes(centers)
-            h0 = assignment_cost_grouped(tree, tables, forest, 0)
+            s = StageSampler.surrogate(tree, tables, build_boxes(centers))
+            h0 = s.stage_weights(())
             r0 = int(np.argmax(h0))
-            h1 = assignment_cost_grouped(tree, tables, forest, 1,
-                                         fixed_rows={0: r0})
+            h1 = s.stage_weights((r0,))
             assert h1.sum() == pytest.approx(h0[r0], rel=1e-9, abs=1e-9)
 
 
@@ -118,7 +127,7 @@ class TestSurrogateSampling:
         state.refresh_forest()
         for _ in range(20):
             got = sample_from_surrogate(state, tree, tables)
-            assert got.coords.tolist() == [5.0]
+            assert got.tolist() == [5.0]
 
     def test_matches_oracle_distribution(self, path_tree, path_tables):
         centers = [np.array([1.0, 1.0, 1.0]), np.array([5.0, 4.0, 5.0])]
@@ -128,7 +137,7 @@ class TestSurrogateSampling:
         costs = surrogate_costs(join, state.forest)
         probs = costs / costs.sum()
         draws = np.array([
-            sample_from_surrogate(state, path_tree, path_tables).coords
+            sample_from_surrogate(state, path_tree, path_tables)
             for _ in range(20_000)
         ])
         assert empirical_tv(draws, join, probs) < 0.02
@@ -141,7 +150,7 @@ class TestSurrogateSampling:
         d2 = ((join - center[0]) ** 2).sum(axis=1)
         probs = d2 / d2.sum()
         draws = np.array([
-            sample_from_surrogate(state, path_tree, path_tables).coords
+            sample_from_surrogate(state, path_tree, path_tables)
             for _ in range(20_000)
         ])
         assert empirical_tv(draws, join, probs) < 0.02
@@ -226,19 +235,25 @@ class TestRunKmeanspp:
         assert means[0] >= means[1] >= means[2]
 
 
-def consistent_prefixes(ev: JoinEvaluator) -> list[tuple[int, ...]]:
+def brute_stage_weights(tables: list[Table], forest, walk: tuple[int, ...],
+                        ) -> tuple[dict, dict]:
+    """Reference stage weights from the enumerated join: per (walk prefix,
+    next row), the summed surrogate cost and the number of the join rows
+    whose rows along the walk start with the prefix followed by that row."""
+    prov, points = brute_force_join_rows(tables)
+    cost, count = defaultdict(float), Counter()
+    for rows, c in zip(prov, surrogate_costs(points, forest)):
+        path = tuple(int(rows[t]) for t in walk)
+        for depth, r in enumerate(path):
+            cost[path[:depth], r] += c
+            count[path[:depth], r] += 1
+    return cost, count
+
+
+def consistent_prefixes(count: dict) -> list[tuple[int, ...]]:
     """Every walk prefix short of a whole join row whose fixed rows extend
-    to at least one join row, found with the per-prefix counting pass."""
-    out, frontier = [], [()]
-    while frontier:
-        prefix = frontier.pop()
-        out.append(prefix)
-        if len(prefix) + 1 < len(ev.tables):
-            fixed = dict(zip(ev.walk, prefix))
-            counts = ev.count_grouped(ev.walk[len(prefix)],
-                                      ev.singleton_masks(fixed))
-            frontier += [prefix + (int(r),) for r in np.flatnonzero(counts > 0)]
-    return out
+    to at least one join row."""
+    return sorted({prefix for prefix, _ in count})
 
 
 def split_star() -> tuple[list[Table], object]:
@@ -259,9 +274,9 @@ def split_star() -> tuple[list[Table], object]:
 
 class TestStageWeights:
     def test_match_per_prefix_reference(self, rng):
-        """Weights read off the one upward pass equal the per-prefix
-        reference passes (surrogate: assignment_cost_grouped clamped at 0;
-        uniform: count_grouped) at every join-consistent prefix."""
+        """Weights read off the one upward pass equal the brute-force
+        reference (surrogate: summed surrogate costs; uniform: join-row
+        counts) at every join-consistent prefix."""
         schemas, not_id, prefixes, worst = 0, 0, 0, 0.0
         cases = [split_star()]
         while schemas < 150:
@@ -278,23 +293,22 @@ class TestStageWeights:
             centers = join.rows[rng.choice(join.n_rows, min(k, join.n_rows),
                                            replace=False)]
             forest = build_boxes(centers)
-            surrogate = _StageSampler.surrogate(tree, tables, forest)
-            uniform = _StageSampler.uniform(tree, tables)
+            surrogate = StageSampler.surrogate(tree, tables, forest)
+            uniform = StageSampler.uniform(tree, tables)
             ev = surrogate.ev
             not_id += ev.walk != tuple(range(len(tables)))
             scale = surrogate.total_mass()
-            for prefix in consistent_prefixes(ev):
-                group = ev.walk[len(prefix)]
-                fixed = dict(zip(ev.walk, prefix))
-                want = np.maximum(assignment_cost_grouped(
-                    tree, tables, forest, group, fixed_rows=fixed), 0.0)
+            ref_cost, ref_count = brute_stage_weights(tables, forest, ev.walk)
+            for prefix in consistent_prefixes(ref_count):
+                n_rows = tables[ev.walk[len(prefix)]].n_rows
+                want = np.array([ref_cost[prefix, r] for r in range(n_rows)])
                 got = surrogate.stage_weights(prefix)
                 np.testing.assert_allclose(got, want, rtol=1e-9,
                                            atol=1e-12 * scale)
                 err = np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
                 worst = max(worst, float(err[want > 1e-9 * scale].max(initial=0)))
                 assert uniform.stage_weights(prefix).tolist() == \
-                    ev.count_grouped(group, ev.singleton_masks(fixed)).tolist()
+                    [float(ref_count[prefix, r]) for r in range(n_rows)]
                 prefixes += 1
         assert not_id >= 10 and prefixes >= 700
         assert worst <= 1e-9
@@ -308,7 +322,7 @@ class TestWalkOrder:
     def test_uniform_draws_on_split_star(self):
         tables, tree = split_star()
         join = materialize(tables, tree=tree).rows
-        sampler = _StageSampler.uniform(tree, tables)
+        sampler = StageSampler.uniform(tree, tables)
         pts = sampler.ev.gather(sampler.sample_batch(make_rng(5), 100_000))
         probs = np.full(len(join), 1.0 / len(join))
         assert empirical_tv(pts, join, probs) < 0.02
@@ -353,7 +367,7 @@ class TestWalkOrder:
 class TestPassCount:
     def test_passes_do_not_grow_with_prefixes(self, monkeypatch):
         """Drawing 64 or 4,096 candidates from one forest builds each box's
-        masks once and runs no per-prefix cost-pair pass."""
+        masks once and runs one cost-pair pass, not one per prefix."""
         rng = np.random.default_rng(8)
         h, x = FeatureId("h", 0), [FeatureId(f"x{i}", i + 1) for i in range(3)]
         tables = [Table(i, f"T{i}", (h, x[i]), np.column_stack(
@@ -363,7 +377,7 @@ class TestPassCount:
         join = materialize(tables, tree=tree).rows
         centers = list(join[rng.choice(len(join), 3, replace=False)])
         calls: Counter = Counter()
-        for name in ("masks_for_box", "costpair_grouped"):
+        for name in ("masks_for_box", "costpair_walk"):
             original = getattr(JoinEvaluator, name)
 
             def spy(self, *args, _fn=original, _name=name, **kwargs):
@@ -380,4 +394,5 @@ class TestPassCount:
             seen.append(dict(calls))
             n_prefixes.append(len(s._weights))
         assert n_prefixes[1] > 2 * n_prefixes[0]
-        assert seen[0] == seen[1] == {"masks_for_box": state.forest.size}
+        assert seen[0] == seen[1] == {"masks_for_box": state.forest.size,
+                                      "costpair_walk": 1}

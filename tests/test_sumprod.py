@@ -76,24 +76,25 @@ class TestGroupedQueries:
         assert [v.a for v in got.values] == [4.0, 9.0]
 
 
-def boxed_cost(tree, tables, box, target, group):
-    """Per group-table row, the squared distance to ``target`` summed over
-    the join rows extending the row that lie inside ``box``."""
+def boxed_cost(tree, tables, box, target):
+    """Per row of the walk's first table, the squared distance to ``target``
+    summed over the join rows extending the row that lie inside ``box``:
+    one costpair_walk term with the box's masks."""
     ev = JoinEvaluator(tree, tables)
-    cost, _ = ev.costpair_grouped(group, target, ev.masks_for_box(box))
-    return cost
+    masks = [m[None, :] for m in ev.masks_for_box(box)]
+    return ev.costpair_walk(target[None, :], masks).cost[ev.walk[0]][0]
 
 
 class TestBoxedCostGrouped:
     def test_whole_space_origin(self, path_tree, path_tables):
         got = boxed_cost(path_tree, path_tables, BoxRect.whole_space(3),
-                         np.zeros(3), 0)
+                         np.zeros(3))
         # brute force per T1 row; the row (2,1) extends to (2,1,1) and (2,1,2)
         assert got.tolist() == [9.0, 15.0, 22.0, 0.0, 0.0]
 
     def test_empty_box_is_all_zero(self, path_tree, path_tables):
         box = BoxRect(np.full(3, 50.0), np.full(3, 60.0))
-        got = boxed_cost(path_tree, path_tables, box, np.zeros(3), 0)
+        got = boxed_cost(path_tree, path_tables, box, np.zeros(3))
         assert got.tolist() == [0.0] * 5
 
     def test_single_row_join_at_target_is_zero(self):
@@ -101,7 +102,7 @@ class TestBoxedCostGrouped:
                   np.array([[2.0, 5.0]]))
         tree = gyo_reduce(tables_to_schema([t]))
         got = boxed_cost(tree, [t], BoxRect.whole_space(2),
-                         np.array([2.0, 5.0]), 0)
+                         np.array([2.0, 5.0]))
         assert got.tolist() == [0.0]
 
     def test_matches_filter_then_costpair(self, path_tree, path_tables, rng):
@@ -109,13 +110,13 @@ class TestBoxedCostGrouped:
             low = rng.uniform(-1, 3, size=3)
             high = low + rng.uniform(0, 4, size=3)
             box = BoxRect(low, high)
-            got = boxed_cost(path_tree, path_tables, box, np.zeros(3), 1)
+            got = boxed_cost(path_tree, path_tables, box, np.zeros(3))
             joined = brute_force_join(path_tables)
             inside = joined[np.all((joined >= low) & (joined <= high), axis=1)] \
                 if len(joined) else joined
-            t2 = path_tables[1]
-            for r in range(t2.n_rows):
-                match = inside[np.all(inside[:, 1:3] == t2.rows[r], axis=1)] \
+            t1 = path_tables[0]
+            for r in range(t1.n_rows):
+                match = inside[np.all(inside[:, 0:2] == t1.rows[r], axis=1)] \
                     if len(inside) else inside
                 want = float((match ** 2).sum()) if len(match) else 0.0
                 assert got[r] == pytest.approx(want, abs=1e-12)
@@ -139,6 +140,9 @@ class TestOracleEquivalence:
             assert got.b == count
 
     def test_fast_evaluator_matches_generic(self, rng):
+        """count_scalar and a multi-term costpair_walk with random per-term
+        row masks, read at the walk's first table, match the generic engine
+        on the masked tables."""
         # -0.0 and 0.0 are one join key, for the dict keys and np.unique alike
         signed_zero = [
             Table(0, "A", (FeatureId("k", 0), FeatureId("x", 1)),
@@ -153,18 +157,21 @@ class TestOracleEquivalence:
             ev = JoinEvaluator(tree, tables)
             assert ev.count_scalar() == eval_sumprod(
                 tree, tables, counting_semiring(names))
-            group = int(rng.integers(len(tables)))
-            grouped = eval_sumprod_grouped(
-                tree, tables, counting_semiring(names), group)
-            assert ev.count_grouped(group).tolist() == list(grouped.values)
-            tvec = rng.normal(size=len(names))
-            cost, cnt = ev.costpair_grouped(group, tvec)
-            gcp = eval_sumprod_grouped(
-                tree, tables, costpair_semiring(names, dict(zip(names, tvec))),
-                group)
-            np.testing.assert_allclose(cost, [v.a for v in gcp.values],
-                                       rtol=1e-9, atol=1e-9)
-            np.testing.assert_allclose(cnt, [v.b for v in gcp.values])
+            n_terms = 3
+            targets = rng.normal(size=(n_terms, len(names)))
+            masks = [rng.random((n_terms, t.n_rows)) < 0.7 for t in tables]
+            up = ev.costpair_walk(targets, masks)
+            first = ev.walk[0]
+            for term in range(n_terms):
+                keep = masks[first][term]
+                masked = [t.with_rows(t.rows[m[term]]) for t, m in zip(tables, masks)]
+                spec = costpair_semiring(names, dict(zip(names, targets[term])))
+                gcp = eval_sumprod_grouped(tree, masked, spec, first)
+                cost, cnt = up.cost[first][term], up.count[first][term]
+                np.testing.assert_allclose(cost[keep], [v.a for v in gcp.values],
+                                           rtol=1e-9, atol=1e-9)
+                np.testing.assert_array_equal(cnt[keep], [v.b for v in gcp.values])
+                assert not cost[~keep].any() and not cnt[~keep].any()
 
 
 class TestFeatureOwnership:

@@ -125,7 +125,7 @@ class TestComputeWeights:
         checked = 0
         by_center: dict[int, float] = {}
         for s in stats:
-            prev = by_center.get(s.center_index, 0.0)
+            prev = by_center.get(s.center_index, -math.inf)
             d2 = ((pts - centers[s.center_index]) ** 2).sum(axis=1)
             in_donut = (d2 > prev) & (d2 <= s.sq_radius)
             by_center[s.center_index] = s.sq_radius
@@ -138,6 +138,17 @@ class TestComputeWeights:
                 assert abs(s.ratio - f_true) <= cfg.epsilon * max(f_true, 1e-9)
                 checked += 1
         assert checked >= 4
+
+    def test_join_rows_at_centers_are_counted(self):
+        # every join row coincides with a center: the first donut, closed
+        # at 0, is the only one that holds a center's own rows
+        tables, tree = single_table_db([0, 0, 0, 5, 5, 5, 9, 9])
+        centers = [np.array([0.0]), np.array([5.0]), np.array([9.0])]
+        coreset, stats = compute_weights(
+            tree, tables, centers,
+            WeightConfig(epsilon=0.2, seed=1, max_ring_samples=400))
+        assert (coreset.weights > 0).all()
+        assert all(s.wins == s.samples for s in stats if s.ring_index == 1)
 
     def test_rejects_tiny_join(self):
         tables, tree = single_table_db([0.0])
