@@ -1,15 +1,17 @@
-"""Approximate counting and near-uniform sampling inside hyperspheres.
+"""Approximate counting and uniform sampling inside hyperspheres.
 
 Exact in-ball counting on a join is intractable, so squared distances to a
-center are pushed through the join tree as sparse histograms
-(:meth:`JoinEvaluator.distance_grouped`): a row's key is its own squared
-deviation plus one key from each child's message, and a message is the
-union of its rows' histograms per separator key.  Keeping every exact
-distance would make intermediate results as large as the join, so keys are
-rounded up onto a (1+delta) geometric grid once per table; the rounding
-compounds to at most (1+delta)^m on the radius axis.  Counts are float64,
-like every count of the evaluator.  All radii in this module are squared
-distances.
+center are pushed through the join tree as sparse histograms, in one
+upward pass per center (:meth:`JoinEvaluator.distance_pass`): a row's key
+is its own squared deviation plus one key from each child's message, and a
+message is the union of its rows' histograms per separator key.  Keeping
+every exact distance would make intermediate results as large as the join,
+so keys are rounded up onto a (1+delta) geometric grid once per table; the
+rounding compounds to at most (1+delta)^m on the radius axis.  The pass
+keeps the provenance of every merge, so in-ball draws walk it top-down
+instead of running more passes, and rejection against exact membership
+makes them exactly uniform over the ball.  Counts are float64, like every
+count of the evaluator.  All radii in this module are squared distances.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxes import sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
 from .sumprod import JoinEvaluator
 
@@ -94,8 +97,7 @@ class DistanceProfile:
     """Cumulative count curve of (rounded) squared distances to a center.
 
     ``sq_radii`` is ascending; ``cum_counts[i]`` join points lie at rounded
-    squared distance <= sq_radii[i].  ``entry(j)`` gives the count-level view:
-    the smallest radius holding at least ceil((1+delta)^j) points.
+    squared distance <= sq_radii[i].
     """
 
     center: np.ndarray
@@ -119,32 +121,19 @@ class DistanceProfile:
                 f"needed {count} points, join holds {self.total}")
         return float(self.sq_radii[idx])
 
-    def entry(self, j: int) -> float:
-        level = math.ceil((1.0 + self.delta) ** j) if self.delta > 0 else j + 1
-        return self.smallest_radius_for(level)
-
-    def entries(self) -> np.ndarray:
-        out, j = [], 0
-        while True:
-            try:
-                out.append(self.entry(j))
-            except TargetExceedsN:
-                break
-            j += 1
-        return np.array(out)
-
 
 def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
                      delta: float | None = None) -> DistanceProfile:
-    """Profile of squared distances from all join points to the center.
+    """Profile of squared distances from all join points to the center: the
+    root histogram of one distance pass, summed over rows.
 
     ``delta`` is the per-table bucketing error; None or 0 keeps exact
     distances (fine for small joins, linear-size intermediates otherwise).
     """
     center = np.asarray(center, dtype=np.float64)
     bucketizer = make_bucketizer(tables, center, delta)
-    _, keys, counts = JoinEvaluator(tree, tables).distance_grouped(
-        tree.root, center, bucketizer.round_up if bucketizer else None)
+    _, keys, counts = JoinEvaluator(tree, tables).distance_pass(
+        center, bucketizer.round_up if bucketizer else None).root
     keys, inv = np.unique(keys, return_inverse=True)
     counts = np.bincount(inv, weights=counts, minlength=keys.size)
     return DistanceProfile(center, delta or 0.0, keys, np.cumsum(counts),
@@ -173,13 +162,16 @@ def radius_for_count(tree: JoinTree, tables: list[Table], center: np.ndarray,
 
 
 class BallSampler:
-    """Near-uniform sampling of join points inside balls around one center.
+    """Uniform sampling of join points inside balls around one center.
 
-    Grouped distance histograms are cached per fixed-row prefix, so one
-    sampler amortizes across many radii and many draws.  Stage weights use
-    a widened radius so every true ball member stays sampleable despite
-    upward rounding; points outside the requested ball are rejected against
-    exact membership afterwards.
+    One distance pass (:meth:`JoinEvaluator.distance_pass`) serves every
+    radius and every draw.  Each draw is a join row whose root key lies
+    under a widened threshold, drawn top-down with probability proportional
+    to its count.  Each table rounds its keys up once, by at most (1+delta),
+    so a root key is at most (1+delta)^m times the true squared distance
+    and the threshold R * (1+delta)^m keeps every ball member drawable.
+    Points outside the requested ball are rejected against exact membership
+    afterwards, which leaves the draws exactly uniform over the ball.
     """
 
     def __init__(self, tree: JoinTree, tables: list[Table], center: np.ndarray,
@@ -188,45 +180,24 @@ class BallSampler:
         self.m = len(tables)
         self.bucketizer = make_bucketizer(tables, self.center, delta)
         self.ev = JoinEvaluator(tree, tables)
-        self._stage_cache: dict[tuple[int, ...],
-                                tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.dists = self.ev.distance_pass(
+            self.center, self.bucketizer.round_up if self.bucketizer else None)
 
-    def _effective(self, sq_radius: float, stage: int) -> float:
-        """Widened membership threshold for one sampling stage.
+    def _threshold(self, sq_radius: float) -> float:
+        """Root-key bound admitting every join point within ``sq_radius``.
 
-        Rounded keys depend on the message-pass root, so a point admitted at
-        stage l (key <= threshold, hence true distance <= threshold) must
-        stay admitted under stage l+1's rounding; each stage therefore widens
-        by another (1+delta)^m factor.  Outsiders picked up this way are
-        rejected against exact membership afterwards.
+        The relative 1e-9 absorbs float rounding between the pass's key
+        sums and the exact membership test; what it admits is rejected.
         """
-        if self.bucketizer is None:
-            return sq_radius
-        return self.bucketizer.widen(sq_radius, self.m * (stage + 1))
-
-    def _stage_histogram(self, prefix: tuple[int, ...],
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, keys, counts) of table ``walk[len(prefix)]`` with the
-        tables before it in the walk pinned to the rows in ``prefix``."""
-        if prefix not in self._stage_cache:
-            walk = self.ev.walk
-            masks = self.ev.singleton_masks(dict(zip(walk, prefix)))
-            self._stage_cache[prefix] = self.ev.distance_grouped(
-                walk[len(prefix)], self.center,
-                self.bucketizer.round_up if self.bucketizer else None, masks)
-        return self._stage_cache[prefix]
-
-    def _stage_weights(self, prefix: tuple[int, ...], sq_radius: float) -> np.ndarray:
-        rows, keys, counts = self._stage_histogram(prefix)
-        inside = keys <= self._effective(sq_radius, len(prefix))
-        table = self.ev.tables[self.ev.walk[len(prefix)]]
-        return np.bincount(rows[inside], weights=counts[inside],
-                           minlength=table.n_rows)
+        if self.bucketizer is not None:
+            sq_radius = self.bucketizer.widen(sq_radius, self.m)
+        return sq_radius * (1.0 + 1e-9)
 
     def sample_batch(self, sq_radius: float, size: int,
                      rng: np.random.Generator) -> np.ndarray:
-        """``size`` independent near-uniform draws from the closed ball."""
-        if self._stage_weights((), sq_radius).sum() <= 0:
+        """``size`` independent uniform draws from the closed ball."""
+        threshold = self._threshold(sq_radius)
+        if not (self.dists.root[1] <= threshold).any():
             raise EmptyBall(f"no join points within squared radius {sq_radius}")
         out = np.empty((size, self.ev.n_features))
         got = rounds = 0
@@ -236,12 +207,8 @@ class BallSampler:
                 raise SamplingGaveUp("ball sampling keeps rejecting; the shell "
                                      "outside the ball dominates its interior")
             draw = (size - got) + max(8, (size - got) // 4)
-            prov = self.ev.sample_rows(
-                draw, lambda prefix: self._stage_weights(prefix, sq_radius),
-                rng, EmptyBall)
-            pts = self.ev.gather(prov)
-            diffs = pts - self.center
-            member = np.einsum("ij,ij->i", diffs, diffs) <= sq_radius
+            pts = self.ev.gather(self.dists.draw(threshold, draw, rng))
+            member = sq_dists(pts, self.center[None])[:, 0] <= sq_radius
             take = pts[member][: size - got]
             out[got: got + take.shape[0]] = take
             got += take.shape[0]
@@ -252,9 +219,9 @@ def sample_in_ball(tree: JoinTree, tables: list[Table], center: np.ndarray,
                    sq_radius: float, delta: float,
                    rng: np.random.Generator, size: int | None = None,
                    sampler: BallSampler | None = None) -> np.ndarray:
-    """Join point(s) from the closed ball, each drawn with probability
-    within (1 +- delta) of uniform over the ball.  Per-table bucketing is
-    delta / (2m) so the per-draw distortion stays inside the contract."""
+    """Join point(s) drawn uniformly from the closed ball.  Per-table
+    bucketing is delta / (2m), so the shell of candidates rejected outside
+    the ball reaches out to about (1 + delta/2) times the radius."""
     if sampler is None:
         bucket_delta = delta / (2 * len(tables)) if delta else None
         sampler = BallSampler(tree, tables, center, bucket_delta)

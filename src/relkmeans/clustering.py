@@ -51,11 +51,11 @@ def weighted_kmeanspp_seed(ps: WeightedPointSet, k: int,
             f"need {k} centers from {distinct} distinct points")
     first = rng.choice(ps.size, p=ps.weights / ps.weights.sum())
     centers = [ps.points[first]]
-    min_d2 = np.einsum("ij,ij->i", ps.points - centers[0], ps.points - centers[0])
+    min_d2 = sq_dists(ps.points, centers[0][None])[:, 0]
     for _ in range(1, k):
         mass = ps.weights * min_d2
         centers.append(ps.points[rng.choice(ps.size, p=mass / mass.sum())])
-        d2 = np.einsum("ij,ij->i", ps.points - centers[-1], ps.points - centers[-1])
+        d2 = sq_dists(ps.points, centers[-1][None])[:, 0]
         min_d2 = np.minimum(min_d2, d2)
     return np.array(centers)
 

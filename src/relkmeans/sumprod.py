@@ -8,13 +8,16 @@ features shared between tables.
 
 :class:`JoinEvaluator` is the one evaluator the pipeline runs.  It carries
 cost pairs and sparse squared-distance histograms as numpy arrays, and it
-holds the one table-by-table row walk (and its table order) both samplers
-draw join rows with; they differ only in the stage weights they feed it.
+fixes the one table order (``walk``) both samplers draw join rows in.
 :meth:`JoinEvaluator.costpair_walk` is the one cost/count pass: the join
 count, the surrogate cost and every k-means++ stage weight are read off
-it.  The generic dict engine (:func:`eval_sumprod`,
-:func:`eval_sumprod_grouped`) takes any carrier one row at a time; it is
-the reference the evaluator is tested against, not a pipeline path.
+it, and :meth:`JoinEvaluator.sample_rows` draws k-means++ candidates from
+those weights.  :meth:`JoinEvaluator.distance_pass` is the one distance
+pass: ball counts are read off it, and in-ball draws walk its merges
+top-down (:meth:`DistancePass.draw`).  The generic dict engine
+(:func:`eval_sumprod`, :func:`eval_sumprod_grouped`) takes any carrier one
+row at a time; it is the reference the evaluator is tested against, not a
+pipeline path.
 """
 
 from __future__ import annotations
@@ -171,22 +174,63 @@ def eval_sumprod(tree: JoinTree, tables: list[Table], spec: SemiringSpec,
 
 
 def _merge(ids: np.ndarray, keys: np.ndarray, counts: np.ndarray,
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], "_Constituents"]:
     """Sum the counts of equal (id, key) pairs; the result is sorted by id,
-    then key."""
+    then key.  Also returns which input entries each result entry merged."""
     order = np.lexsort((keys, ids))
     ids, keys, counts = ids[order], keys[order], counts[order]
     new = np.ones(ids.size, dtype=bool)
     new[1:] = (ids[1:] != ids[:-1]) | (keys[1:] != keys[:-1])
-    return ids[new], keys[new], np.bincount(np.cumsum(new) - 1, weights=counts)
+    into = np.cumsum(new) - 1
+    merged = np.bincount(into, weights=counts)
+    return (ids[new], keys[new], merged), _Constituents.of(order, into, counts)
+
+
+@dataclass(frozen=True, eq=False)
+class _Constituents:
+    """The entries one merge summed into each merged entry, for drawing one
+    constituent per merged entry in proportion to its count.
+
+    ``source`` lists the constituents grouped by merged entry.  ``bound`` is
+    the merged entry's index plus the constituent's cumulative share of its
+    entry, so a uniform u in [0, 1) picks by one ``searchsorted`` for every
+    merged entry at once, and shares are normalized per merged entry: a
+    constituent of count 1 next to entries of count 1e21 keeps its share.
+    """
+
+    source: np.ndarray
+    bound: np.ndarray
+    last: np.ndarray  # position of each merged entry's last constituent
+
+    @classmethod
+    def of(cls, source: np.ndarray, into: np.ndarray,
+           weights: np.ndarray) -> "_Constituents":
+        """``into`` (non-decreasing) names the merged entry of each
+        constituent, ``weights`` its positive count."""
+        share = weights / np.bincount(into, weights=weights)[into]
+        cum = np.cumsum(share)
+        last = np.cumsum(np.bincount(into)) - 1
+        before = np.append(0.0, cum[last[:-1]])
+        # clipped at 1, no bound reaches into the next merged entry's range
+        bound = into + np.minimum(cum - before[into], 1.0)
+        bound[last] = np.arange(1, last.size + 1)
+        return cls(source, bound, last)
+
+    def pick(self, merged: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One constituent of each entry in ``merged``, drawn in proportion
+        to count, from one ``rng.random`` call."""
+        pos = np.searchsorted(self.bound, merged + rng.random(merged.size),
+                              side="right")
+        return self.source[np.minimum(pos, self.last[merged])]
 
 
 def _convolve(hist: tuple[np.ndarray, np.ndarray, np.ndarray],
               ids_par: np.ndarray, msg: tuple[np.ndarray, np.ndarray, np.ndarray],
-              n_keys: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              n_keys: int) -> tuple[np.ndarray, ...]:
     """Pair every (row, key, count) entry with every message entry under the
     row's separator key: keys add, counts multiply.  Rows whose separator
-    key has no message entry drop out."""
+    key has no message entry drop out.  Returns (rows, keys, counts) plus,
+    per output entry, its ``hist`` entry and its message entry."""
     rows, keys, counts = hist
     msg_ids, msg_keys, msg_counts = msg  # sorted by separator key id
     lens = np.bincount(msg_ids, minlength=n_keys)
@@ -195,7 +239,78 @@ def _convolve(hist: tuple[np.ndarray, np.ndarray, np.ndarray],
     reps = lens[sep]
     src = np.repeat(np.arange(rows.size), reps)
     pick = np.repeat(first[sep] - (np.cumsum(reps) - reps), reps) + np.arange(src.size)
-    return rows[src], keys[src] + msg_keys[pick], counts[src] * msg_counts[pick]
+    return (rows[src], keys[src] + msg_keys[pick], counts[src] * msg_counts[pick],
+            src, pick)
+
+
+@dataclass(frozen=True, eq=False)
+class _Convolution:
+    """One child merged into its parent's histogram: per entry of the
+    convolution, the parent entry before it (``src``) and the child's
+    message entry (``msg``); ``constituents`` groups them by merged entry."""
+
+    child: int
+    constituents: _Constituents
+    src: np.ndarray
+    msg: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class DistancePass:
+    """What :meth:`JoinEvaluator.distance_pass` keeps for one center.
+
+    ``hist[v]`` is table v's histogram (rows, keys, counts), sorted by row,
+    then key: ``counts[i]`` join rows of v's subtree (the tree rooted at the
+    walk's first table) extend row ``rows[i]`` of v at subtree key
+    ``keys[i]``.  The provenance of every merge that built it is kept:
+    ``convolutions[v]`` lists v's child merges oldest first,
+    ``rounding[v]`` is v's rounding merge (absent in exact mode) and
+    ``message[v]`` the merge of v's entries into the message v sends its
+    parent.
+    """
+
+    walk: tuple[int, ...]
+    hist: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    convolutions: dict[int, list[_Convolution]]
+    rounding: dict[int, _Constituents]
+    message: dict[int, _Constituents]
+
+    @property
+    def root(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The histogram of the walk's first table: the whole join."""
+        return self.hist[self.walk[0]]
+
+    def draw(self, threshold: float, size: int,
+             rng: np.random.Generator) -> np.ndarray:
+        """``size`` join rows drawn top-down, each with probability
+        proportional to its count among the join rows whose root key is at
+        most ``threshold``; at least one root key must be.
+
+        Root entries are picked in proportion to their counts.  Then, table
+        by table in walk order, each merge is undone newest first: the
+        rounding merge, then the child merges, each picking one constituent
+        per draw in proportion to its pre-merge count.  A child merge's
+        constituent names the child's message entry, and that entry picks
+        the child's own entry.  The probabilities telescope, so every join
+        row under the threshold is equally likely.  One ``rng.random`` call
+        per merge.  Returns (size, m) row indices by table id.
+        """
+        _, keys, counts = self.root
+        inside = np.flatnonzero(keys <= threshold)
+        entry = {self.walk[0]: _Constituents.of(
+            inside, np.zeros(inside.size, dtype=np.int64), counts[inside],
+        ).pick(np.zeros(size, dtype=np.int64), rng)}
+        prov = np.empty((size, len(self.walk)), dtype=np.int64)
+        for v in self.walk:
+            e = entry.pop(v)
+            if v in self.rounding:
+                e = self.rounding[v].pick(e, rng)
+            for conv in reversed(self.convolutions[v]):
+                c = conv.constituents.pick(e, rng)
+                e = conv.src[c]
+                entry[conv.child] = self.message[conv.child].pick(conv.msg[c], rng)
+            prov[:, v] = e  # a table's entries before any merge are its rows
+        return prov
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,61 +459,49 @@ class JoinEvaluator:
             cost[par], count[par] = cost[par] * mb + ma * count[par], count[par] * mb
         return WalkMessages(owned, active, cost, count, msg_cost, msg_count)
 
-    def distance_grouped(self, group: int, center: np.ndarray,
-                         round_up: Callable[[np.ndarray], np.ndarray] | None = None,
-                         masks: list[np.ndarray] | None = None,
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse histogram of squared distances to ``center`` per group-table
-        row, as (rows, keys, counts) sorted by row, then key: ``counts[i]``
-        join rows extending group-table row ``rows[i]`` lie at squared
-        distance ``keys[i]``.  Rows with no join rows have no entries.
+    def distance_pass(self, center: np.ndarray,
+                      round_up: Callable[[np.ndarray], np.ndarray] | None = None,
+                      ) -> DistancePass:
+        """One upward pass of sparse squared-distance histograms to
+        ``center``, rooted at the walk's first table (see
+        :class:`DistancePass`).  The radius does not enter it, so one pass
+        serves every ball around the center.
 
-        A node's keys are its owned squared distance plus one message key per
-        child, added in the order the rooted order lists the children;
-        equal (row, key) pairs are merged after each child.  ``round_up``,
-        when given, rounds each node's keys once, after its last child, and a
-        message is the union of its rows' rounded keys per separator key.
+        A table's keys start as its rows' owned squared distances; each
+        child's message is then convolved in (keys add, counts multiply), in
+        the order the rooted order lists the children, and equal (row, key)
+        pairs are merged after each child.  ``round_up``, when given, rounds
+        each table's keys once, after its last child.  A message is the
+        union of the table's entries per separator key.
         """
-        def start(node: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            t = self.tables[node]
-            rows = (np.flatnonzero(masks[node]) if masks is not None
-                    else np.arange(t.n_rows))
-            return rows, self._owned_sq_dist(t, center)[rows], np.ones(rows.size)
-
-        hist: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        for node, par in self._order(group):
-            rows, keys, counts = hist.pop(node) if node in hist else start(node)
+        hist = {t.id: (np.arange(t.n_rows), self._owned_sq_dist(t, center),
+                       np.ones(t.n_rows)) for t in self.tables}
+        convolutions: dict[int, list[_Convolution]] = {t.id: [] for t in self.tables}
+        rounding, message = {}, {}
+        for node, par in self._order(self.walk[0]):
             if round_up is not None:
-                rows, keys, counts = _merge(rows, round_up(keys), counts)
+                rows, keys, counts = hist[node]
+                hist[node], rounding[node] = _merge(rows, round_up(keys), counts)
             if par is None:
                 break
+            rows, keys, counts = hist[node]
             ids_child, ids_par, n = self.edge_keys(node, par)
-            msg = _merge(ids_child[rows], keys, counts)
-            into = hist.pop(par) if par in hist else start(par)
-            hist[par] = _merge(*_convolve(into, ids_par, msg, n))
-        return rows, keys, counts
+            msg, message[node] = _merge(ids_child[rows], keys, counts)
+            *merged, src, pick = _convolve(hist[par], ids_par, msg, n)
+            hist[par], cons = _merge(*merged)
+            convolutions[par].append(_Convolution(node, cons, src, pick))
+        return DistancePass(self.walk, hist, convolutions, rounding, message)
 
     def masks_for_box(self, box: BoxRect) -> list[np.ndarray]:
         """Per-table row masks of ``box`` (see :func:`box_row_masks`)."""
         return box_row_masks(self.tables, box)
 
-    def singleton_masks(self, fixed_rows: Mapping[int, int]) -> list[np.ndarray]:
-        """Masks pinning the given tables to single rows (no table mutation)."""
-        masks = []
-        for t in self.tables:
-            if t.id in fixed_rows:
-                m = np.zeros(t.n_rows, dtype=bool)
-                m[fixed_rows[t.id]] = True
-            else:
-                m = np.ones(t.n_rows, dtype=bool)
-            masks.append(m)
-        return masks
-
     def sample_rows(self, size: int,
                     stage_weights: Callable[[tuple[int, ...]], np.ndarray],
                     rng: np.random.Generator,
                     empty: type[Exception]) -> np.ndarray:
-        """Draw ``size`` join rows one table at a time, in walk order.
+        """Draw ``size`` join rows one table at a time, in walk order; the
+        k-means++ samplers draw their candidates with it.
 
         ``stage_weights(prefix)`` gives the (unnormalized) weight of each row
         of table ``walk[len(prefix)]`` given that the tables before it in the

@@ -3,7 +3,7 @@
 Exact cluster sizes are not computable from the tables, so each center's
 weight is assembled from geometric rings instead: balls around the center
 holding roughly 2^j points are found by radius search, test points are
-drawn near-uniformly from each ball, and the fraction of ring points
+drawn uniformly from each ball, and the fraction of ring points
 closest to the center contributes f * 2^(j-1) to its weight whenever the
 fraction clears a threshold.  Individually the weights may be poor, but in
 aggregate the weighted centers behave as a coreset.
@@ -138,16 +138,19 @@ def compute_weights(tree: JoinTree, tables: list[Table],
             if r_j <= prev_radius:
                 stats.append(RingStats(i, j, r_j, 0, 0, 0.0))
                 continue
-            draws = sampler.sample_batch(r_j, n_test, rng)
-            d2_own = np.einsum("ij,ij->i", draws - center, draws - center)
-            in_donut = (d2_own > prev_radius) & (d2_own <= r_j)
-            s_ij = int(in_donut.sum())
-            if s_ij:
+            if r_j == 0.0:
+                # every draw from a ball of radius 0 is the center itself,
+                # which lies in the first donut and is its own nearest
+                # center (duplicates alias to the lowest index)
+                s_ij = t_ij = n_test
+            else:
+                draws = sampler.sample_batch(r_j, n_test, rng)
+                d2_own = sq_dists(draws, center[None])[:, 0]
+                in_donut = (d2_own > prev_radius) & (d2_own <= r_j)
+                s_ij = int(in_donut.sum())
                 owner = np.argmin(sq_dists(draws[in_donut], cs), axis=1)
                 t_ij = int((owner == i).sum())
-                f_ij = t_ij / s_ij
-            else:
-                t_ij, f_ij = 0, 0.0
+            f_ij = t_ij / s_ij if s_ij else 0.0
             if f_ij >= threshold:
                 weights[i] += f_ij * 2.0 ** (j - 1)
             stats.append(RingStats(i, j, r_j, s_ij, t_ij, f_ij))

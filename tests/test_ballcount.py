@@ -13,11 +13,25 @@ from relkmeans.ballcount import (
     radius_for_count,
     sample_in_ball,
 )
+from relkmeans.boxes import sq_dists
 from relkmeans.sampling import make_rng
 
-from conftest import brute_force_join, random_acyclic_tables
+from conftest import brute_force_join, brute_force_join_rows, random_acyclic_tables
 
 ORIGIN3 = np.zeros(3)
+
+
+def profile_entries(profile):
+    """The count-level view of a profile: for j = 0, 1, ..., the smallest
+    radius holding at least ceil((1+delta)^j) points (j + 1 when exact)."""
+    out, j = [], 0
+    while True:
+        level = math.ceil((1.0 + profile.delta) ** j) if profile.delta > 0 else j + 1
+        try:
+            out.append(profile.smallest_radius_for(level))
+        except TargetExceedsN:
+            return np.array(out)
+        j += 1
 
 
 def exact_sq_dists(tables, center):
@@ -84,7 +98,7 @@ class TestDistanceProfile:
 
     def test_count_level_entry_view(self, path_tree, path_tables):
         p = distance_profile(path_tree, path_tables, ORIGIN3)
-        assert p.entries().tolist() == [3.0, 6.0, 6.0, 9.0, 22.0]
+        assert profile_entries(p).tolist() == [3.0, 6.0, 6.0, 9.0, 22.0]
 
 
 class TestRadiusForCount:
@@ -159,35 +173,105 @@ class TestSampleInBall:
             assert (((pts - center) ** 2).sum(axis=1) <= r).all()
 
 
-class TestGroupedDistancePass:
-    """The grouped pass the in-ball sampler runs, row by row, against brute
-    force over the join rows extending each group-table row."""
+def subtree_tables(ev, v):
+    """v and every table below it in the tree rooted at the walk's first
+    table."""
+    below = {v}
+    for u in ev.walk:
+        if ev.walk_parent[u] in below:
+            below.add(u)
+    return sorted(below)
 
-    def test_rows_match_brute_force_with_and_without_pins(self, rng):
+
+class TestGroupedDistancePass:
+    """The one distance pass per center, table by table and row by row,
+    against brute force over the join rows of each table's subtree."""
+
+    def test_rows_match_brute_force(self, rng):
         for _ in range(20):
             tables = random_acyclic_tables(rng, max_tables=4)
             tree = gyo_reduce(tables_to_schema(tables))
             center = rng.normal(size=len({f.name for t in tables
                                           for f in t.features}))
             ev = JoinEvaluator(tree, tables)
-            for group in range(len(tables)):
-                pins = [{}]
-                if group > 0:
-                    earlier = int(rng.integers(group))
-                    pins.append({earlier: int(rng.integers(tables[earlier].n_rows))})
-                for pin in pins:
-                    rows, keys, counts = ev.distance_grouped(
-                        group, center, masks=ev.singleton_masks(pin))
-                    for r in range(tables[group].n_rows):
-                        fixed = {**pin, group: r}
-                        sub = [t.with_rows(t.rows[[fixed[t.id]]])
-                               if t.id in fixed else t for t in tables]
-                        mine = rows == r
-                        got = np.sort(np.repeat(keys[mine],
-                                                counts[mine].astype(int)))
-                        np.testing.assert_allclose(
-                            got, exact_sq_dists(sub, center),
-                            rtol=1e-9, atol=1e-12)
+            dists = ev.distance_pass(center)
+            for v in range(len(tables)):
+                sub = [tables[u] for u in subtree_tables(ev, v)]
+                prov, pts = brute_force_join_rows(sub)
+                feats = sorted({f.index: f.name for t in sub
+                                for f in t.features}.items())
+                owned = [pos for pos, (_, name) in enumerate(feats)
+                         if ev.owner[name] in {t.id for t in sub}]
+                want = np.zeros(len(pts))
+                for pos in owned:
+                    want += (pts[:, pos] - center[feats[pos][0]]) ** 2
+                rows, keys, counts = dists.hist[v]
+                at_v = [t.id for t in sub].index(v)
+                for r in range(tables[v].n_rows):
+                    mine = rows == r
+                    got = np.sort(np.repeat(keys[mine], counts[mine].astype(int)))
+                    np.testing.assert_allclose(
+                        got, np.sort(want[prov[:, at_v] == r]),
+                        rtol=1e-9, atol=1e-12)
+
+
+def tied_path():
+    """T0(a,x0) - T1(a,b,x1) - T2(b,x2).  Around the origin, T1's two rows
+    under a = 0 reach key 1 through 3 and through 1 rows of T2, so T1's
+    message entry for that key merges constituents of unequal counts."""
+    a, x0, b, x1, x2 = (FeatureId(n, i) for i, n in enumerate(
+        ("a", "x0", "b", "x1", "x2")))
+    return [
+        Table(0, "T0", (a, x0), np.array([[0, 0.0], [0, 1.0], [1, 0.5]])),
+        Table(1, "T1", (a, b, x1), np.array(
+            [[0, 0, 1.0], [0, 1, 0.0], [1, 1, 2.0]])),
+        Table(2, "T2", (b, x2), np.array(
+            [[0, 0.0], [0, 0.0], [0, 0.0], [1, 0.0], [1, 2.0]])),
+    ]
+
+
+class TestTopDownDraws:
+    def test_exactly_uniform_over_the_ball(self, rng):
+        """After rejection, draws are uniform over the ball's join points
+        on random schemas, bushy ones and ones walked out of id order too,
+        and on one whose merges sum unequal counts."""
+        n_draws = 50_000
+        done = bushy = not_id = 0
+        worst = 0.0
+        for attempt in range(500):
+            if done >= 30 and bushy >= 5 and not_id >= 2:
+                break
+            tables = tied_path() if attempt == 0 else \
+                random_acyclic_tables(rng, max_tables=6)
+            tree = gyo_reduce(tables_to_schema(tables))
+            join = brute_force_join(tables)
+            if len(join) < 4:
+                continue
+            center = np.zeros(5) if attempt == 0 else rng.normal(size=join.shape[1])
+            d2 = sq_dists(join, center[None])[:, 0]
+            sq_radius = float(np.median(d2))
+            sampler = BallSampler(tree, tables, center, delta=0.05)
+            fan_out = max(list(sampler.ev.walk_parent.values()).count(v)
+                          for v in range(len(tables)))
+            bushy += fan_out >= 2
+            not_id += sampler.ev.walk != tuple(range(len(tables)))
+            done += 1
+
+            members, mult = np.unique(join[d2 <= sq_radius], axis=0,
+                                      return_counts=True)
+            pts = sampler.sample_batch(sq_radius, n_draws, make_rng(done))
+            seen, inv = np.unique(np.vstack([members, pts]), axis=0,
+                                  return_inverse=True)
+            assert len(seen) == len(members)  # no draw outside the ball
+            got = np.bincount(inv.ravel()[len(members):], minlength=len(members))
+            assert (got > 0).all()
+            n_members = int(mult.sum())
+            tv = 0.5 * np.abs(got / n_draws - mult / n_members).sum()
+            worst = max(worst, tv / math.sqrt(n_members / n_draws))
+        assert done >= 30 and bushy >= 5 and not_id >= 2
+        assert worst <= 2.0
+        print(f"{done} schemas ({bushy} bushy, {not_id} not in id order): "
+              f"worst TV {worst:.2f} * sqrt(K/draws)")
 
 
 class TestHugeJoin:

@@ -132,8 +132,8 @@ def _never_accept(monkeypatch):
 
 
 def _empty_ball(monkeypatch):
-    monkeypatch.setattr(ballcount.BallSampler, "_effective",
-                        lambda self, sq_radius, stage: -1.0)
+    monkeypatch.setattr(ballcount.BallSampler, "_threshold",
+                        lambda self, sq_radius: -1.0)
 
 
 def _target_past_join(monkeypatch):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from relkmeans import FeatureId, Table, gyo_reduce, tables_to_schema
+from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_schema
+from relkmeans.ballcount import BallSampler
 from relkmeans.boxes import sq_dists
 from relkmeans.weighting import (
     RingStats,
@@ -150,8 +151,64 @@ class TestComputeWeights:
         assert (coreset.weights > 0).all()
         assert all(s.wins == s.samples for s in stats if s.ring_index == 1)
 
+    def test_radius_zero_rings_draw_nothing(self, monkeypatch):
+        # a first ring of radius 0 holds only the center: its fraction is 1
+        # without a draw, and the weights are what the draws gave
+        radii = []
+        sample_batch = BallSampler.sample_batch
+
+        def spy(self, sq_radius, size, rng):
+            radii.append(sq_radius)
+            return sample_batch(self, sq_radius, size, rng)
+        monkeypatch.setattr(BallSampler, "sample_batch", spy)
+        tables, tree = single_table_db([0, 0, 0, 5, 5, 5, 9, 9])
+        centers = [np.array([0.0]), np.array([5.0]), np.array([9.0])]
+        coreset, stats = compute_weights(
+            tree, tables, centers,
+            WeightConfig(epsilon=0.2, seed=1, max_ring_samples=400))
+        assert radii and 0.0 not in radii
+        assert coreset.weights.tolist() == [1.0, 1.0, 1.0]
+        assert [s for s in stats if s.ring_index == 1] == [
+            RingStats(i, 1, 0.0, 400, 400, 1.0) for i in range(3)]
+
+    def test_passes_per_center_do_not_grow_with_rings(self, monkeypatch):
+        passes = []
+        distance_pass = JoinEvaluator.distance_pass
+
+        def spy(self, center, round_up=None):
+            passes.append(center.tobytes())
+            return distance_pass(self, center, round_up)
+        monkeypatch.setattr(JoinEvaluator, "distance_pass", spy)
+        per_center = []
+        for n in (16, 1024):  # 4 and 10 rings per center
+            passes.clear()
+            tables, tree = single_table_db(np.arange(n, dtype=float))
+            centers = [np.array([1.0]), np.array([1.0]), np.array([n - 3.0])]
+            compute_weights(tree, tables, centers,
+                            WeightConfig(epsilon=0.2, seed=2, max_ring_samples=50))
+            assert len(set(passes)) == 2
+            per_center.append(len(passes) / 2)
+        assert per_center[0] == per_center[1] <= 2
+
     def test_rejects_tiny_join(self):
         tables, tree = single_table_db([0.0])
         with pytest.raises(ValueError, match="at least 2"):
             compute_weights(tree, tables, [np.array([0.0])],
                             WeightConfig(epsilon=0.2))
+
+
+class TestHugeJoin:
+    def test_thirteen_table_star_past_two_to_the_63(self):
+        # 13 tables of 80 rows, 40 per key value: N = 2 * 40^13 ~ 1.3e21
+        rng = np.random.default_rng(13)
+        key = np.repeat([0.0, 1.0], 40)
+        tables = [Table(i, f"T{i}", (FeatureId("k", 0), FeatureId(f"x{i}", i + 1)),
+                        np.column_stack([key, 10 * key + rng.normal(size=80)]))
+                  for i in range(13)]
+        tree = gyo_reduce(tables_to_schema(tables))
+        n = 2 * 40.0 ** 13
+        centers = [np.r_[0.0, np.zeros(13)], np.r_[1.0, np.full(13, 10.0)]]
+        coreset, _ = compute_weights(
+            tree, tables, centers, WeightConfig(seed=0, max_ring_samples=4))
+        assert np.isfinite(coreset.weights).all()
+        assert n / 2 <= coreset.weights.sum() <= 2 * n
