@@ -23,7 +23,7 @@ import numpy as np
 
 from .boxes import sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
-from .sumprod import JoinEvaluator
+from .sumprod import DistancePass, JoinEvaluator
 
 
 # rejection rounds one BallSampler.sample_batch call may take
@@ -123,17 +123,20 @@ class DistanceProfile:
 
 
 def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
-                     delta: float | None = None) -> DistanceProfile:
+                     delta: float | None = None,
+                     dists: DistancePass | None = None) -> DistanceProfile:
     """Profile of squared distances from all join points to the center: the
     root histogram of one distance pass, summed over rows.
 
     ``delta`` is the per-table bucketing error; None or 0 keeps exact
     distances (fine for small joins, linear-size intermediates otherwise).
+    ``dists``, when given, is that pass (a :class:`BallSampler`'s), and no
+    new pass is run.
     """
     center = np.asarray(center, dtype=np.float64)
-    bucketizer = make_bucketizer(tables, center, delta)
-    _, keys, counts = JoinEvaluator(tree, tables).distance_pass(
-        center, bucketizer.round_up if bucketizer else None).root
+    if dists is None:
+        dists = BallSampler(tree, tables, center, delta).dists
+    _, keys, counts = dists.root
     keys, inv = np.unique(keys, return_inverse=True)
     counts = np.bincount(inv, weights=counts, minlength=keys.size)
     return DistanceProfile(center, delta or 0.0, keys, np.cumsum(counts),

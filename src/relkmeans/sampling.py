@@ -14,13 +14,14 @@ surrogate cost is the one laminar inclusion-exclusion of the package
 target) terms.  One upward cost-pair pass per forest
 (:meth:`JoinEvaluator.costpair_walk`), rooted at table 0, keeps every
 table's subtree (cost, count) arrays and every edge's messages for all
-terms, with each box's masks built once.  The weights of the next table
-given the rows fixed so far are then read off those arrays in O(terms *
-rows of the table), with no further pass; they are cached per prefix.  The
-first center is drawn uniformly from the count component of one
-whole-space term of the same pass, and the surrogate cost of a set of
-centers (:func:`relkmeans.clustering.relational_cost`) is the total mass of
-their surrogate sampler.
+terms, with each box's masks built once.  A batch of draws is then
+extended one table at a time, all draws together: the next table's weights
+for every draw are read off those arrays in O(draws * terms * rows of the
+table), with no further pass, and one inverse-CDF draw per table picks
+every draw's row.  The first center is drawn uniformly from the count
+component of one whole-space term of the same pass, and the surrogate cost
+of a set of centers (:func:`relkmeans.clustering.relational_cost`) is the
+total mass of their surrogate sampler.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class CenterTelemetry:
 @dataclass
 class SamplingState:
     """One k-means++ sampling session: centers so far, their box forest,
-    the RNG, and cached per-prefix stage weights."""
+    the RNG, and the surrogate sampler of that forest."""
 
     centers: list[np.ndarray]
     forest: LaminarForest | None
@@ -103,9 +104,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 class StageSampler:
-    """Stage weights for :meth:`JoinEvaluator.sample_rows`, read off one
-    upward pass (:meth:`JoinEvaluator.costpair_walk`) over a stack of
-    signed terms (box mask, target, sign s_t), and cached per prefix.
+    """Stage weights of the walk, read off one upward pass
+    (:meth:`JoinEvaluator.costpair_walk`) over a stack of signed terms (box
+    mask, target, sign s_t), for a whole batch of draws at once.
 
     Let v be the next table in the walk and p its walk parent, fixed to row
     r_p.  The weight of row r of v is
@@ -119,8 +120,10 @@ class StageSampler:
     cost-pair product of the messages of the unvisited subtrees hanging off
     fixed tables (other than v's own), each read at its fixed parent row's
     key.  With ``count_only`` the weight is sum_t s_t I_t b_t(r) PC_t
-    instead.  The walk only reaches prefixes that extend to a join row;
-    elsewhere these weights need not vanish.
+    instead.  Each draw keeps its own (I, F, PA, PC) as one row of a
+    (draws, T) array, so a stage's weights are two matrix products against
+    v's (T, rows) arrays.  The walk only reaches prefixes that extend to a
+    join row; elsewhere these weights need not vanish.
     """
 
     def __init__(self, ev: JoinEvaluator, targets: np.ndarray,
@@ -130,9 +133,9 @@ class StageSampler:
         self.up = ev.costpair_walk(targets, masks)
         self.signs = np.asarray(signs, dtype=np.float64)
         self.count_only = count_only
+        self._pos = {v: i for i, v in enumerate(ev.walk)}
         self._children = {u: [c for c in ev.walk if ev.walk_parent[c] == u]
                           for u in ev.walk}
-        self._weights: dict[tuple[int, ...], np.ndarray] = {}
 
     @classmethod
     def uniform(cls, tree: JoinTree, tables: list[Table]) -> "StageSampler":
@@ -162,49 +165,57 @@ class StageSampler:
         masks = [np.stack([box_masks[e][t.id] for e in entries]) for t in tables]
         return cls(ev, np.array(targets), signs, masks)
 
-    def stage_weights(self, prefix: tuple[int, ...]) -> np.ndarray:
-        if prefix not in self._weights:
-            self._weights[prefix] = self._compute_weights(prefix)
-        return self._weights[prefix]
-
-    def _compute_weights(self, prefix: tuple[int, ...]) -> np.ndarray:
+    def stage_weights(self, prefixes: np.ndarray) -> np.ndarray:
+        """Per draw, the weight of each row of table ``walk[depth]``, where
+        ``prefixes`` is (draws, depth): each draw's rows of the walk's first
+        ``depth`` tables, in walk order.  Returns (draws, rows of the
+        table)."""
         ev, up = self.ev, self.up
-        v = ev.walk[len(prefix)]
-        fixed = dict(zip(ev.walk, prefix))
-        inside = np.ones(self.signs.size, dtype=bool)
-        f_cost = np.zeros(self.signs.size)
-        p_cost, p_count = np.zeros(self.signs.size), np.ones(self.signs.size)
-        for u, r in fixed.items():
-            inside &= up.masks[u][:, r]
-            f_cost += up.owned[u][:, r]
+        prefixes = np.asarray(prefixes, dtype=np.int64)
+        n, depth = prefixes.shape
+        v = ev.walk[depth]
+        inside = np.ones((n, self.signs.size), dtype=bool)
+        f_cost = np.zeros((n, self.signs.size))
+        p_cost, p_count = np.zeros_like(f_cost), np.ones_like(f_cost)
+        for u, r in zip(ev.walk, prefixes.T):
+            inside &= up.masks[u][:, r].T
+            f_cost += up.owned[u][:, r].T
             for c in self._children[u]:
-                if c != v and c not in fixed:
+                if self._pos[c] > depth:
                     key = ev.edge_keys(c, u)[1][r]
-                    ma, mb = up.msg_cost[c][:, key], up.msg_count[c][:, key]
+                    ma, mb = up.msg_cost[c][:, key].T, up.msg_count[c][:, key].T
                     p_cost, p_count = p_cost * mb + ma * p_count, p_count * mb
-        w = np.zeros(ev.tables[v].n_rows)
-        if prefix:
+        signed = self.signs * inside
+        if self.count_only:
+            w = (signed * p_count) @ up.count[v]
+        else:
+            w = ((signed * (f_cost * p_count + p_cost)) @ up.count[v]
+                 + (signed * p_count) @ up.cost[v])
+        if depth:
             par = ev.walk_parent[v]
             ids_v, ids_par, _ = ev.edge_keys(v, par)
-            rows = np.flatnonzero(ids_v == ids_par[fixed[par]])
-        else:
-            rows = np.arange(w.size)
-        a, b = up.cost[v][:, rows], up.count[v][:, rows]
-        if self.count_only:
-            terms = b * p_count[:, None]
-        else:
-            terms = (f_cost[:, None] * b + a) * p_count[:, None] + b * p_cost[:, None]
+            w[ids_v != ids_par[prefixes[:, self._pos[par]]][:, None]] = 0.0
         # inclusion-exclusion may leave -0-size noise
-        w[rows] = np.maximum(((self.signs * inside)[:, None] * terms).sum(axis=0), 0.0)
-        return w
+        return np.maximum(w, 0.0)
 
     def total_mass(self) -> float:
-        return float(self.stage_weights(()).sum())
+        return float(self.stage_weights(np.empty((1, 0), dtype=np.int64)).sum())
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` independent join rows; returns (size, m) row indices."""
-        return self.ev.sample_rows(size, self.stage_weights, rng,
-                                   DegenerateDistribution)
+        """Draw ``size`` independent join rows, one table at a time in walk
+        order, every draw at once: one inverse-CDF draw per stage.  Returns
+        (size, m) row indices by table id."""
+        walk = self.ev.walk
+        prov = np.empty((size, len(walk)), dtype=np.int64)  # in walk order
+        for depth, v in enumerate(walk):
+            cum = np.cumsum(self.stage_weights(prov[:, :depth]), axis=1)
+            total = cum[:, -1]
+            if not (total > 0.0).all():
+                raise DegenerateDistribution(f"zero total weight at table {v}")
+            # u < total, so the row it lands on has positive weight
+            u = rng.random(size) * total
+            prov[:, depth] = (cum <= u[:, None]).sum(axis=1)
+        return prov[:, np.argsort(walk)]
 
 
 def sample_uniform_row(tree: JoinTree, tables: list[Table],

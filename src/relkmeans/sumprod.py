@@ -11,10 +11,12 @@ cost pairs and sparse squared-distance histograms as numpy arrays, and it
 fixes the one table order (``walk``) both samplers draw join rows in.
 :meth:`JoinEvaluator.costpair_walk` is the one cost/count pass: the join
 count, the surrogate cost and every k-means++ stage weight are read off
-it, and :meth:`JoinEvaluator.sample_rows` draws k-means++ candidates from
-those weights.  :meth:`JoinEvaluator.distance_pass` is the one distance
-pass: ball counts are read off it, and in-ball draws walk its merges
-top-down (:meth:`DistancePass.draw`).  The generic dict engine
+it, and k-means++ candidates are drawn from those weights one table at a
+time, every draw of a batch at once
+(:meth:`relkmeans.sampling.StageSampler.sample_batch`).
+:meth:`JoinEvaluator.distance_pass` is the one distance pass: ball counts
+are read off it, and in-ball draws walk its merges top-down
+(:meth:`DistancePass.draw`).  The generic dict engine
 (:func:`eval_sumprod`, :func:`eval_sumprod_grouped`) takes any carrier one
 row at a time; it is the reference the evaluator is tested against, not a
 pipeline path.
@@ -496,43 +498,9 @@ class JoinEvaluator:
         """Per-table row masks of ``box`` (see :func:`box_row_masks`)."""
         return box_row_masks(self.tables, box)
 
-    def sample_rows(self, size: int,
-                    stage_weights: Callable[[tuple[int, ...]], np.ndarray],
-                    rng: np.random.Generator,
-                    empty: type[Exception]) -> np.ndarray:
-        """Draw ``size`` join rows one table at a time, in walk order; the
-        k-means++ samplers draw their candidates with it.
-
-        ``stage_weights(prefix)`` gives the (unnormalized) weight of each row
-        of table ``walk[len(prefix)]`` given that the tables before it in the
-        walk are fixed to the rows in ``prefix``.  Draws sharing a prefix are
-        batched into one ``rng.choice``; prefixes are visited in sorted
-        order, so the draws depend only on the RNG state.  A prefix whose
-        weights sum to zero raises ``empty``.  Returns (size, m) row indices
-        by table id.
-        """
-        prov = np.zeros((size, len(self.tables)), dtype=np.int64)
-        groups: dict[tuple[int, ...], np.ndarray] = {(): np.arange(size)}
-        for table in self.walk:
-            next_groups: dict[tuple[int, ...], list[np.ndarray]] = {}
-            for prefix in sorted(groups):
-                idx = groups[prefix]
-                w = stage_weights(prefix)
-                total = w.sum()
-                if total <= 0.0:
-                    raise empty(
-                        f"zero total weight at table {table} for prefix {prefix}")
-                rows = rng.choice(len(w), size=idx.size, p=w / total)
-                prov[idx, table] = rows
-                for r in np.unique(rows):
-                    sub = idx[rows == r]
-                    next_groups.setdefault(prefix + (int(r),), []).append(sub)
-            groups = {p: np.concatenate(chunks) for p, chunks in next_groups.items()}
-        return prov
-
     def gather(self, prov: np.ndarray) -> np.ndarray:
         """Join points, positional by feature index, of the rows chosen per
-        table in ``prov`` (as returned by :meth:`sample_rows`)."""
+        table in ``prov``, by table id."""
         pts = np.empty((prov.shape[0], self.n_features))
         for t in self.tables:
             for pos, fidx in self._owned[t.id]:

@@ -121,10 +121,11 @@ def compute_weights(tree: JoinTree, tables: list[Table],
         if alias[i] != i:
             continue
         center = cs[i]
-        profile = distance_profile(tree, tables, center, bucket_delta)
+        sampler = BallSampler(tree, tables, center, bucket_delta)
+        profile = distance_profile(tree, tables, center, bucket_delta,
+                                   sampler.dists)
         if profile.total < 1:
             raise SamplingGaveUp(f"the distance profile of center {i} is empty")
-        sampler = BallSampler(tree, tables, center, bucket_delta)
         # the first donut is [0, r_1], so join rows at the center count
         prev_radius = -math.inf
         for j in range(1, n_rings + 1):

@@ -151,7 +151,7 @@ def _ball_draws_exhausted(monkeypatch):
 
 
 def _empty_profile(monkeypatch):
-    def empty(tree, tables, center, delta=None):
+    def empty(tree, tables, center, delta=None, dists=None):
         return ballcount.DistanceProfile(center, delta or 0.0, np.array([]),
                                          np.array([]), len(tables))
     monkeypatch.setattr(weighting, "distance_profile", empty)

@@ -84,13 +84,13 @@ class TestAssignmentCostGrouped:
     def test_single_center_reduces_to_cost_vector(self, path_tree, path_tables):
         forest = build_boxes(np.array([[0.0, 0.0, 0.0]]))
         got = StageSampler.surrogate(path_tree, path_tables, forest)
-        assert got.stage_weights(()).tolist() == [9.0, 15.0, 22.0, 0.0, 0.0]
+        assert got.stage_weights([[]]).tolist() == [[9.0, 15.0, 22.0, 0.0, 0.0]]
 
     def test_two_center_fixture(self):
         tables, tree = single_table([[7.0], [9.0], [12.0]])
         forest = build_boxes(np.array([[0.0], [16.0]]), initial_half_side=0.5)
         got = StageSampler.surrogate(tree, tables, forest)
-        assert got.stage_weights(()).tolist() == [49.0, 49.0, 16.0]
+        assert got.stage_weights([[]]).tolist() == [[49.0, 49.0, 16.0]]
 
     def test_total_matches_brute_force(self, path_tree, path_tables):
         centers = np.array([[1.0, 1.0, 1.0], [3.0, 2.0, 3.0]])
@@ -99,8 +99,7 @@ class TestAssignmentCostGrouped:
         join = materialize(path_tables).rows
         want = surrogate_costs(join, forest).sum()
         assert s.total_mass() == pytest.approx(want, rel=1e-9)
-        second = sum(s.stage_weights((r,)).sum()
-                     for r in range(path_tables[0].n_rows))
+        second = s.stage_weights(np.arange(path_tables[0].n_rows)[:, None]).sum()
         assert second == pytest.approx(want, rel=1e-9)
 
     def test_conditioned_sums_telescope(self, rng):
@@ -114,9 +113,9 @@ class TestAssignmentCostGrouped:
                 continue
             centers = join.rows[rng.choice(join.n_rows, 2, replace=False)]
             s = StageSampler.surrogate(tree, tables, build_boxes(centers))
-            h0 = s.stage_weights(())
+            h0 = s.stage_weights([[]])[0]
             r0 = int(np.argmax(h0))
-            h1 = s.stage_weights((r0,))
+            h1 = s.stage_weights([[r0]])[0]
             assert h1.sum() == pytest.approx(h0[r0], rel=1e-9, abs=1e-9)
 
 
@@ -276,7 +275,8 @@ class TestStageWeights:
     def test_match_per_prefix_reference(self, rng):
         """Weights read off the one upward pass equal the brute-force
         reference (surrogate: summed surrogate costs; uniform: join-row
-        counts) at every join-consistent prefix."""
+        counts) at every join-consistent prefix, with all prefixes of one
+        depth weighed in one call."""
         schemas, not_id, prefixes, worst = 0, 0, 0, 0.0
         cases = [split_star()]
         while schemas < 150:
@@ -299,17 +299,21 @@ class TestStageWeights:
             not_id += ev.walk != tuple(range(len(tables)))
             scale = surrogate.total_mass()
             ref_cost, ref_count = brute_stage_weights(tables, forest, ev.walk)
+            by_depth = defaultdict(list)
             for prefix in consistent_prefixes(ref_count):
-                n_rows = tables[ev.walk[len(prefix)]].n_rows
-                want = np.array([ref_cost[prefix, r] for r in range(n_rows)])
-                got = surrogate.stage_weights(prefix)
+                by_depth[len(prefix)].append(prefix)
+            for depth, group in by_depth.items():
+                rows = range(tables[ev.walk[depth]].n_rows)
+                batch = np.array(group, dtype=np.int64).reshape(len(group), depth)
+                want = np.array([[ref_cost[p, r] for r in rows] for p in group])
+                got = surrogate.stage_weights(batch)
                 np.testing.assert_allclose(got, want, rtol=1e-9,
                                            atol=1e-12 * scale)
                 err = np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
                 worst = max(worst, float(err[want > 1e-9 * scale].max(initial=0)))
-                assert uniform.stage_weights(prefix).tolist() == \
-                    [float(ref_count[prefix, r]) for r in range(n_rows)]
-                prefixes += 1
+                assert uniform.stage_weights(batch).tolist() == \
+                    [[float(ref_count[p, r]) for r in rows] for p in group]
+                prefixes += len(group)
         assert not_id >= 10 and prefixes >= 700
         assert worst <= 1e-9
 
@@ -367,7 +371,7 @@ class TestWalkOrder:
 class TestPassCount:
     def test_passes_do_not_grow_with_prefixes(self, monkeypatch):
         """Drawing 64 or 4,096 candidates from one forest builds each box's
-        masks once and runs one cost-pair pass, not one per prefix."""
+        masks once and runs one cost-pair pass, not one per drawn prefix."""
         rng = np.random.default_rng(8)
         h, x = FeatureId("h", 0), [FeatureId(f"x{i}", i + 1) for i in range(3)]
         tables = [Table(i, f"T{i}", (h, x[i]), np.column_stack(
@@ -390,9 +394,11 @@ class TestPassCount:
             state = SamplingState(list(centers), None, make_rng(9))
             state.refresh_forest()
             s = _surrogate_for(state, tree, tables)
-            s.sample_batch(state.rng, size)
+            prov = s.sample_batch(state.rng, size)
             seen.append(dict(calls))
-            n_prefixes.append(len(s._weights))
+            walk = list(s.ev.walk)
+            n_prefixes.append(sum(len({tuple(r) for r in prov[:, walk[:d]]})
+                                  for d in range(len(walk))))
         assert n_prefixes[1] > 2 * n_prefixes[0]
         assert seen[0] == seen[1] == {"masks_for_box": state.forest.size,
                                       "costpair_walk": 1}

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_schema
 from relkmeans.ballcount import BallSampler
 from relkmeans.boxes import sq_dists
+from relkmeans.clustering import relational_cost
+from relkmeans.sampling import run_kmeanspp
 from relkmeans.weighting import (
     RingStats,
     WeightConfig,
@@ -188,7 +191,7 @@ class TestComputeWeights:
                             WeightConfig(epsilon=0.2, seed=2, max_ring_samples=50))
             assert len(set(passes)) == 2
             per_center.append(len(passes) / 2)
-        assert per_center[0] == per_center[1] <= 2
+        assert per_center[0] == per_center[1] == 1
 
     def test_rejects_tiny_join(self):
         tables, tree = single_table_db([0.0])
@@ -197,18 +200,54 @@ class TestComputeWeights:
                             WeightConfig(epsilon=0.2))
 
 
+def thirteen_table_star():
+    """13 tables of 80 rows, 40 per key value: N = 2 * 40^13 ~ 1.3e21."""
+    rng = np.random.default_rng(13)
+    key = np.repeat([0.0, 1.0], 40)
+    tables = [Table(i, f"T{i}", (FeatureId("k", 0), FeatureId(f"x{i}", i + 1)),
+                    np.column_stack([key, 10 * key + rng.normal(size=80)]))
+              for i in range(13)]
+    return tables, gyo_reduce(tables_to_schema(tables))
+
+
+def twelve_leaf_hub():
+    """Hub H(k1..k12) of 2 rows, all keys 0 or all 1, and leaves L_i(k_i,
+    x_i) of 80 rows, 40 per key value: N = 2 * 40^12 ~ 3.4e19.  The join
+    tree is a star around H, which the walk visits first."""
+    rng = np.random.default_rng(12)
+    keys = [FeatureId(f"k{i}", i) for i in range(12)]
+    key = np.repeat([0.0, 1.0], 40)
+    tables = [Table(0, "H", tuple(keys), np.repeat([[0.0], [1.0]], 12, axis=1))]
+    tables += [Table(i + 1, f"L{i}", (keys[i], FeatureId(f"x{i}", 12 + i)),
+                     np.column_stack([key, 10 * key + rng.normal(size=80)]))
+               for i in range(12)]
+    return tables, gyo_reduce(tables_to_schema(tables))
+
+
 class TestHugeJoin:
     def test_thirteen_table_star_past_two_to_the_63(self):
-        # 13 tables of 80 rows, 40 per key value: N = 2 * 40^13 ~ 1.3e21
-        rng = np.random.default_rng(13)
-        key = np.repeat([0.0, 1.0], 40)
-        tables = [Table(i, f"T{i}", (FeatureId("k", 0), FeatureId(f"x{i}", i + 1)),
-                        np.column_stack([key, 10 * key + rng.normal(size=80)]))
-                  for i in range(13)]
-        tree = gyo_reduce(tables_to_schema(tables))
+        tables, tree = thirteen_table_star()
         n = 2 * 40.0 ** 13
         centers = [np.r_[0.0, np.zeros(13)], np.r_[1.0, np.full(13, 10.0)]]
         coreset, _ = compute_weights(
             tree, tables, centers, WeightConfig(seed=0, max_ring_samples=4))
         assert np.isfinite(coreset.weights).all()
         assert n / 2 <= coreset.weights.sum() <= 2 * n
+
+    @pytest.mark.parametrize("make", [thirteen_table_star, twelve_leaf_hub])
+    def test_kmeanspp_past_two_to_the_63(self, make):
+        # stage weights run past 2^63; the 13-table star's join tree is a
+        # path, while on the hub the stage of leaf i still holds the
+        # pending messages of the 11 - i leaves after it
+        tables, tree = make()
+        start = time.perf_counter()
+        centers, state = run_kmeanspp(tree, tables, 4, seed=0)
+        assert time.perf_counter() - start < 30.0
+        assert len(centers) == 4 and len(state.telemetry) == 3
+        for c in centers:
+            # a point is a join row iff every table holds its projection
+            for t in tables:
+                proj = c[[f.index for f in t.features]]
+                assert (t.rows == proj).all(axis=1).any()
+        cost = relational_cost(tree, tables, np.array(centers))
+        assert np.isfinite(cost) and cost > 0.0
