@@ -8,6 +8,13 @@ into the output at its pre-doubling shape.  The last survivor hands its
 representative to a whole-space root.  The output is laminar: any two boxes
 are nested or disjoint, so every point has a unique smallest box, whose
 representative serves as the point's approximate nearest center.
+
+The n active boxes are held as (n, d) ``low``/``high`` arrays.  Each meld
+takes the first strictly overlapping pair, in row-major order, of an (n, n)
+overlap matrix, deletes both rows and appends their bounding box.  Parents
+come from one (B, B) strict-containment matrix over the B entries, and
+queries from one (points, B) membership array.  Each matrix is built one
+dimension at a time, so memory is O(n^2) and O(B^2), not O(n^2 d).
 """
 
 from __future__ import annotations
@@ -19,36 +26,16 @@ import numpy as np
 from .relational import BoxRect, SamplingGaveUp
 
 
-@dataclass
-class ActiveBox:
-    """A growing box during construction; offsets from the representative
-    stay strictly positive."""
-
-    box_id: int
-    low: np.ndarray
-    high: np.ndarray
-    rep: int  # canonical original center index
-    rep_point: np.ndarray
-    meld_product: bool = False  # created by a meld in the current round
-
-    def doubled(self) -> None:
-        self.low = self.rep_point - 2.0 * (self.rep_point - self.low)
-        self.high = self.rep_point + 2.0 * (self.high - self.rep_point)
-
-    def halved_shape(self) -> tuple[np.ndarray, np.ndarray]:
-        low = self.rep_point - 0.5 * (self.rep_point - self.low)
-        high = self.rep_point + 0.5 * (self.high - self.rep_point)
-        return low, high
-
-
 @dataclass(frozen=True, eq=False)
 class LaminarForest:
     """Output boxes with representatives, tree-structured by inclusion.
 
     ``entries[i]`` is a box whose ``representative`` field is an original
     center index; ``parents[i]`` points at the smallest strictly containing
-    entry (None only for the whole-space root).  Finite boxes carry
-    half-open upper faces so sibling boxes partition points unambiguously.
+    entry (None only for the whole-space root).  Entries are frozen in
+    construction order, so a box comes before every box containing it
+    (``parents[i] > i``) and the root is last.  Finite boxes carry half-open
+    upper faces so sibling boxes partition points unambiguously.
     """
 
     entries: tuple[BoxRect, ...]
@@ -65,18 +52,31 @@ class LaminarForest:
         return self.centers[self.entries[entry_index].representative]
 
 
+def distinct_centers(pts: np.ndarray) -> tuple[dict[int, int], list[int]]:
+    """(alias, canonical): every row of ``pts`` maps to the lowest index
+    holding the same point, compared by value (-0.0 equals 0.0), and
+    ``canonical`` lists those lowest indices in order."""
+    seen: dict[bytes, int] = {}
+    alias = {i: seen.setdefault(row.tobytes(), i)
+             for i, row in enumerate(pts + 0.0)}
+    return alias, list(seen.values())
+
+
+def _strict_overlaps(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """(n, n): the interiors of boxes i and j intersect.  Boxes merely
+    touching on a face stay apart."""
+    ov = np.ones((len(low),) * 2, dtype=bool)
+    for lo, hi in zip(low.T, high.T):
+        ov &= np.maximum.outer(lo, lo) < np.minimum.outer(hi, hi)
+    return ov
+
+
 def _initial_half_side(distinct: np.ndarray) -> float:
-    gaps = []
-    for i in range(len(distinct)):
-        for j in range(i + 1, len(distinct)):
-            gaps.append(np.max(np.abs(distinct[i] - distinct[j])))
-    delta = min(gaps)
+    gaps = np.zeros((len(distinct),) * 2)
+    for col in distinct.T:
+        np.maximum(gaps, np.abs(col[:, None] - col[None, :]), out=gaps)
+    delta = gaps[np.triu_indices(len(distinct), 1)].min()
     return float(2.0 ** np.floor(np.log2(delta / 4.0)))
-
-
-def _strictly_overlap(a: ActiveBox, b: ActiveBox) -> bool:
-    # interiors must intersect; boxes merely touching on a face stay apart
-    return bool(np.all(np.maximum(a.low, b.low) < np.minimum(a.high, b.high)))
 
 
 def build_boxes(centers: list[np.ndarray] | np.ndarray,
@@ -96,108 +96,69 @@ def build_boxes(centers: list[np.ndarray] | np.ndarray,
     if k == 0:
         raise ValueError("at least one center is required")
 
-    alias: dict[int, int] = {}
-    canonical: list[int] = []
-    seen: dict[bytes, int] = {}
-    for i in range(k):
-        key = pts[i].tobytes()
-        if key in seen:
-            alias[i] = seen[key]
-        else:
-            seen[key] = i
-            alias[i] = i
-            canonical.append(i)
-
+    alias, canonical = distinct_centers(pts)
     if len(canonical) == 1:
         root = BoxRect.whole_space(d, representative=canonical[0])
         return LaminarForest((root,), (None,), 0, pts, alias)
 
-    distinct = pts[canonical]
     h0 = initial_half_side if initial_half_side is not None \
-        else _initial_half_side(distinct)
+        else _initial_half_side(pts[canonical])
     if h0 <= 0:
         raise ValueError("initial half side must be positive")
 
-    active = [
-        ActiveBox(i, pts[ci] - h0, pts[ci] + h0, ci, pts[ci])
-        for i, ci in enumerate(canonical)
-    ]
-    next_id = len(active)
+    rep = np.array(canonical)
+    low, high = pts[rep] - h0, pts[rep] + h0
     frozen: list[tuple[np.ndarray, np.ndarray, int]] = []
 
     round_index = 0
-    while len(active) > 1:
+    while len(rep) > 1:
         round_index += 1
         if round_index > 4400:
             raise SamplingGaveUp("box construction failed to converge")
-        for b in active:
-            b.doubled()
-            b.meld_product = False
-        while True:
-            pair = None
-            for ai in range(len(active)):
-                for bi in range(ai + 1, len(active)):
-                    if _strictly_overlap(active[ai], active[bi]):
-                        pair = (ai, bi)
-                        break
-                if pair:
-                    break
-            if pair is None:
-                break
-            b1, b2 = active[pair[0]], active[pair[1]]
-            for b in (b1, b2):
-                if not b.meld_product:
-                    lo, hi = b.halved_shape()
-                    frozen.append((lo, hi, b.rep))
-            melded = ActiveBox(
-                next_id,
-                np.minimum(b1.low, b2.low),
-                np.maximum(b1.high, b2.high),
-                b1.rep,
-                b1.rep_point,
-                meld_product=True,
-            )
-            next_id += 1
-            active = [b for idx, b in enumerate(active) if idx not in pair]
-            active.append(melded)
+        c = pts[rep]
+        low, high = c - 2.0 * (c - low), c + 2.0 * (high - c)
+        fresh = np.ones(len(rep), dtype=bool)  # not a meld product
+        while (pairs := np.argwhere(np.triu(_strict_overlaps(low, high), 1))).size:
+            pair = pairs[0]
+            for i in pair[fresh[pair]]:
+                c = pts[rep[i]]
+                frozen.append((c - 0.5 * (c - low[i]), c + 0.5 * (high[i] - c),
+                               int(rep[i])))
+            keep = np.ones(len(rep), dtype=bool)
+            keep[pair] = False
+            low = np.vstack([low[keep], low[pair].min(axis=0)])
+            high = np.vstack([high[keep], high[pair].max(axis=0)])
+            rep = np.append(rep[keep], rep[pair[0]])
+            fresh = np.append(fresh[keep], False)
         if trace is not None:
-            trace.append((round_index, h0,
-                          [(b.low.copy(), b.high.copy(), b.rep) for b in active]))
+            trace.append((round_index, h0, [(lo.copy(), hi.copy(), int(r))
+                                            for lo, hi, r in zip(low, high, rep)]))
 
     entries = [
-        BoxRect(lo, hi, high_open=np.ones(d, dtype=bool), representative=rep)
-        for lo, hi, rep in frozen
+        BoxRect(lo, hi, high_open=np.ones(d, dtype=bool), representative=r)
+        for lo, hi, r in frozen
     ]
-    entries.append(BoxRect.whole_space(d, representative=active[0].rep))
+    entries.append(BoxRect.whole_space(d, representative=int(rep[0])))
     root_index = len(entries) - 1
-
-    parents = _inclusion_parents(entries, root_index)
-    return LaminarForest(tuple(entries), parents, root_index, pts, alias)
+    return LaminarForest(tuple(entries), _inclusion_parents(entries, root_index),
+                         root_index, pts, alias)
 
 
 def _inclusion_parents(entries: list[BoxRect], root_index: int,
                        ) -> tuple[int | None, ...]:
-    def contains(outer: BoxRect, inner: BoxRect) -> bool:
-        return bool(np.all(outer.low <= inner.low) and np.all(inner.high <= outer.high))
-
-    def volume_key(b: BoxRect) -> float:
-        side = b.high - b.low
-        return float(np.sum(np.log(side[np.isfinite(side)] + 1.0))) \
-            if np.all(np.isfinite(side)) else np.inf
-
-    parents: list[int | None] = [None] * len(entries)
-    for i, box in enumerate(entries):
-        if i == root_index:
-            continue
-        best, best_vol = root_index, np.inf
-        for j, other in enumerate(entries):
-            if j == i or j == root_index:
-                continue
-            if contains(other, box) and not contains(box, other):
-                vol = volume_key(other)
-                if vol < best_vol:
-                    best, best_vol = j, vol
-        parents[i] = best
+    """Per entry, the strictly containing entry of smallest volume key (sum
+    of log(side + 1)), ties to the lowest index; the root when none is."""
+    low = np.array([e.low for e in entries])
+    high = np.array([e.high for e in entries])
+    contains = np.ones((len(entries),) * 2, dtype=bool)  # [j, i]: j contains i
+    for lo, hi in zip(low.T, high.T):
+        contains &= (lo[:, None] <= lo) & (hi[:, None] >= hi)
+    strict = contains & ~contains.T
+    strict[root_index] = False
+    vol = np.where(strict, np.log(high - low + 1.0).sum(axis=1)[:, None], np.inf)
+    parents: list[int | None] = np.where(
+        np.isfinite(vol.min(axis=0)), vol.argmin(axis=0), root_index).tolist()
+    parents[root_index] = None
     return tuple(parents)
 
 
@@ -213,25 +174,21 @@ def assignment_reps_batch(forest: LaminarForest,
     """Vectorized smallest-box assignment for a batch of points.
 
     Returns (rep center index, squared distance to that representative) per
-    point.  Laminarity makes the containing boxes of a point a chain, so the
-    deepest containing box is the smallest one.
+    point.  Laminarity makes the containing boxes of a point a chain, and a
+    box precedes every box containing it, so the first containing entry is
+    the smallest one.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    n = pts.shape[0]
-    depth = np.zeros(forest.size, dtype=np.int64)
-    for i in range(forest.size):
-        d, p = 0, forest.parents[i]
-        while p is not None:
-            d, p = d + 1, forest.parents[p]
-        depth[i] = d
-    reps = np.full(n, -1, dtype=np.int64)
-    for idx in sorted(range(forest.size), key=lambda i: -depth[i]):
-        box = forest.entries[idx]
-        lo_ok = np.where(box.low_open, pts > box.low, pts >= box.low)
-        hi_ok = np.where(box.high_open, pts < box.high, pts <= box.high)
-        inside = np.all(lo_ok & hi_ok, axis=1)
-        take = inside & (reps < 0)
-        reps[take] = box.representative
+    low, high, low_open, high_open = (
+        np.array([getattr(e, name) for e in forest.entries])
+        for name in ("low", "high", "low_open", "high_open"))
+    inside = np.ones((pts.shape[0], forest.size), dtype=bool)
+    for j in range(pts.shape[1]):
+        col = pts[:, j, None]
+        inside &= np.where(low_open[:, j], col > low[:, j], col >= low[:, j])
+        inside &= np.where(high_open[:, j], col < high[:, j], col <= high[:, j])
+    rep_of = np.array([e.representative for e in forest.entries])
+    reps = rep_of[inside.argmax(axis=1)]
     diffs = pts - forest.centers[reps]
     return reps, np.einsum("ij,ij->i", diffs, diffs)
 

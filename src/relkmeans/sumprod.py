@@ -359,15 +359,12 @@ class JoinEvaluator:
     reached (None for table 0), i.e. its parent in the tree rooted at 0.
     """
 
-    def __init__(self, tree: JoinTree, tables: list[Table],
-                 ownership: Mapping[str, int] | None = None):
+    def __init__(self, tree: JoinTree, tables: list[Table]):
         self.tree = tree
         self.tables = tables
-        self.owner = dict(ownership) if ownership is not None else \
-            default_ownership(tree, tables)
+        self.owner = default_ownership(tree, tables)
         self.n_features = len({f.name for t in tables for f in t.features})
         self._edge_keys: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
-        self._orders: dict[int, list[tuple[int, int | None]]] = {}
         # owned column positions per node, plus feature index for box
         # lookups and for gathering drawn rows into points
         self._owned: dict[int, list[tuple[int, int]]] = {}
@@ -377,18 +374,14 @@ class JoinEvaluator:
                 if self.owner[f.name] == t.id
             ]
         self._owned_dists: dict[tuple[int, bytes], np.ndarray] = {}
+        # every pass runs upward in one (node, parent) order rooted at table 0
+        self._up = tree.rooted_order(0)
+        self.walk_parent: dict[int, int | None] = dict(self._up)
         adj = tree.adjacency()
-        walk, self.walk_parent = [0], {0: None}
+        walk = [0]
         while len(walk) < len(tables):
-            nxt = min(u for w in walk for u in adj[w] if u not in self.walk_parent)
-            self.walk_parent[nxt] = next(w for w in adj[nxt] if w in self.walk_parent)
-            walk.append(nxt)
+            walk.append(min(u for w in walk for u in adj[w] if u not in walk))
         self.walk: tuple[int, ...] = tuple(walk)
-
-    def _order(self, root: int) -> list[tuple[int, int | None]]:
-        if root not in self._orders:
-            self._orders[root] = self.tree.rooted_order(root)
-        return self._orders[root]
 
     def edge_keys(self, child: int, parent: int) -> tuple[np.ndarray, np.ndarray, int]:
         """(child row key ids, parent row key ids, number of keys) for an edge."""
@@ -447,7 +440,7 @@ class JoinEvaluator:
             count[t.id] = active[t.id].astype(np.float64)
             cost[t.id] = owned[t.id] * count[t.id]
         msg_cost, msg_count = {}, {}
-        for node, par in self._order(self.walk[0]):
+        for node, par in self._up:
             if par is None:
                 break
             ids_child, ids_par, n = self.edge_keys(node, par)
@@ -480,7 +473,7 @@ class JoinEvaluator:
                        np.ones(t.n_rows)) for t in self.tables}
         convolutions: dict[int, list[_Convolution]] = {t.id: [] for t in self.tables}
         rounding, message = {}, {}
-        for node, par in self._order(self.walk[0]):
+        for node, par in self._up:
             if round_up is not None:
                 rows, keys, counts = hist[node]
                 hist[node], rounding[node] = _merge(rows, round_up(keys), counts)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ballcount import BallSampler, distance_profile, radius_for_count
-from .boxes import sq_dists
+from .boxes import distinct_centers, sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
 from .sumprod import JoinEvaluator
 
@@ -110,10 +110,7 @@ def compute_weights(tree: JoinTree, tables: list[Table],
     n_test = ring_sample_size(cfg, k_prime, n_rows)
     bucket_delta = cfg.epsilon / (2 * len(tables))
 
-    alias: dict[int, int] = {}
-    seen: dict[bytes, int] = {}
-    for i in range(k_prime):
-        alias[i] = seen.setdefault(cs[i].tobytes(), i)
+    alias = distinct_centers(cs)[0]
 
     weights = np.zeros(k_prime)
     stats: list[RingStats] = []

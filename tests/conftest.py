@@ -1,12 +1,17 @@
 """Shared fixtures: the two-table path fixture, an independent brute-force
-join, and a random acyclic schema generator."""
+join, the loop construction of the box forest, and a random acyclic schema
+generator."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from relkmeans import FeatureId, Table, gyo_reduce, tables_to_schema
+from relkmeans.boxes import LaminarForest
+from relkmeans.relational import BoxRect, SamplingGaveUp
 
 
 @pytest.fixture
@@ -90,6 +95,131 @@ def surrogate_costs(join_rows: np.ndarray, forest) -> np.ndarray:
         diff = p - forest.centers[best_rep]
         costs[i] = diff @ diff
     return costs
+
+
+@dataclass
+class ActiveBox:
+    """A growing box during reference construction; offsets from the
+    representative stay strictly positive."""
+
+    low: np.ndarray
+    high: np.ndarray
+    rep: int  # canonical original center index
+    rep_point: np.ndarray
+    meld_product: bool = False  # created by a meld in the current round
+
+    def doubled(self) -> None:
+        self.low = self.rep_point - 2.0 * (self.rep_point - self.low)
+        self.high = self.rep_point + 2.0 * (self.high - self.rep_point)
+
+    def halved_shape(self) -> tuple[np.ndarray, np.ndarray]:
+        low = self.rep_point - 0.5 * (self.rep_point - self.low)
+        high = self.rep_point + 0.5 * (self.high - self.rep_point)
+        return low, high
+
+
+def reference_build_boxes(centers, initial_half_side: float | None = None,
+                          trace: list | None = None) -> LaminarForest:
+    """Loop construction of the box forest, one box object and one pair at
+    a time: the reference :func:`relkmeans.boxes.build_boxes` must match
+    bit for bit.  Each round doubles every box, then melds the first
+    strictly overlapping pair in row-major scan order until none is left;
+    parents are found by scanning every pair of entries."""
+    pts = np.asarray(centers, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts.reshape(-1, 1)
+    k, d = pts.shape
+    alias: dict[int, int] = {}
+    seen: dict[tuple, int] = {}  # float tuples: -0.0 == 0.0 as keys
+    for i in range(k):
+        alias[i] = seen.setdefault(tuple(pts[i].tolist()), i)
+    canonical = list(seen.values())
+    if len(canonical) == 1:
+        root = BoxRect.whole_space(d, representative=canonical[0])
+        return LaminarForest((root,), (None,), 0, pts, alias)
+
+    h0 = initial_half_side
+    if h0 is None:
+        gaps = [np.max(np.abs(pts[a] - pts[b]))
+                for i, a in enumerate(canonical) for b in canonical[i + 1:]]
+        h0 = float(2.0 ** np.floor(np.log2(min(gaps) / 4.0)))
+
+    def overlap(a: ActiveBox, b: ActiveBox) -> bool:
+        return bool(np.all(np.maximum(a.low, b.low) < np.minimum(a.high, b.high)))
+
+    active = [ActiveBox(pts[c] - h0, pts[c] + h0, c, pts[c]) for c in canonical]
+    frozen: list[tuple[np.ndarray, np.ndarray, int]] = []
+    round_index = 0
+    while len(active) > 1:
+        round_index += 1
+        if round_index > 4400:
+            raise SamplingGaveUp("box construction failed to converge")
+        for b in active:
+            b.doubled()
+            b.meld_product = False
+        while True:
+            pair = next(((ai, bi) for ai in range(len(active))
+                         for bi in range(ai + 1, len(active))
+                         if overlap(active[ai], active[bi])), None)
+            if pair is None:
+                break
+            b1, b2 = active[pair[0]], active[pair[1]]
+            for b in (b1, b2):
+                if not b.meld_product:
+                    frozen.append((*b.halved_shape(), b.rep))
+            melded = ActiveBox(np.minimum(b1.low, b2.low),
+                               np.maximum(b1.high, b2.high),
+                               b1.rep, b1.rep_point, meld_product=True)
+            active = [b for idx, b in enumerate(active) if idx not in pair]
+            active.append(melded)
+        if trace is not None:
+            trace.append((round_index, h0,
+                          [(b.low.copy(), b.high.copy(), b.rep) for b in active]))
+
+    entries = [BoxRect(lo, hi, high_open=np.ones(d, dtype=bool), representative=rep)
+               for lo, hi, rep in frozen]
+    entries.append(BoxRect.whole_space(d, representative=active[0].rep))
+    root_index = len(entries) - 1
+
+    def contains(outer: BoxRect, inner: BoxRect) -> bool:
+        return bool(np.all(outer.low <= inner.low) and np.all(inner.high <= outer.high))
+
+    def volume_key(b: BoxRect) -> float:
+        side = b.high - b.low
+        return float(np.sum(np.log(side + 1.0))) if np.all(np.isfinite(side)) \
+            else np.inf
+
+    parents: list[int | None] = [None] * len(entries)
+    for i, box in enumerate(entries):
+        if i == root_index:
+            continue
+        best, best_vol = root_index, np.inf
+        for j, other in enumerate(entries):
+            if j in (i, root_index):
+                continue
+            if contains(other, box) and not contains(box, other):
+                vol = volume_key(other)
+                if vol < best_vol:
+                    best, best_vol = j, vol
+        parents[i] = best
+    return LaminarForest(tuple(entries), tuple(parents), root_index, pts, alias)
+
+
+def reference_assignment_reps(forest: LaminarForest, points: np.ndarray) -> np.ndarray:
+    """Smallest-box representative per point by walking parent chains: the
+    deepest containing entry wins, ties to the lowest index."""
+    def depth(i: int) -> int:
+        p = forest.parents[i]
+        return 0 if p is None else 1 + depth(p)
+
+    reps = np.full(len(points), -1, dtype=np.int64)
+    for idx in sorted(range(forest.size), key=lambda i: -depth(i)):
+        box = forest.entries[idx]
+        lo_ok = np.where(box.low_open, points > box.low, points >= box.low)
+        hi_ok = np.where(box.high_open, points < box.high, points <= box.high)
+        take = np.all(lo_ok & hi_ok, axis=1) & (reps < 0)
+        reps[take] = box.representative
+    return reps
 
 
 def random_acyclic_tables(rng: np.random.Generator, max_tables: int = 5,

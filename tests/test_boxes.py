@@ -3,7 +3,7 @@ import pytest
 
 from relkmeans.boxes import assignment_reps_batch, build_boxes, is_laminar
 
-from conftest import surrogate_costs
+from conftest import reference_assignment_reps, reference_build_boxes, surrogate_costs
 
 
 def random_centers(rng, k, d, scale=20.0):
@@ -66,6 +66,56 @@ class TestDegenerateInputs:
     def test_all_identical_centers(self):
         forest = build_boxes(np.array([[5.0], [5.0], [5.0]]))
         assert forest.size == 1 and forest.alias == {0: 0, 1: 0, 2: 0}
+
+    def test_signed_zero_centers_collapse(self):
+        # -0.0 and 0.0 are one point: a Chebyshev gap of 0 between them
+        # would leave no positive initial half side
+        forest = build_boxes(np.array([[0.0], [-0.0], [1.0]]))
+        assert forest.alias == {0: 0, 1: 0, 2: 2}
+        assert {e.representative for e in forest.entries} == {0, 2}
+
+
+def _same_forest(got, want):
+    assert got.parents == want.parents
+    assert got.root_index == want.root_index and got.alias == want.alias
+    assert got.size == want.size
+    for a, b in zip(got.entries, want.entries):
+        for name in ("low", "high", "low_open", "high_open"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.representative == b.representative
+
+
+class TestAgainstLoopConstruction:
+    def test_forests_and_traces_match_bit_for_bit(self, rng):
+        for trial in range(240):
+            k = int(rng.integers(2, 65))
+            d = int(rng.integers(1, 7))
+            centers = np.round(rng.normal(0, rng.uniform(1, 50), size=(k, d)),
+                               int(rng.integers(0, 4)))
+            if trial % 2:  # duplicate a few centers, at shuffled positions
+                extra = centers[rng.integers(0, k, size=int(rng.integers(1, 5)))]
+                centers = rng.permutation(np.vstack([centers, extra]))
+            h0 = float(2.0 ** rng.integers(-4, 2)) if trial % 5 == 0 else None
+            trace, ref_trace = [], []
+            forest = build_boxes(centers, h0, trace)
+            ref = reference_build_boxes(centers, h0, ref_trace)
+            _same_forest(forest, ref)
+            assert len(trace) == len(ref_trace)
+            for (j, h, boxes), (ref_j, ref_h, ref_boxes) in zip(trace, ref_trace):
+                assert (j, h, len(boxes)) == (ref_j, ref_h, len(ref_boxes))
+                for (lo, hi, rep), (ref_lo, ref_hi, ref_rep) in zip(boxes, ref_boxes):
+                    assert lo.tobytes() == ref_lo.tobytes()
+                    assert hi.tobytes() == ref_hi.tobytes()
+                    assert rep == ref_rep
+            # assignment_reps_batch takes the first containing entry
+            assert all(p > i for i, p in enumerate(forest.parents) if p is not None)
+            probes = np.vstack([
+                centers,
+                centers + rng.normal(0, 1, size=centers.shape),
+                rng.uniform(centers.min() - 5, centers.max() + 5, size=(32, d)),
+            ])
+            reps, _ = assignment_reps_batch(forest, probes)
+            assert reps.tolist() == reference_assignment_reps(ref, probes).tolist()
 
 
 class TestInvariants:

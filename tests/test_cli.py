@@ -143,7 +143,8 @@ def _target_past_join(monkeypatch):
 
 
 def _boxes_never_meld(monkeypatch):
-    monkeypatch.setattr(boxes, "_strictly_overlap", lambda a, b: False)
+    monkeypatch.setattr(boxes, "_strict_overlaps",
+                        lambda low, high: np.zeros((len(low),) * 2, dtype=bool))
 
 
 def _ball_draws_exhausted(monkeypatch):

@@ -107,6 +107,17 @@ class TestComputeWeights:
         assert coreset.weights[1] == 0.0
         assert coreset.weights[0] > 0.0
 
+    def test_signed_zero_centers_alias(self):
+        # -0.0 is the same point as 0.0, so it must not claim the radius-0
+        # first ring of the join rows at 0
+        tables, tree = single_table_db([0.0, 0.0, 1.0, 2.0, 3.0])
+        coreset, _ = compute_weights(
+            tree, tables, np.array([[0.0], [-0.0], [3.0]]),
+            WeightConfig(epsilon=0.2, seed=5, max_ring_samples=2000))
+        assert coreset.alias == {0: 0, 1: 0, 2: 2}
+        assert coreset.weights[1] == 0.0
+        assert coreset.weights[0] > 0.0
+
     def test_deterministic_given_seed(self):
         tables, tree = single_table_db(np.arange(32, dtype=float))
         centers = [np.array([2.0]), np.array([25.0])]
