@@ -7,7 +7,6 @@ the resulting weighted coreset.
 """
 
 from .relational import (
-    BoxRect,
     CyclicVerdict,
     FeatureId,
     JoinTree,
@@ -52,7 +51,6 @@ __all__ = [
     "solve_weighted_kmeans",
     "weighted_kmeanspp_seed",
     "weighted_lloyd",
-    "BoxRect",
     "CostPair",
     "CyclicVerdict",
     "FeatureId",

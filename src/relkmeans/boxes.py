@@ -11,10 +11,12 @@ representative serves as the point's approximate nearest center.
 
 The n active boxes are held as (n, d) ``low``/``high`` arrays.  Each meld
 takes the first strictly overlapping pair, in row-major order, of an (n, n)
-overlap matrix, deletes both rows and appends their bounding box.  Parents
-come from one (B, B) strict-containment matrix over the B entries, and
-queries from one (points, B) membership array.  Each matrix is built one
-dimension at a time, so memory is O(n^2) and O(B^2), not O(n^2 d).
+overlap matrix, deletes both rows and appends their bounding box.  The
+forest is (B, d) ``low``/``high`` arrays and a (B,) ``rep`` vector.  Parents
+come from one (B, B) strict-containment matrix, and queries from one
+(points, B) membership array (:func:`in_boxes`, the one membership rule).
+Each matrix is built one dimension at a time, so memory is O(n^2) and
+O(B^2), not O(n^2 d).
 """
 
 from __future__ import annotations
@@ -23,22 +25,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relational import BoxRect, SamplingGaveUp
+from .relational import SamplingGaveUp
 
 
 @dataclass(frozen=True, eq=False)
 class LaminarForest:
     """Output boxes with representatives, tree-structured by inclusion.
 
-    ``entries[i]`` is a box whose ``representative`` field is an original
-    center index; ``parents[i]`` points at the smallest strictly containing
-    entry (None only for the whole-space root).  Entries are frozen in
+    Box i holds the points x with ``low[i] <= x < high[i]`` on every axis
+    (:func:`in_boxes`); ``rep[i]`` is an original center index and
+    ``parents[i]`` the smallest strictly containing box (None only for the
+    whole-space root, whose bounds are -inf/inf).  Boxes are frozen in
     construction order, so a box comes before every box containing it
-    (``parents[i] > i``) and the root is last.  Finite boxes carry half-open
-    upper faces so sibling boxes partition points unambiguously.
+    (``parents[i] > i``) and the root is last.
     """
 
-    entries: tuple[BoxRect, ...]
+    low: np.ndarray  # (B, d)
+    high: np.ndarray  # (B, d)
+    rep: np.ndarray  # (B,)
     parents: tuple[int | None, ...]
     root_index: int
     centers: np.ndarray  # all original centers, shape (k, d)
@@ -46,10 +50,7 @@ class LaminarForest:
 
     @property
     def size(self) -> int:
-        return len(self.entries)
-
-    def rep_point(self, entry_index: int) -> np.ndarray:
-        return self.centers[self.entries[entry_index].representative]
+        return len(self.rep)
 
 
 def distinct_centers(pts: np.ndarray) -> tuple[dict[int, int], list[int]]:
@@ -98,8 +99,8 @@ def build_boxes(centers: list[np.ndarray] | np.ndarray,
 
     alias, canonical = distinct_centers(pts)
     if len(canonical) == 1:
-        root = BoxRect.whole_space(d, representative=canonical[0])
-        return LaminarForest((root,), (None,), 0, pts, alias)
+        return LaminarForest(np.full((1, d), -np.inf), np.full((1, d), np.inf),
+                             np.array(canonical), (None,), 0, pts, alias)
 
     h0 = initial_half_side if initial_half_side is not None \
         else _initial_half_side(pts[canonical])
@@ -134,25 +135,27 @@ def build_boxes(centers: list[np.ndarray] | np.ndarray,
             trace.append((round_index, h0, [(lo.copy(), hi.copy(), int(r))
                                             for lo, hi, r in zip(low, high, rep)]))
 
-    entries = [
-        BoxRect(lo, hi, high_open=np.ones(d, dtype=bool), representative=r)
-        for lo, hi, r in frozen
-    ]
-    entries.append(BoxRect.whole_space(d, representative=int(rep[0])))
-    root_index = len(entries) - 1
-    return LaminarForest(tuple(entries), _inclusion_parents(entries, root_index),
+    frozen.append((np.full(d, -np.inf), np.full(d, np.inf), int(rep[0])))
+    low, high, reps = (np.array(col) for col in zip(*frozen))
+    root_index = len(reps) - 1
+    return LaminarForest(low, high, reps, _inclusion_parents(low, high, root_index),
                          root_index, pts, alias)
 
 
-def _inclusion_parents(entries: list[BoxRect], root_index: int,
-                       ) -> tuple[int | None, ...]:
-    """Per entry, the strictly containing entry of smallest volume key (sum
-    of log(side + 1)), ties to the lowest index; the root when none is."""
-    low = np.array([e.low for e in entries])
-    high = np.array([e.high for e in entries])
-    contains = np.ones((len(entries),) * 2, dtype=bool)  # [j, i]: j contains i
+def _contains(low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """(B, B): ``[j, i]`` is true when box j contains box i (faces may
+    touch)."""
+    contains = np.ones((len(low),) * 2, dtype=bool)
     for lo, hi in zip(low.T, high.T):
         contains &= (lo[:, None] <= lo) & (hi[:, None] >= hi)
+    return contains
+
+
+def _inclusion_parents(low: np.ndarray, high: np.ndarray, root_index: int,
+                       ) -> tuple[int | None, ...]:
+    """Per box, the strictly containing box of smallest volume key (sum of
+    log(side + 1)), ties to the lowest index; the root when none is."""
+    contains = _contains(low, high)
     strict = contains & ~contains.T
     strict[root_index] = False
     vol = np.where(strict, np.log(high - low + 1.0).sum(axis=1)[:, None], np.inf)
@@ -169,40 +172,34 @@ def sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diffs, diffs)
 
 
+def in_boxes(points: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """(n, B): point i lies in box j, ``low[j] <= x < high[j]`` on every
+    axis.  Closed lower and open upper faces let sibling boxes partition
+    the points they share a face with; -inf/inf bounds hold every finite
+    point."""
+    inside = np.ones((len(points), len(low)), dtype=bool)
+    for x, lo, hi in zip(points.T, low.T, high.T):
+        inside &= (lo <= x[:, None]) & (x[:, None] < hi)
+    return inside
+
+
 def assignment_reps_batch(forest: LaminarForest,
                           points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized smallest-box assignment for a batch of points.
 
     Returns (rep center index, squared distance to that representative) per
     point.  Laminarity makes the containing boxes of a point a chain, and a
-    box precedes every box containing it, so the first containing entry is
+    box precedes every box containing it, so the first containing box is
     the smallest one.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    low, high, low_open, high_open = (
-        np.array([getattr(e, name) for e in forest.entries])
-        for name in ("low", "high", "low_open", "high_open"))
-    inside = np.ones((pts.shape[0], forest.size), dtype=bool)
-    for j in range(pts.shape[1]):
-        col = pts[:, j, None]
-        inside &= np.where(low_open[:, j], col > low[:, j], col >= low[:, j])
-        inside &= np.where(high_open[:, j], col < high[:, j], col <= high[:, j])
-    rep_of = np.array([e.representative for e in forest.entries])
-    reps = rep_of[inside.argmax(axis=1)]
+    reps = forest.rep[in_boxes(pts, forest.low, forest.high).argmax(axis=1)]
     diffs = pts - forest.centers[reps]
     return reps, np.einsum("ij,ij->i", diffs, diffs)
 
 
 def is_laminar(forest: LaminarForest) -> bool:
-    """Any two entries are nested or have disjoint interiors."""
-    for i in range(forest.size):
-        for j in range(i + 1, forest.size):
-            a, b = forest.entries[i], forest.entries[j]
-            inter_low = np.maximum(a.low, b.low)
-            inter_high = np.minimum(a.high, b.high)
-            if np.all(inter_low < inter_high):  # interiors overlap
-                nested = (np.all(a.low <= b.low) and np.all(b.high <= a.high)) or \
-                         (np.all(b.low <= a.low) and np.all(a.high <= b.high))
-                if not nested:
-                    return False
-    return True
+    """Any two boxes are nested or have disjoint interiors."""
+    contains = _contains(forest.low, forest.high)
+    return not (_strict_overlaps(forest.low, forest.high)
+                & ~contains & ~contains.T).any()

@@ -52,6 +52,8 @@ class RunConfig:
             raise ValueError("k must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if not (math.isfinite(self.coreset_factor) and self.coreset_factor > 0):
+            raise ValueError("coreset factor must be finite and positive")
 
 
 class _StageClock:

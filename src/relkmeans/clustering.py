@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .boxes import build_boxes, sq_dists
 from .relational import JoinTree, Table
-from .sampling import StageSampler
+from .sampling import StageSampler, make_rng
 
 
 class InsufficientDistinctPoints(Exception):
@@ -94,8 +94,7 @@ def solve_weighted_kmeans(ps: WeightedPointSet, k: int, seed: int = 0,
     ties to the lowest restart index)."""
     best: tuple[float, int, np.ndarray] | None = None
     for r in range(restarts):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(seed, spawn_key=(r,))))
+        rng = make_rng(seed, (r,))
         centers = weighted_kmeanspp_seed(ps, k, rng)
         centers = weighted_lloyd(ps, centers, max_iters, tol)
         cost = weighted_cost(ps, centers)

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .boxes import sq_dists
 from .relational import CyclicVerdict, JoinTree, Table, gyo_reduce, tables_to_schema
 from .sumprod import JoinEvaluator
 
@@ -121,8 +122,7 @@ def materialize(tables: list[Table], guard: int = DEFAULT_GUARD,
 
 def min_sq_dist(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Squared distance from each point to its nearest center."""
-    diffs = points[:, None, :] - centers[None, :, :]
-    return np.min(np.einsum("ijk,ijk->ij", diffs, diffs), axis=1)
+    return np.min(sq_dists(points, centers), axis=1)
 
 
 def exact_kmeanspp_distribution(join: MaterializedJoin,
@@ -144,9 +144,7 @@ def exact_weights(join: MaterializedJoin, centers: list[np.ndarray]) -> np.ndarr
     """Number of join rows whose nearest center is each c_i (ties to the
     lowest center index)."""
     cs = np.asarray(centers, dtype=np.float64)
-    diffs = join.rows[:, None, :] - cs[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diffs, diffs)
-    nearest = np.argmin(d2, axis=1)  # argmin takes the first minimum: tie rule
+    nearest = np.argmin(sq_dists(join.rows, cs), axis=1)  # ties: first minimum
     return np.bincount(nearest, minlength=len(centers)).astype(np.int64)
 
 

@@ -1,17 +1,17 @@
-"""Relational input layer: tables, schema hypergraph, join trees, box filtering.
+"""Relational input layer: tables, schema hypergraph, join trees.
 
 A database is a list of :class:`Table` objects over a shared set of named,
 real-valued features.  The join of all tables is never materialized here;
 this module only provides the structural pieces the rest of the library
-needs: acyclicity detection via GYO reduction, the resulting join tree, and
-row-level filtering by axis-parallel boxes.
+needs: loading, acyclicity detection via GYO reduction and the resulting
+join tree.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -135,51 +135,6 @@ class CyclicVerdict:
             f"T{tid}({','.join(sorted(feats))})" for tid, feats in self.residual
         ]
         return "residual hypergraph: " + " ".join(parts)
-
-
-@dataclass(frozen=True, eq=False)
-class BoxRect:
-    """Axis-parallel box over the full feature space, faces optionally open.
-
-    Coordinates are positional by ``FeatureId.index``.  Bounds may be +-inf.
-    ``high_open[j]`` (resp. ``low_open[j]``) makes the upper (lower) face of
-    dimension j exclusive; all faces default to closed intervals.
-    """
-
-    low: np.ndarray
-    high: np.ndarray
-    low_open: np.ndarray | None = None
-    high_open: np.ndarray | None = None
-    representative: int | None = None
-
-    def __post_init__(self):
-        low = np.asarray(self.low, dtype=np.float64)
-        high = np.asarray(self.high, dtype=np.float64)
-        if np.any(low > high):
-            raise ValueError("box has low > high on some axis")
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "high", high)
-        for name in ("low_open", "high_open"):
-            flags = getattr(self, name)
-            if flags is None:
-                flags = np.zeros(low.shape[0], dtype=bool)
-            object.__setattr__(self, name, np.asarray(flags, dtype=bool))
-
-    @property
-    def dim(self) -> int:
-        return self.low.shape[0]
-
-    @classmethod
-    def whole_space(cls, dim: int, representative: int | None = None) -> "BoxRect":
-        return cls(np.full(dim, -np.inf), np.full(dim, np.inf),
-                   representative=representative)
-
-    def mask_for(self, values: np.ndarray, dim_index: int) -> np.ndarray:
-        """Vectorized membership of a value column against one dimension."""
-        lo, hi = self.low[dim_index], self.high[dim_index]
-        lo_ok = values > lo if self.low_open[dim_index] else values >= lo
-        hi_ok = values < hi if self.high_open[dim_index] else values <= hi
-        return lo_ok & hi_ok
 
 
 def load_database(schema_doc: str | Path,
@@ -371,17 +326,3 @@ def running_intersection_holds(tree: JoinTree) -> bool:
         if seen != holders:
             return False
     return True
-
-
-def box_row_masks(tables: list[Table], box: BoxRect) -> list[np.ndarray]:
-    """Per-table boolean masks of the rows inside the box on the features
-    each table holds.  The join of the masked tables is exactly the set of
-    join rows lying in the box."""
-    masks = []
-    for t in tables:
-        mask = np.ones(t.n_rows, dtype=bool)
-        for pos, f in enumerate(t.features):
-            if f.index < box.dim:
-                mask &= box.mask_for(t.rows[:, pos], f.index)
-        masks.append(mask)
-    return masks

@@ -14,7 +14,7 @@ surrogate cost is the one laminar inclusion-exclusion of the package
 target) terms.  One upward cost-pair pass per forest
 (:meth:`JoinEvaluator.costpair_walk`), rooted at table 0, keeps every
 table's subtree (cost, count) arrays and every edge's messages for all
-terms, with each box's masks built once.  A batch of draws is then
+terms, with every box's masks built in one call.  A batch of draws is then
 extended one table at a time, all draws together: the next table's weights
 for every draw are read off those arrays in O(draws * terms * rows of the
 table), with no further pass, and one inverse-CDF draw per table picks
@@ -97,10 +97,11 @@ class SamplingState:
         self._surrogate = None
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based 64-bit generator; the same seed reproduces runs bit for
-    bit."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+def make_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
+    """Counter-based 64-bit generator; the same seed and spawn key reproduce
+    runs bit for bit, and distinct spawn keys give independent streams."""
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 class StageSampler:
@@ -150,20 +151,19 @@ class StageSampler:
         representative of the smallest box holding the row.  It is the
         laminar difference as 2*|forest|-1 terms: every box's cost to its
         own representative, minus, for a non-root box, its cost to its
-        parent's representative.  Each box's masks are built once."""
+        parent's representative.  One masks_for_box call masks every box."""
         ev = JoinEvaluator(tree, tables)
-        entries, targets, signs = [], [], []
+        boxes, targets, signs = [], [], []
         for idx, parent in enumerate(forest.parents):
-            entries.append(idx)
-            targets.append(forest.rep_point(idx))
+            boxes.append(idx)
+            targets.append(forest.rep[idx])
             signs.append(1.0)
             if parent is not None:
-                entries.append(idx)
-                targets.append(forest.rep_point(parent))
+                boxes.append(idx)
+                targets.append(forest.rep[parent])
                 signs.append(-1.0)
-        box_masks = [ev.masks_for_box(box) for box in forest.entries]
-        masks = [np.stack([box_masks[e][t.id] for e in entries]) for t in tables]
-        return cls(ev, np.array(targets), signs, masks)
+        masks = ev.masks_for_box(forest.low, forest.high)
+        return cls(ev, forest.centers[targets], signs, [m[boxes] for m in masks])
 
     def stage_weights(self, prefixes: np.ndarray) -> np.ndarray:
         """Per draw, the weight of each row of table ``walk[depth]``, where

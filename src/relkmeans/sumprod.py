@@ -29,7 +29,8 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .relational import BoxRect, JoinTree, Table, box_row_masks
+from .boxes import in_boxes
+from .relational import JoinTree, Table
 
 
 @dataclass(frozen=True)
@@ -487,9 +488,16 @@ class JoinEvaluator:
             convolutions[par].append(_Convolution(node, cons, src, pick))
         return DistancePass(self.walk, hist, convolutions, rounding, message)
 
-    def masks_for_box(self, box: BoxRect) -> list[np.ndarray]:
-        """Per-table row masks of ``box`` (see :func:`box_row_masks`)."""
-        return box_row_masks(self.tables, box)
+    def masks_for_box(self, low: np.ndarray, high: np.ndarray) -> list[np.ndarray]:
+        """Per table, the (boxes, rows) mask of the rows inside each box of
+        the (boxes, features) ``low``/``high`` arrays on the features the
+        table holds (:func:`relkmeans.boxes.in_boxes`).  The join of the
+        tables masked by box b is exactly the set of join rows in box b."""
+        masks = []
+        for t in self.tables:
+            idx = [f.index for f in t.features]
+            masks.append(in_boxes(t.rows, low[:, idx], high[:, idx]).T)
+        return masks
 
     def gather(self, prov: np.ndarray) -> np.ndarray:
         """Join points, positional by feature index, of the rows chosen per

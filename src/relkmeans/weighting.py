@@ -20,6 +20,7 @@ import numpy as np
 from .ballcount import BallSampler, distance_profile, radius_for_count
 from .boxes import distinct_centers, sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
+from .sampling import make_rng
 from .sumprod import JoinEvaluator
 
 log = logging.getLogger(__name__)
@@ -46,6 +47,8 @@ class WeightConfig:
             raise ValueError("tau must be at least 30")
         if self.delta is not None and not 0.0 < self.delta <= self.epsilon / 2:
             raise ValueError("delta must lie in (0, epsilon / 2]")
+        if self.max_ring_samples is not None and self.max_ring_samples < 1:
+            raise ValueError("ring cap must be at least 1")
 
     @property
     def ball_slack(self) -> float:
@@ -131,8 +134,7 @@ def compute_weights(tree: JoinTree, tables: list[Table],
             else:
                 r_j = radius_for_count(tree, tables, center, 2 ** j,
                                        cfg.ball_slack, profile=profile)
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(cfg.seed, spawn_key=(i, j))))
+            rng = make_rng(cfg.seed, (i, j))
             if r_j <= prev_radius:
                 stats.append(RingStats(i, j, r_j, 0, 0, 0.0))
                 continue

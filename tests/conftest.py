@@ -11,7 +11,7 @@ import pytest
 
 from relkmeans import FeatureId, Table, gyo_reduce, tables_to_schema
 from relkmeans.boxes import LaminarForest
-from relkmeans.relational import BoxRect, SamplingGaveUp
+from relkmeans.relational import SamplingGaveUp
 
 
 @pytest.fixture
@@ -79,19 +79,17 @@ def brute_force_join(tables: list[Table], cap: int = 500_000) -> np.ndarray:
 
 
 def surrogate_costs(join_rows: np.ndarray, forest) -> np.ndarray:
-    """Independent per-row surrogate cost: scan every forest box for the
-    smallest-volume one containing the row, then square the distance to its
-    representative."""
+    """Independent per-row surrogate cost: scan every forest box (closed
+    lower, open upper faces) for the smallest-volume one containing the
+    row, then square the distance to its representative."""
     costs = np.zeros(len(join_rows))
     for i, p in enumerate(join_rows):
         best_vol, best_rep = None, None
-        for e in forest.entries:
-            lo_ok = np.where(e.low_open, p > e.low, p >= e.low)
-            hi_ok = np.where(e.high_open, p < e.high, p <= e.high)
-            if lo_ok.all() and hi_ok.all():
-                vol = float(np.prod(e.high - e.low))
+        for low, high, rep in zip(forest.low, forest.high, forest.rep):
+            if np.all(low <= p) and np.all(p < high):
+                vol = float(np.prod(high - low))
                 if best_vol is None or vol < best_vol:
-                    best_vol, best_rep = vol, e.representative
+                    best_vol, best_rep = vol, rep
         diff = p - forest.centers[best_rep]
         costs[i] = diff @ diff
     return costs
@@ -135,8 +133,8 @@ def reference_build_boxes(centers, initial_half_side: float | None = None,
         alias[i] = seen.setdefault(tuple(pts[i].tolist()), i)
     canonical = list(seen.values())
     if len(canonical) == 1:
-        root = BoxRect.whole_space(d, representative=canonical[0])
-        return LaminarForest((root,), (None,), 0, pts, alias)
+        return LaminarForest(np.full((1, d), -np.inf), np.full((1, d), np.inf),
+                             np.array(canonical), (None,), 0, pts, alias)
 
     h0 = initial_half_side
     if h0 is None:
@@ -176,16 +174,14 @@ def reference_build_boxes(centers, initial_half_side: float | None = None,
             trace.append((round_index, h0,
                           [(b.low.copy(), b.high.copy(), b.rep) for b in active]))
 
-    entries = [BoxRect(lo, hi, high_open=np.ones(d, dtype=bool), representative=rep)
-               for lo, hi, rep in frozen]
-    entries.append(BoxRect.whole_space(d, representative=active[0].rep))
+    entries = frozen + [(np.full(d, -np.inf), np.full(d, np.inf), active[0].rep)]
     root_index = len(entries) - 1
 
-    def contains(outer: BoxRect, inner: BoxRect) -> bool:
-        return bool(np.all(outer.low <= inner.low) and np.all(inner.high <= outer.high))
+    def contains(outer: tuple, inner: tuple) -> bool:
+        return bool(np.all(outer[0] <= inner[0]) and np.all(inner[1] <= outer[1]))
 
-    def volume_key(b: BoxRect) -> float:
-        side = b.high - b.low
+    def volume_key(b: tuple) -> float:
+        side = b[1] - b[0]
         return float(np.sum(np.log(side + 1.0))) if np.all(np.isfinite(side)) \
             else np.inf
 
@@ -202,23 +198,23 @@ def reference_build_boxes(centers, initial_half_side: float | None = None,
                 if vol < best_vol:
                     best, best_vol = j, vol
         parents[i] = best
-    return LaminarForest(tuple(entries), tuple(parents), root_index, pts, alias)
+    low, high, reps = (np.array(col) for col in zip(*entries))
+    return LaminarForest(low, high, reps, tuple(parents), root_index, pts, alias)
 
 
 def reference_assignment_reps(forest: LaminarForest, points: np.ndarray) -> np.ndarray:
     """Smallest-box representative per point by walking parent chains: the
-    deepest containing entry wins, ties to the lowest index."""
+    deepest containing box (closed lower, open upper faces) wins, ties to
+    the lowest index."""
     def depth(i: int) -> int:
         p = forest.parents[i]
         return 0 if p is None else 1 + depth(p)
 
     reps = np.full(len(points), -1, dtype=np.int64)
     for idx in sorted(range(forest.size), key=lambda i: -depth(i)):
-        box = forest.entries[idx]
-        lo_ok = np.where(box.low_open, points > box.low, points >= box.low)
-        hi_ok = np.where(box.high_open, points < box.high, points <= box.high)
-        take = np.all(lo_ok & hi_ok, axis=1) & (reps < 0)
-        reps[take] = box.representative
+        inside = (forest.low[idx] <= points) & (points < forest.high[idx])
+        take = np.all(inside, axis=1) & (reps < 0)
+        reps[take] = forest.rep[idx]
     return reps
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from relkmeans import JoinEvaluator, gyo_reduce, tables_to_schema
 from relkmeans.boxes import assignment_reps_batch, build_boxes, is_laminar
 
-from conftest import reference_assignment_reps, reference_build_boxes, surrogate_costs
+from conftest import (brute_force_join_rows, random_acyclic_tables,
+                      reference_assignment_reps, reference_build_boxes,
+                      surrogate_costs)
 
 
 def random_centers(rng, k, d, scale=20.0):
@@ -20,8 +23,8 @@ class TestDerivedFixture:
         return build_boxes(np.array([[0.0], [16.0]]), initial_half_side=0.5)
 
     def test_forest_entries(self, forest):
-        shapes = sorted((e.low[0], e.high[0], e.representative)
-                        for e in forest.entries)
+        shapes = sorted(zip(forest.low[:, 0].tolist(), forest.high[:, 0].tolist(),
+                            forest.rep.tolist()))
         assert shapes == [(-np.inf, np.inf, 0), (-8.0, 8.0, 0), (8.0, 24.0, 1)]
 
     def test_smallest_box_queries(self, forest):
@@ -54,14 +57,13 @@ class TestDegenerateInputs:
     def test_single_center(self):
         forest = build_boxes(np.array([[3.0, 4.0]]))
         assert forest.size == 1
-        assert forest.entries[0].representative == 0
-        assert not np.isfinite(forest.entries[0].low).any()
+        assert forest.rep.tolist() == [0]
+        assert not np.isfinite(forest.low).any()
 
     def test_identical_centers_collapse(self):
         forest = build_boxes(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 2.0]]))
         assert forest.alias == {0: 0, 1: 0, 2: 2}
-        reps = {e.representative for e in forest.entries}
-        assert reps == {0, 2}
+        assert set(forest.rep.tolist()) == {0, 2}
 
     def test_all_identical_centers(self):
         forest = build_boxes(np.array([[5.0], [5.0], [5.0]]))
@@ -72,17 +74,16 @@ class TestDegenerateInputs:
         # would leave no positive initial half side
         forest = build_boxes(np.array([[0.0], [-0.0], [1.0]]))
         assert forest.alias == {0: 0, 1: 0, 2: 2}
-        assert {e.representative for e in forest.entries} == {0, 2}
+        assert set(forest.rep.tolist()) == {0, 2}
 
 
 def _same_forest(got, want):
     assert got.parents == want.parents
     assert got.root_index == want.root_index and got.alias == want.alias
-    assert got.size == want.size
-    for a, b in zip(got.entries, want.entries):
-        for name in ("low", "high", "low_open", "high_open"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-        assert a.representative == b.representative
+    for name in ("low", "high", "rep"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
 
 
 class TestAgainstLoopConstruction:
@@ -118,6 +119,40 @@ class TestAgainstLoopConstruction:
             assert reps.tolist() == reference_assignment_reps(ref, probes).tolist()
 
 
+class TestMembershipOnFaces:
+    def test_table_masks_and_point_assignment_agree(self, rng):
+        """A join row's rows pass the table masks of box b exactly when its
+        point satisfies low[b] <= x < high[b], and the point takes the
+        representative of the first box it is in.  Integer join points and
+        a unit initial half side put many points on box faces, so either
+        side closing its upper faces breaks this."""
+        upper_faces_hit = reps_moved = 0
+        for _ in range(60):
+            tables = random_acyclic_tables(rng, max_tables=4, integer_values=True)
+            prov, join = brute_force_join_rows(tables)
+            if len(np.unique(join, axis=0)) < 2:
+                continue
+            k = min(len(join), int(rng.integers(2, 8)))
+            forest = build_boxes(join[rng.choice(len(join), k, replace=False)],
+                                 initial_half_side=1.0)
+            low, high = forest.low[:, None, :], forest.high[:, None, :]
+            want = np.all((low <= join) & (join < high), axis=2).T  # (rows, B)
+            closed = np.all((low <= join) & (join <= high), axis=2).T
+            upper_faces_hit += int((want != closed).any())
+            reps_moved += int((forest.rep[want.argmax(axis=1)]
+                               != forest.rep[closed.argmax(axis=1)]).any())
+
+            ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
+            got = np.ones_like(want)
+            for t, mask in zip(tables, ev.masks_for_box(forest.low, forest.high)):
+                got &= mask[:, prov[:, t.id]].T
+            assert np.array_equal(got, want)
+
+            reps, _ = assignment_reps_batch(forest, join)
+            assert reps.tolist() == forest.rep[want.argmax(axis=1)].tolist()
+        assert upper_faces_hit >= 10 and reps_moved >= 5
+
+
 class TestInvariants:
     def test_laminarity_randomized(self, rng):
         for _ in range(40):
@@ -132,11 +167,9 @@ class TestInvariants:
             d = int(rng.integers(1, 5))
             centers = random_centers(rng, k, d)
             forest = build_boxes(centers)
-            reps = {e.representative for e in forest.entries}
-            assert set(forest.alias.values()) <= reps
-            for e in forest.entries:
-                c = centers[e.representative]
-                assert np.all(e.low < c) and np.all(c < e.high)
+            assert set(forest.alias.values()) <= set(forest.rep.tolist())
+            for low, high, rep in zip(forest.low, forest.high, forest.rep):
+                assert np.all(low < centers[rep]) and np.all(centers[rep] < high)
 
     def test_round_bounds(self, rng):
         # at the end of round j every center in an active box sits at least
@@ -167,9 +200,8 @@ class TestInvariants:
                 if parent is None:
                     assert i == forest.root_index
                     continue
-                inner, outer = forest.entries[i], forest.entries[parent]
-                assert np.all(outer.low <= inner.low)
-                assert np.all(inner.high <= outer.high)
+                assert np.all(forest.low[parent] <= forest.low[i])
+                assert np.all(forest.high[i] <= forest.high[parent])
 
     def test_assignment_ratio_bound(self, rng):
         # surrogate cost within 16 * i^2 * d of the true nearest-center cost

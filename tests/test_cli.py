@@ -106,13 +106,21 @@ class TestDiagnostics:
         assert "guard" in err
 
     def test_bad_epsilon_rejected(self, schema_path, capsys):
-        # delta must lie in (0, epsilon/2]; every bad knob fails before sampling
-        for bad in (["--epsilon", "0.5"], ["--delta", "-0.5"], ["--delta", "0.9"]):
-            code, _, err = run_cli(
+        # delta must lie in (0, epsilon/2]; every bad knob fails before any
+        # table is read
+        for bad, named in ((["--epsilon", "0.5"], "epsilon"),
+                           (["--delta", "-0.5"], "epsilon"),
+                           (["--delta", "0.9"], "epsilon"),
+                           (["--ring-cap", "-1"], "ring cap"),
+                           (["--ring-cap", "0"], "ring cap"),
+                           (["--coreset-factor", "nan"], "coreset factor"),
+                           (["--coreset-factor", "inf"], "coreset factor"),
+                           (["--coreset-factor", "0"], "coreset factor")):
+            code, out, err = run_cli(
                 ["--schema", schema_path, "--k", "2", *bad], capsys)
-            assert code == 1
-            assert "epsilon" in err
-            assert "[sample]" not in err
+            assert code == 1 and out == ""
+            assert err.count("error:") == 1 and named in err
+            assert "[load]" not in err
 
     def test_too_few_distinct_points_exits_1(self, tmp_path, capsys):
         (tmp_path / "t.csv").write_text(CODED)

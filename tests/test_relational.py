@@ -3,16 +3,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relkmeans import (
-    BoxRect,
     CyclicVerdict,
     FeatureId,
+    JoinEvaluator,
     SchemaError,
     Table,
     gyo_reduce,
     load_database,
     tables_to_schema,
 )
-from relkmeans.relational import box_row_masks, running_intersection_holds
+from relkmeans.relational import running_intersection_holds
 
 from conftest import brute_force_join, random_acyclic_tables
 
@@ -134,42 +134,36 @@ class TestGyoReduce:
             assert running_intersection_holds(tree)
 
 
-def apply_box_masks(tables, box):
-    """The tables restricted to the rows their box masks keep."""
-    return [t.with_rows(t.rows[m]) for t, m in zip(tables, box_row_masks(tables, box))]
+def apply_box_masks(tables, low, high):
+    """The tables restricted to the rows the masks of the one box
+    ``low <= x < high`` keep."""
+    ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
+    masks = ev.masks_for_box(np.array([low], dtype=float), np.array([high], dtype=float))
+    return [t.with_rows(t.rows[m[0]]) for t, m in zip(tables, masks)]
 
 
 class TestFilterByBox:
     def test_shared_column_restriction(self, path_tables):
-        box = BoxRect(np.array([-np.inf, 1, -np.inf]), np.array([np.inf, 1, np.inf]))
-        out = apply_box_masks(path_tables, box)
+        out = apply_box_masks(path_tables, [-np.inf, 1, -np.inf], [np.inf, 2, np.inf])
         assert out[0].rows.tolist() == [[1, 1], [2, 1]]
         assert out[1].rows.tolist() == [[1, 1], [1, 2]]
         assert len(brute_force_join(out)) == 4
 
     def test_whole_space_is_identity(self, path_tables):
-        out = apply_box_masks(path_tables, BoxRect.whole_space(3))
+        out = apply_box_masks(path_tables, np.full(3, -np.inf), np.full(3, np.inf))
         for a, b in zip(out, path_tables):
             assert np.array_equal(a.rows, b.rows)
 
     def test_excluding_box_empties_join(self, path_tables):
-        box = BoxRect(np.array([100.0, -np.inf, -np.inf]),
-                      np.array([200.0, np.inf, np.inf]))
-        out = apply_box_masks(path_tables, box)
+        out = apply_box_masks(path_tables, [100.0, -np.inf, -np.inf],
+                              [200.0, np.inf, np.inf])
         assert out[0].n_rows == 0
         assert len(brute_force_join(out)) == 0
 
     def test_open_faces(self):
+        # closed lower face, open upper face
         t = Table(0, "T", (FeatureId("x", 0),), np.array([[0.0], [1.0], [2.0]]))
-        closed = BoxRect(np.array([0.0]), np.array([1.0]))
-        half_open = BoxRect(np.array([0.0]), np.array([1.0]),
-                            high_open=np.array([True]))
-        assert apply_box_masks([t], closed)[0].n_rows == 2
-        assert apply_box_masks([t], half_open)[0].n_rows == 1
-
-    def test_inverted_bounds_rejected(self):
-        with pytest.raises(ValueError, match="low > high"):
-            BoxRect(np.array([2.0]), np.array([1.0]))
+        assert apply_box_masks([t], [0.0], [1.0])[0].rows.tolist() == [[0.0]]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), lo=st.floats(-3, 3), width=st.floats(0, 4))
@@ -181,9 +175,8 @@ class TestFilterByBox:
         low = np.full(d, -np.inf)
         high = np.full(d, np.inf)
         low[dim], high[dim] = lo, lo + width
-        box = BoxRect(low, high)
         joined = brute_force_join(tables)
-        expected = joined[(joined[:, dim] >= lo) & (joined[:, dim] <= lo + width)] \
+        expected = joined[(joined[:, dim] >= lo) & (joined[:, dim] < lo + width)] \
             if len(joined) else joined
-        got = brute_force_join(apply_box_masks(tables, box))
+        got = brute_force_join(apply_box_masks(tables, low, high))
         assert sorted(map(tuple, got)) == sorted(map(tuple, expected))

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relkmeans import (
-    BoxRect,
     CostPair,
     FeatureId,
     JoinEvaluator,
@@ -76,32 +75,32 @@ class TestGroupedQueries:
         assert [v.a for v in got.values] == [4.0, 9.0]
 
 
-def boxed_cost(tree, tables, box, target):
+def boxed_cost(tree, tables, low, high, target):
     """Per row of the walk's first table, the squared distance to ``target``
-    summed over the join rows extending the row that lie inside ``box``:
-    one costpair_walk term with the box's masks."""
+    summed over the join rows extending the row that lie inside the box
+    ``low <= x < high``: one costpair_walk term with the box's masks."""
     ev = JoinEvaluator(tree, tables)
-    masks = [m[None, :] for m in ev.masks_for_box(box)]
+    masks = ev.masks_for_box(np.array([low], dtype=float), np.array([high], dtype=float))
     return ev.costpair_walk(target[None, :], masks).cost[ev.walk[0]][0]
 
 
 class TestBoxedCostGrouped:
     def test_whole_space_origin(self, path_tree, path_tables):
-        got = boxed_cost(path_tree, path_tables, BoxRect.whole_space(3),
-                         np.zeros(3))
+        got = boxed_cost(path_tree, path_tables, np.full(3, -np.inf),
+                         np.full(3, np.inf), np.zeros(3))
         # brute force per T1 row; the row (2,1) extends to (2,1,1) and (2,1,2)
         assert got.tolist() == [9.0, 15.0, 22.0, 0.0, 0.0]
 
     def test_empty_box_is_all_zero(self, path_tree, path_tables):
-        box = BoxRect(np.full(3, 50.0), np.full(3, 60.0))
-        got = boxed_cost(path_tree, path_tables, box, np.zeros(3))
+        got = boxed_cost(path_tree, path_tables, np.full(3, 50.0), np.full(3, 60.0),
+                         np.zeros(3))
         assert got.tolist() == [0.0] * 5
 
     def test_single_row_join_at_target_is_zero(self):
         t = Table(0, "T", (FeatureId("x", 0), FeatureId("y", 1)),
                   np.array([[2.0, 5.0]]))
         tree = gyo_reduce(tables_to_schema([t]))
-        got = boxed_cost(tree, [t], BoxRect.whole_space(2),
+        got = boxed_cost(tree, [t], np.full(2, -np.inf), np.full(2, np.inf),
                          np.array([2.0, 5.0]))
         assert got.tolist() == [0.0]
 
@@ -109,10 +108,9 @@ class TestBoxedCostGrouped:
         for _ in range(20):
             low = rng.uniform(-1, 3, size=3)
             high = low + rng.uniform(0, 4, size=3)
-            box = BoxRect(low, high)
-            got = boxed_cost(path_tree, path_tables, box, np.zeros(3))
+            got = boxed_cost(path_tree, path_tables, low, high, np.zeros(3))
             joined = brute_force_join(path_tables)
-            inside = joined[np.all((joined >= low) & (joined <= high), axis=1)] \
+            inside = joined[np.all((joined >= low) & (joined < high), axis=1)] \
                 if len(joined) else joined
             t1 = path_tables[0]
             for r in range(t1.n_rows):
