@@ -9,8 +9,9 @@ every exact distance would make intermediate results as large as the join,
 so keys are rounded up onto a (1+delta) geometric grid once per table; the
 rounding compounds to at most (1+delta)^m on the radius axis.  The pass
 keeps the provenance of every merge, so in-ball draws walk it top-down
-instead of running more passes, and rejection against exact membership
-makes them exactly uniform over the ball.  Counts are float64, like every
+instead of running more passes, for every ball around the center at once,
+and rejection against exact membership makes them exactly uniform over
+each ball.  Counts are float64, like every
 count of the evaluator.  All radii in this module are squared distances.
 """
 
@@ -64,7 +65,8 @@ class Bucketizer:
         out[pos] = np.array(grid)[inv]
         return out
 
-    def widen(self, sq_radius: float, m_tables: int) -> float:
+    def widen(self, sq_radius: float | np.ndarray,
+              m_tables: int) -> float | np.ndarray:
         """Radius covering everything whose rounded key might exceed the
         true key after m per-table roundings."""
         return sq_radius * (1.0 + self.delta) ** m_tables
@@ -114,12 +116,14 @@ class DistanceProfile:
         idx = np.searchsorted(self.sq_radii, sq_radius, side="right") - 1
         return int(self.cum_counts[idx]) if idx >= 0 else 0
 
-    def smallest_radius_for(self, count: float) -> float:
-        idx = int(np.searchsorted(self.cum_counts, count, side="left"))
-        if idx >= self.sq_radii.size:
+    def smallest_radius_for(self, count: float | np.ndarray) -> float | np.ndarray:
+        """Smallest radius holding at least ``count`` points; element-wise,
+        by one search, for an array of counts."""
+        idx = np.searchsorted(self.cum_counts, count, side="left")
+        if np.any(idx >= self.sq_radii.size):
             raise TargetExceedsN(
-                f"needed {count} points, join holds {self.total}")
-        return float(self.sq_radii[idx])
+                f"needed {np.max(count)} points, join holds {self.total}")
+        return self.sq_radii[idx]
 
 
 def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
@@ -135,7 +139,7 @@ def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
     """
     center = np.asarray(center, dtype=np.float64)
     if dists is None:
-        dists = BallSampler(tree, tables, center, delta).dists
+        dists = BallSampler(JoinEvaluator(tree, tables), center, delta).dists
     _, keys, counts = dists.root
     keys, inv = np.unique(keys, return_inverse=True)
     counts = np.bincount(inv, weights=counts, minlength=keys.size)
@@ -144,9 +148,11 @@ def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
 
 
 def radius_for_count(tree: JoinTree, tables: list[Table], center: np.ndarray,
-                     target: float, delta: float,
-                     profile: DistanceProfile | None = None) -> float:
-    """Smallest profile radius whose count reaches (1-delta) * target.
+                     target: float | np.ndarray, delta: float,
+                     profile: DistanceProfile | None = None,
+                     ) -> float | np.ndarray:
+    """Smallest profile radius whose count reaches (1-delta) * target;
+    element-wise, by one search of the profile, for an array of targets.
 
     The profile, unless supplied, is built with per-table bucketing
     delta / (8m): the count granularity near the chosen radius has to sit
@@ -157,10 +163,12 @@ def radius_for_count(tree: JoinTree, tables: list[Table], center: np.ndarray,
     if profile is None:
         bucket_delta = delta / (8 * len(tables)) if delta > 0 else None
         profile = distance_profile(tree, tables, center, bucket_delta)
-    if target > profile.total:
+    target = np.asarray(target, dtype=np.float64)
+    if np.any(target > profile.total):
         raise TargetExceedsN(
-            f"target {target} exceeds join size {profile.total}")
-    need = max(1, math.ceil((1.0 - delta) * target))
+            f"target {np.max(target)} exceeds join size {profile.total}")
+    # a float's ceiling is a whole number, held exactly, like the counts
+    need = np.maximum(1.0, np.ceil((1.0 - delta) * target))
     return profile.smallest_radius_for(need)
 
 
@@ -175,46 +183,66 @@ class BallSampler:
     and the threshold R * (1+delta)^m keeps every ball member drawable.
     Points outside the requested ball are rejected against exact membership
     afterwards, which leaves the draws exactly uniform over the ball.
+
+    One :meth:`sample_batch` call serves any number of balls: each
+    rejection round is one top-down draw (:meth:`DistancePass.draw`) for
+    every ball still short of draws, each draw under its own ball's
+    threshold.  ``candidates`` counts the top-down draws made, rejected
+    ones included.
     """
 
-    def __init__(self, tree: JoinTree, tables: list[Table], center: np.ndarray,
+    def __init__(self, ev: JoinEvaluator, center: np.ndarray,
                  delta: float | None = None):
+        self.ev = ev
         self.center = np.asarray(center, dtype=np.float64)
-        self.m = len(tables)
-        self.bucketizer = make_bucketizer(tables, self.center, delta)
-        self.ev = JoinEvaluator(tree, tables)
-        self.dists = self.ev.distance_pass(
+        self.m = len(ev.tables)
+        self.bucketizer = make_bucketizer(ev.tables, self.center, delta)
+        self.dists = ev.distance_pass(
             self.center, self.bucketizer.round_up if self.bucketizer else None)
+        self.candidates = 0
 
-    def _threshold(self, sq_radius: float) -> float:
-        """Root-key bound admitting every join point within ``sq_radius``.
+    def _threshold(self, sq_radii: np.ndarray) -> np.ndarray:
+        """Root-key bounds admitting every join point within ``sq_radii``.
 
         The relative 1e-9 absorbs float rounding between the pass's key
         sums and the exact membership test; what it admits is rejected.
         """
         if self.bucketizer is not None:
-            sq_radius = self.bucketizer.widen(sq_radius, self.m)
-        return sq_radius * (1.0 + 1e-9)
+            sq_radii = self.bucketizer.widen(sq_radii, self.m)
+        return sq_radii * (1.0 + 1e-9)
 
-    def sample_batch(self, sq_radius: float, size: int,
+    def sample_batch(self, sq_radii: np.ndarray, size: int,
                      rng: np.random.Generator) -> np.ndarray:
-        """``size`` independent uniform draws from the closed ball."""
-        threshold = self._threshold(sq_radius)
-        if not (self.dists.root[1] <= threshold).any():
-            raise EmptyBall(f"no join points within squared radius {sq_radius}")
-        out = np.empty((size, self.ev.n_features))
-        got = rounds = 0
-        while got < size:
+        """``size`` independent uniform draws from each closed ball of
+        squared radius ``sq_radii[b]``: a (balls, size, features) array."""
+        sq_radii = np.atleast_1d(np.asarray(sq_radii, dtype=np.float64))
+        thresholds = self._threshold(sq_radii)
+        keys = self.dists.root[1]
+        if keys.size == 0 or np.any(thresholds < keys.min()):
+            raise EmptyBall("no join points within squared radius "
+                            f"{sq_radii[np.argmin(thresholds)]}")
+        n_balls = sq_radii.size
+        out = np.empty((n_balls, size, self.ev.n_features))
+        got = np.zeros(n_balls, dtype=np.int64)
+        rounds = 0
+        while (got < size).any():
             rounds += 1
             if rounds > MAX_DRAW_ROUNDS:
                 raise SamplingGaveUp("ball sampling keeps rejecting; the shell "
                                      "outside the ball dominates its interior")
-            draw = (size - got) + max(8, (size - got) // 4)
-            pts = self.ev.gather(self.dists.draw(threshold, draw, rng))
-            member = sq_dists(pts, self.center[None])[:, 0] <= sq_radius
-            take = pts[member][: size - got]
-            out[got: got + take.shape[0]] = take
-            got += take.shape[0]
+            need = size - got
+            ball = np.repeat(np.arange(n_balls),
+                             np.where(need > 0, need + np.maximum(8, need // 4), 0))
+            pts = self.ev.gather(self.dists.draw(thresholds[ball], rng))
+            self.candidates += ball.size
+            member = sq_dists(pts, self.center[None])[:, 0] <= sq_radii[ball]
+            ball, pts = ball[member], pts[member]
+            # each ball keeps its first accepted draws, up to what it needs
+            rank = np.arange(ball.size) - np.searchsorted(ball, ball)
+            keep = rank < need[ball]
+            ball, rank = ball[keep], rank[keep]
+            out[ball, got[ball] + rank] = pts[keep]
+            got += np.bincount(ball, minlength=n_balls)
         return out
 
 
@@ -227,6 +255,6 @@ def sample_in_ball(tree: JoinTree, tables: list[Table], center: np.ndarray,
     the ball reaches out to about (1 + delta/2) times the radius."""
     if sampler is None:
         bucket_delta = delta / (2 * len(tables)) if delta else None
-        sampler = BallSampler(tree, tables, center, bucket_delta)
-    pts = sampler.sample_batch(sq_radius, size or 1, rng)
+        sampler = BallSampler(JoinEvaluator(tree, tables), center, bucket_delta)
+    pts = sampler.sample_batch(np.array([sq_radius]), size or 1, rng)[0]
     return pts if size is not None else pts[0]

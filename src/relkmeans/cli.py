@@ -8,6 +8,7 @@ stderr so it never perturbs the document.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -96,7 +97,7 @@ def run(cfg: RunConfig) -> dict:
     centers, state = run_kmeanspp(tree, tables, k_prime, seed=cfg.seed)
     clock.lap("sample")
 
-    coreset, ring_stats = compute_weights(tree, tables, centers, wcfg)
+    coreset, _ = compute_weights(tree, tables, centers, wcfg)
     clock.lap("weigh")
 
     doc: dict = {
@@ -118,8 +119,7 @@ def run(cfg: RunConfig) -> dict:
             "sampled": len(centers),
             "candidates_per_center": [t.candidates for t in state.telemetry],
             "rejections_per_center": [t.rejections for t in state.telemetry],
-            "rings_above_threshold": sum(
-                1 for s in ring_stats if s.ratio > 0 and s.samples > 0),
+            **dataclasses.asdict(coreset.telemetry),
         },
     }
     if cfg.mode == "coreset":

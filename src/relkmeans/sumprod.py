@@ -25,6 +25,7 @@ pipeline path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -179,9 +180,17 @@ def eval_sumprod(tree: JoinTree, tables: list[Table], spec: SemiringSpec,
 def _merge(ids: np.ndarray, keys: np.ndarray, counts: np.ndarray,
            ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], "_Constituents"]:
     """Sum the counts of equal (id, key) pairs; the result is sorted by id,
-    then key.  Also returns which input entries each result entry merged."""
-    order = np.lexsort((keys, ids))
-    ids, keys, counts = ids[order], keys[order], counts[order]
+    then key.  Also returns which input entries each result entry merged.
+
+    Input already in (id, key) order, as every rounding merge's is (the
+    rounding is monotone), skips the sort: the stable sort would return it
+    unchanged."""
+    step = (ids[1:] > ids[:-1]) | ((ids[1:] == ids[:-1]) & (keys[1:] >= keys[:-1]))
+    if step.all():
+        order = np.arange(ids.size)
+    else:
+        order = np.lexsort((keys, ids))
+        ids, keys, counts = ids[order], keys[order], counts[order]
     new = np.ones(ids.size, dtype=bool)
     new[1:] = (ids[1:] != ids[:-1]) | (keys[1:] != keys[:-1])
     into = np.cumsum(new) - 1
@@ -283,27 +292,38 @@ class DistancePass:
         """The histogram of the walk's first table: the whole join."""
         return self.hist[self.walk[0]]
 
-    def draw(self, threshold: float, size: int,
-             rng: np.random.Generator) -> np.ndarray:
-        """``size`` join rows drawn top-down, each with probability
-        proportional to its count among the join rows whose root key is at
-        most ``threshold``; at least one root key must be.
+    @cached_property
+    def _root_by_key(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Root entries in key order: (entry, key, running count)."""
+        _, keys, counts = self.root
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order], np.cumsum(counts[order])
 
-        Root entries are picked in proportion to their counts.  Then, table
+    def draw(self, thresholds: np.ndarray,
+             rng: np.random.Generator) -> np.ndarray:
+        """One join row per entry of ``thresholds``, drawn top-down with
+        probability proportional to its count among the join rows whose root
+        key is at most that threshold; at least one root key must be.
+
+        Root entries are picked in proportion to their counts: the entries
+        under a threshold are a prefix of the key order, so a draw scales a
+        uniform u in [0, 1) by its prefix's running count and finds the
+        entry by one search over the running counts, for every draw at once.
+        A prefix's running counts are those of its entries alone, so each
+        threshold's shares are normalized over its own entries.  Then, table
         by table in walk order, each merge is undone newest first: the
         rounding merge, then the child merges, each picking one constituent
         per draw in proportion to its pre-merge count.  A child merge's
         constituent names the child's message entry, and that entry picks
         the child's own entry.  The probabilities telescope, so every join
-        row under the threshold is equally likely.  One ``rng.random`` call
-        per merge.  Returns (size, m) row indices by table id.
+        row under a draw's threshold is equally likely.  One ``rng.random``
+        call per merge.  Returns (draws, m) row indices by table id.
         """
-        _, keys, counts = self.root
-        inside = np.flatnonzero(keys <= threshold)
-        entry = {self.walk[0]: _Constituents.of(
-            inside, np.zeros(inside.size, dtype=np.int64), counts[inside],
-        ).pick(np.zeros(size, dtype=np.int64), rng)}
-        prov = np.empty((size, len(self.walk)), dtype=np.int64)
+        order, keys, cum = self._root_by_key
+        last = np.searchsorted(keys, thresholds, side="right") - 1
+        pos = np.searchsorted(cum, rng.random(last.size) * cum[last], side="right")
+        entry = {self.walk[0]: order[np.minimum(pos, last)]}
+        prov = np.empty((last.size, len(self.walk)), dtype=np.int64)
         for v in self.walk:
             e = entry.pop(v)
             if v in self.rounding:

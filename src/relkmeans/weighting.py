@@ -2,8 +2,9 @@
 
 Exact cluster sizes are not computable from the tables, so each center's
 weight is assembled from geometric rings instead: balls around the center
-holding roughly 2^j points are found by radius search, test points are
-drawn uniformly from each ball, and the fraction of ring points
+holding roughly 2^j points are found by one search of the center's distance
+profile, test points are drawn uniformly from every ball at once, and the
+fraction of ring points
 closest to the center contributes f * 2^(j-1) to its weight whenever the
 fraction clears a threshold.  Individually the weights may be poor, but in
 aggregate the weighted centers behave as a coreset.
@@ -67,6 +68,26 @@ class RingStats:
     ratio: float
 
 
+@dataclass(frozen=True)
+class WeighTelemetry:
+    """Deterministic counters of one :func:`compute_weights` call.
+
+    ``rings_skipped`` counts rings no wider than the ring before, which
+    hold no new points; ``rings_above_threshold`` the rings whose fraction
+    added weight; ``ring_draws`` the accepted in-ball draws and
+    ``ring_candidates`` the top-down draws, rejected ones included;
+    ``ring_cap_bound`` whether the cap cut the per-ring draws.
+    """
+
+    distance_passes: int
+    rings: int
+    rings_skipped: int
+    rings_above_threshold: int
+    ring_draws: int
+    ring_candidates: int
+    ring_cap_bound: bool
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedCoreset:
     """Sampled centers with their accumulated weights; duplicate centers
@@ -75,12 +96,17 @@ class WeightedCoreset:
     centers: np.ndarray
     weights: np.ndarray
     alias: dict[int, int]
+    telemetry: WeighTelemetry
+
+
+def _uncapped_ring_size(cfg: WeightConfig, n_centers: int, n_rows: int) -> int:
+    lg = math.log2(n_rows)
+    return math.ceil(cfg.tau / cfg.epsilon ** 2 * n_centers ** 2 * lg ** 2)
 
 
 def ring_sample_size(cfg: WeightConfig, n_centers: int, n_rows: int) -> int:
     """ceil(tau / eps^2 * k'^2 * log2(N)^2), subject to the configured cap."""
-    lg = math.log2(n_rows)
-    size = math.ceil(cfg.tau / cfg.epsilon ** 2 * n_centers ** 2 * lg ** 2)
+    size = _uncapped_ring_size(cfg, n_centers, n_rows)
     if cfg.max_ring_samples is not None and size > cfg.max_ring_samples:
         log.warning("capping ring sample size %d at %d", size, cfg.max_ring_samples)
         return cfg.max_ring_samples
@@ -93,8 +119,12 @@ def compute_weights(tree: JoinTree, tables: list[Table],
                     ) -> tuple[WeightedCoreset, list[RingStats]]:
     """Weights for the sampled centers via ring-wise test sampling.
 
-    Deterministic given ``cfg.seed``: the RNG for ring (i, j) is split from
-    the master seed by spawn key.
+    Each distinct center costs one distance pass, shared by one evaluator:
+    its profile, every ring's radius (one search of the profile) and every
+    ring's draws (one :meth:`BallSampler.sample_batch` call) are read off
+    it.  Deterministic given ``cfg.seed``: center i's draws come from one
+    stream split from the master seed by spawn key (i, 0), which no other
+    stage uses.
     """
     cfg = cfg or WeightConfig()
     cs = np.atleast_2d(np.asarray(centers, dtype=np.float64))
@@ -112,48 +142,71 @@ def compute_weights(tree: JoinTree, tables: list[Table],
     threshold = 1.0 / (2.0 * k_prime ** 2 * lg)
     n_test = ring_sample_size(cfg, k_prime, n_rows)
     bucket_delta = cfg.epsilon / (2 * len(tables))
+    targets = 2.0 ** np.arange(1, n_rings + 1)
 
     alias = distinct_centers(cs)[0]
 
     weights = np.zeros(k_prime)
     stats: list[RingStats] = []
+    passes = skipped = above = ring_draws = candidates = 0
     for i in range(k_prime):
         if alias[i] != i:
             continue
         center = cs[i]
-        sampler = BallSampler(tree, tables, center, bucket_delta)
+        sampler = BallSampler(ev, center, bucket_delta)
+        passes += 1
         profile = distance_profile(tree, tables, center, bucket_delta,
                                    sampler.dists)
         if profile.total < 1:
             raise SamplingGaveUp(f"the distance profile of center {i} is empty")
-        # the first donut is [0, r_1], so join rows at the center count
-        prev_radius = -math.inf
+        # a ring whose 2^j points exceed the join covers the whole space
+        radii = np.full(n_rings, math.inf)
+        inner = targets <= profile.cum_counts[-1]
+        radii[inner] = radius_for_count(tree, tables, center, targets[inner],
+                                        cfg.ball_slack, profile=profile)
+        # radii never shrink, so each donut starts at the radius before it;
+        # the first donut is [0, r_1], so join rows at the center count, and
+        # a ring no wider than the one before holds no new points
+        lower = np.append(-math.inf, radii[:-1])
+        live = radii > lower
+        # every draw from a ball of radius 0 is the center itself, which
+        # lies in the first donut and is its own nearest center (duplicates
+        # alias to the lowest index), so such a ring is not drawn
+        drawn = live & (radii > 0.0)
+        batch = iter(sampler.sample_batch(radii[drawn], n_test,
+                                          make_rng(cfg.seed, (i, 0))))
+        gaps = sq_dists(cs, center[None])[:, 0]  # to every center
+        ring_draws += n_test * int(drawn.sum())
+        candidates += sampler.candidates
         for j in range(1, n_rings + 1):
-            if 2 ** j > profile.total:
-                r_j = math.inf  # outermost ball covers the whole space
-            else:
-                r_j = radius_for_count(tree, tables, center, 2 ** j,
-                                       cfg.ball_slack, profile=profile)
-            rng = make_rng(cfg.seed, (i, j))
-            if r_j <= prev_radius:
+            r_j, prev_radius = float(radii[j - 1]), float(lower[j - 1])
+            if not live[j - 1]:
+                skipped += 1
                 stats.append(RingStats(i, j, r_j, 0, 0, 0.0))
                 continue
             if r_j == 0.0:
-                # every draw from a ball of radius 0 is the center itself,
-                # which lies in the first donut and is its own nearest
-                # center (duplicates alias to the lowest index)
                 s_ij = t_ij = n_test
             else:
-                draws = sampler.sample_batch(r_j, n_test, rng)
+                draws = next(batch)
                 d2_own = sq_dists(draws, center[None])[:, 0]
                 in_donut = (d2_own > prev_radius) & (d2_own <= r_j)
                 s_ij = int(in_donut.sum())
-                owner = np.argmin(sq_dists(draws[in_donut], cs), axis=1)
+                # a center more than twice the ring's radius away is farther
+                # than the radius from every point of the ball, so it never
+                # beats this one (squared: 4 r_j); the margin keeps the cut
+                # far above float rounding
+                near = np.flatnonzero(gaps <= 4.0 * r_j * (1.0 + 1e-6))
+                owner = near[np.argmin(sq_dists(draws[in_donut], cs[near]), axis=1)]
                 t_ij = int((owner == i).sum())
             f_ij = t_ij / s_ij if s_ij else 0.0
             if f_ij >= threshold:
                 weights[i] += f_ij * 2.0 ** (j - 1)
+                above += 1
             stats.append(RingStats(i, j, r_j, s_ij, t_ij, f_ij))
-            prev_radius = r_j
 
-    return WeightedCoreset(cs, weights, alias), stats
+    telemetry = WeighTelemetry(
+        distance_passes=passes, rings=len(stats), rings_skipped=skipped,
+        rings_above_threshold=above, ring_draws=ring_draws,
+        ring_candidates=candidates,
+        ring_cap_bound=n_test < _uncapped_ring_size(cfg, k_prime, n_rows))
+    return WeightedCoreset(cs, weights, alias, telemetry), stats

@@ -15,6 +15,7 @@ from relkmeans.ballcount import (
 )
 from relkmeans.boxes import sq_dists
 from relkmeans.sampling import make_rng
+from relkmeans.sumprod import DistancePass
 
 from conftest import brute_force_join, brute_force_join_rows, random_acyclic_tables
 
@@ -168,8 +169,8 @@ class TestSampleInBall:
             center = np.zeros(
                 len({f.name for t in tables for f in t.features}))
             r = float(np.median(d2))
-            sampler = BallSampler(tree, tables, center, delta=0.05)
-            pts = sampler.sample_batch(r, 500, make_rng(7))
+            sampler = BallSampler(JoinEvaluator(tree, tables), center, delta=0.05)
+            pts = sampler.sample_batch([r], 500, make_rng(7))[0]
             assert (((pts - center) ** 2).sum(axis=1) <= r).all()
 
 
@@ -250,7 +251,7 @@ class TestTopDownDraws:
             center = np.zeros(5) if attempt == 0 else rng.normal(size=join.shape[1])
             d2 = sq_dists(join, center[None])[:, 0]
             sq_radius = float(np.median(d2))
-            sampler = BallSampler(tree, tables, center, delta=0.05)
+            sampler = BallSampler(JoinEvaluator(tree, tables), center, delta=0.05)
             fan_out = max(list(sampler.ev.walk_parent.values()).count(v)
                           for v in range(len(tables)))
             bushy += fan_out >= 2
@@ -259,7 +260,7 @@ class TestTopDownDraws:
 
             members, mult = np.unique(join[d2 <= sq_radius], axis=0,
                                       return_counts=True)
-            pts = sampler.sample_batch(sq_radius, n_draws, make_rng(done))
+            pts = sampler.sample_batch([sq_radius], n_draws, make_rng(done))[0]
             seen, inv = np.unique(np.vstack([members, pts]), axis=0,
                                   return_inverse=True)
             assert len(seen) == len(members)  # no draw outside the ball
@@ -272,6 +273,64 @@ class TestTopDownDraws:
         assert worst <= 2.0
         print(f"{done} schemas ({bushy} bushy, {not_id} not in id order): "
               f"worst TV {worst:.2f} * sqrt(K/draws)")
+
+
+    def test_many_balls_in_one_call(self, rng, monkeypatch):
+        """One call draws several balls, bucketed and exact: the whole
+        join, two equal radii, so one shared threshold, and a ball whose
+        threshold admits a single root entry.  Each ball's draws are
+        uniform over that ball, and every top-down candidate lies under its
+        own ball's threshold."""
+        candidates = []
+        draw = DistancePass.draw
+
+        def spy(self, thresholds, rng):
+            prov = draw(self, thresholds, rng)
+            candidates.append((thresholds, prov))
+            return prov
+        monkeypatch.setattr(DistancePass, "draw", spy)
+        n_draws = 20_000
+        done = {None: 0, 0.05: 0}
+        worst = 0.0
+        for _ in range(300):
+            if min(done.values()) >= 8:
+                break
+            tables = random_acyclic_tables(rng, max_tables=5)
+            tree = gyo_reduce(tables_to_schema(tables))
+            join = brute_force_join(tables)
+            if len(join) < 8:
+                continue
+            center = rng.normal(size=join.shape[1])
+            d2 = sq_dists(join, center[None])[:, 0]
+            for delta in done:
+                sampler = BallSampler(JoinEvaluator(tree, tables), center, delta)
+                root_keys = sampler.dists.root[1]
+                nearest = float(d2.min())
+                if (root_keys <= sampler._threshold(np.array([nearest]))).sum() != 1:
+                    continue
+                median = float(np.median(d2))
+                radii = np.array([median, math.inf, nearest, median])
+                candidates.clear()
+                pts = sampler.sample_batch(radii, n_draws,
+                                           make_rng(sum(done.values())))
+                assert pts.shape == (4, n_draws, join.shape[1])
+                for thresholds, prov in candidates:
+                    got_d2 = sq_dists(sampler.ev.gather(prov), center[None])[:, 0]
+                    assert (got_d2 <= thresholds * (1 + 1e-9)).all()
+                for r, ball in zip(radii, pts):
+                    members, mult = np.unique(join[d2 <= r], axis=0,
+                                              return_counts=True)
+                    seen, inv = np.unique(np.vstack([members, ball]), axis=0,
+                                          return_inverse=True)
+                    assert len(seen) == len(members)  # no draw outside the ball
+                    got = np.bincount(inv.ravel()[len(members):],
+                                      minlength=len(members))
+                    n_members = int(mult.sum())
+                    tv = 0.5 * np.abs(got / n_draws - mult / n_members).sum()
+                    worst = max(worst, tv / math.sqrt(n_members / n_draws))
+                done[delta] += 1
+        assert min(done.values()) >= 8
+        assert worst <= 2.0
 
 
 class TestHugeJoin:

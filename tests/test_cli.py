@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def _never_accept(monkeypatch):
 
 def _empty_ball(monkeypatch):
     monkeypatch.setattr(ballcount.BallSampler, "_threshold",
-                        lambda self, sq_radius: -1.0)
+                        lambda self, sq_radii: np.full(len(sq_radii), -1.0))
 
 
 def _target_past_join(monkeypatch):
@@ -185,6 +186,25 @@ class TestSamplingGaveUp:
 
 
 class TestDeterminism:
+    def test_weigh_counters_repeat(self, schema_path, capsys):
+        args = ["--schema", schema_path, "--k", "2", "--mode", "coreset",
+                "--seed", "5", "--ring-cap", "400"]
+        docs = []
+        for _ in range(2):
+            code, out, _ = run_cli(args, capsys)
+            assert code == 0
+            docs.append(json.loads(out))
+        telem = docs[0]["telemetry"]
+        assert telem == docs[1]["telemetry"]
+        distinct = {tuple(c) for c in docs[0]["sampled_centers"]}
+        assert telem["distance_passes"] == len(distinct)
+        assert telem["rings"] == len(distinct) * math.ceil(
+            math.log2(docs[0]["n_join_rows"]))
+        assert telem["ring_draws"] == 400 * (
+            telem["rings"] - telem["rings_skipped"])
+        assert telem["ring_candidates"] >= telem["ring_draws"]
+        assert telem["ring_cap_bound"] is True
+
     def test_identical_runs_byte_identical(self, schema_path, tmp_path, capsys):
         out_a, out_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         args = ["--schema", schema_path, "--k", "2", "--mode", "verify",

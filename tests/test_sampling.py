@@ -347,8 +347,8 @@ class TestWalkOrder:
         center = join[0]
         d2 = ((join - center) ** 2).sum(axis=1)
         sq_radius = float(np.sort(d2)[len(d2) // 2])
-        pts = BallSampler(tree, tables, center, 0.01).sample_batch(
-            sq_radius, 2_000, make_rng(7))
+        pts = BallSampler(JoinEvaluator(tree, tables), center, 0.01).sample_batch(
+            [sq_radius], 2_000, make_rng(7))[0]
         assert (((pts - center) ** 2).sum(axis=1) <= sq_radius).all()
         inside = {tuple(r) for r in join[d2 <= sq_radius]}
         assert {tuple(r) for r in pts} == inside

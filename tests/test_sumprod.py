@@ -16,7 +16,7 @@ from relkmeans import (
     gyo_reduce,
     tables_to_schema,
 )
-from relkmeans.sumprod import COSTPAIR_ONE, COSTPAIR_ZERO, default_ownership
+from relkmeans.sumprod import COSTPAIR_ONE, COSTPAIR_ZERO, _merge, default_ownership
 
 from conftest import brute_force_join, random_acyclic_tables
 
@@ -170,6 +170,34 @@ class TestOracleEquivalence:
                                            rtol=1e-9, atol=1e-9)
                 np.testing.assert_array_equal(cnt[keep], [v.b for v in gcp.values])
                 assert not cost[~keep].any() and not cnt[~keep].any()
+
+
+class TestMerge:
+    def test_sorted_input_merges_as_shuffled_input(self, rng):
+        """Input already in (id, key) order skips the sort; it merges byte
+        for byte as the same entries shuffled, when equal (id, key) pairs
+        keep their order, as the stable sort keeps them."""
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            ids = np.sort(rng.integers(0, 20, n))
+            keys = rng.choice([0.0, 0.5, 1.25, 3.0], n)
+            order = np.lexsort((keys, ids))
+            ids, keys = ids[order], keys[order]
+            counts = rng.uniform(0.5, 2.0, n)
+            pos = rng.permutation(n)
+            group = np.cumsum(np.r_[True, (ids[1:] != ids[:-1])
+                                    | (keys[1:] != keys[:-1])])
+            for g in np.unique(group):
+                pos[group == g] = np.sort(pos[group == g])
+            perm = np.argsort(pos)  # shuffled entry j is sorted entry perm[j]
+            merged, cons = _merge(ids, keys, counts)
+            shuffled, cons_s = _merge(ids[perm], keys[perm], counts[perm])
+            for a, b in zip(merged, shuffled):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert np.array_equal(cons.source, np.arange(n))
+            assert perm[cons_s.source].tobytes() == cons.source.tobytes()
+            assert cons_s.bound.tobytes() == cons.bound.tobytes()
+            assert cons_s.last.tobytes() == cons.last.tobytes()
 
 
 class TestFeatureOwnership:

@@ -9,6 +9,7 @@ from relkmeans.ballcount import BallSampler
 from relkmeans.boxes import sq_dists
 from relkmeans.clustering import relational_cost
 from relkmeans.sampling import run_kmeanspp
+from relkmeans.sumprod import DistancePass
 from relkmeans.weighting import (
     RingStats,
     WeightConfig,
@@ -171,9 +172,9 @@ class TestComputeWeights:
         radii = []
         sample_batch = BallSampler.sample_batch
 
-        def spy(self, sq_radius, size, rng):
-            radii.append(sq_radius)
-            return sample_batch(self, sq_radius, size, rng)
+        def spy(self, sq_radii, size, rng):
+            radii.extend(np.asarray(sq_radii).tolist())
+            return sample_batch(self, sq_radii, size, rng)
         monkeypatch.setattr(BallSampler, "sample_batch", spy)
         tables, tree = single_table_db([0, 0, 0, 5, 5, 5, 9, 9])
         centers = [np.array([0.0]), np.array([5.0]), np.array([9.0])]
@@ -203,6 +204,109 @@ class TestComputeWeights:
             assert len(set(passes)) == 2
             per_center.append(len(passes) / 2)
         assert per_center[0] == per_center[1] == 1
+
+    def test_draw_calls_do_not_grow_with_rings(self, monkeypatch):
+        # squared distances to either center grow by more than the
+        # widening (1 + delta)^m = 1.1 from one point to the next, so no
+        # draw is rejected and every center takes one rejection round
+        calls = []
+        draw = DistancePass.draw
+
+        def spy(self, thresholds, rng):
+            calls.append((id(self), np.unique(thresholds).size))
+            return draw(self, thresholds, rng)
+        monkeypatch.setattr(DistancePass, "draw", spy)
+        for n, n_rings in ((16, 4), (1024, 10)):
+            calls.clear()
+            tables, tree = single_table_db(1.2 ** np.arange(n))
+            centers = [np.array([0.0]), np.array([0.0]), np.array([-0.5])]
+            compute_weights(tree, tables, centers,
+                            WeightConfig(epsilon=0.2, seed=2, max_ring_samples=50))
+            assert len(calls) == len({c for c, _ in calls}) == 2
+            assert [rings for _, rings in calls] == [n_rings, n_rings]
+
+    def test_rings_above_threshold_count_only_weighted_rings(self):
+        # around 0, the ring at squared radius 36 holds the point at -6,
+        # nearest to 0, and 127 points at 6, nearest to 10: its fraction,
+        # about 1/128, lies under the threshold 1/64 but above 0
+        values = [0.0] * 64 + [-6.0] + [6.0] * 127 + [10.0] * 64
+        tables, tree = single_table_db(values)
+        coreset, stats = compute_weights(
+            tree, tables, [np.array([0.0]), np.array([10.0])],
+            WeightConfig(epsilon=0.2, seed=0, max_ring_samples=2000))
+        threshold = 1 / (2 * 2 ** 2 * math.log2(len(values)))
+        assert [(s.center_index, s.sq_radius) for s in stats
+                if 0 < s.ratio < threshold] == [(0, 36.0)]
+        counted = [s for s in stats if s.ratio >= threshold]
+        assert coreset.telemetry.rings_above_threshold == len(counted)
+        for i in (0, 1):
+            assert coreset.weights[i] == pytest.approx(sum(
+                s.ratio * 2.0 ** (s.ring_index - 1)
+                for s in counted if s.center_index == i))
+
+    def test_telemetry_counters(self):
+        tables, tree = single_table_db(np.arange(64, dtype=float))
+        centers = [np.array([1.0]), np.array([1.0]), np.array([40.0]),
+                   np.array([63.0])]
+        cfg = WeightConfig(epsilon=0.2, seed=4, max_ring_samples=50)
+        a, stats = compute_weights(tree, tables, centers, cfg)
+        b, _ = compute_weights(tree, tables, centers, cfg)
+        assert a.telemetry == b.telemetry
+        t = a.telemetry
+        assert t.distance_passes == 3
+        assert t.rings == len(stats) == 3 * 6
+        prev = {}
+        skipped = 0
+        for s in stats:
+            skipped += s.sq_radius <= prev.get(s.center_index, -math.inf)
+            prev[s.center_index] = max(s.sq_radius,
+                                       prev.get(s.center_index, -math.inf))
+        assert t.rings_skipped == skipped
+        assert t.ring_draws == 50 * (t.rings - t.rings_skipped)
+        assert t.ring_candidates >= t.ring_draws
+        assert t.ring_cap_bound
+        uncapped, _ = compute_weights(tree, tables, [np.array([1.0])],
+                                      WeightConfig(epsilon=0.2, seed=4))
+        assert not uncapped.telemetry.ring_cap_bound
+
+    def test_wins_match_nearest_center_over_all_centers(self, rng,
+                                                         monkeypatch):
+        # a ring's nearest-center test reads only the centers within 2r of
+        # its own; the wins must be those of the test over every center,
+        # also where a center between r and 2r away wins donut points
+        batches = []
+        sample_batch = BallSampler.sample_batch
+
+        def spy(self, sq_radii, size, rng):
+            out = sample_batch(self, sq_radii, size, rng)
+            batches.append((np.asarray(sq_radii).tolist(), out))
+            return out
+        monkeypatch.setattr(BallSampler, "sample_batch", spy)
+        checked = beaten_from_afar = 0
+        for _ in range(4):
+            points = rng.normal(size=(120, 2))
+            tables, tree = single_table_db(points)
+            cs = points[rng.choice(len(points), size=8, replace=False)]
+            batches.clear()
+            _, stats = compute_weights(
+                tree, tables, cs,
+                WeightConfig(epsilon=0.2, seed=3, max_ring_samples=300))
+            prev = {}
+            for s in stats:
+                lower = prev.get(s.center_index, -math.inf)
+                prev[s.center_index] = max(lower, s.sq_radius)
+                if s.samples == 0 or s.sq_radius <= max(lower, 0.0):
+                    continue
+                radii, draws = batches[s.center_index]
+                pts = draws[radii.index(s.sq_radius)]
+                d2 = sq_dists(pts, cs[s.center_index][None])[:, 0]
+                donut = pts[(d2 > lower) & (d2 <= s.sq_radius)]
+                owner = np.argmin(sq_dists(donut, cs), axis=1)
+                assert int((owner == s.center_index).sum()) == s.wins
+                gaps = sq_dists(cs[owner], cs[s.center_index][None])[:, 0]
+                beaten_from_afar += int((gaps > s.sq_radius).any())
+                checked += 1
+        assert checked >= 40 and beaten_from_afar >= 5
 
     def test_rejects_tiny_join(self):
         tables, tree = single_table_db([0.0])
