@@ -27,7 +27,7 @@ from .sumprod import (
     eval_sumprod_grouped,
 )
 from .boxes import LaminarForest, build_boxes
-from .sampling import SamplerConfig, SamplingState, run_kmeanspp
+from .sampling import SamplingState, run_kmeanspp
 from .weighting import WeightConfig, WeightedCoreset, compute_weights
 from .clustering import (
     WeightedPointSet,
@@ -39,7 +39,6 @@ from .clustering import (
 
 __all__ = [
     "LaminarForest",
-    "SamplerConfig",
     "SamplingState",
     "WeightConfig",
     "WeightedCoreset",

@@ -247,14 +247,12 @@ class BallSampler:
 
 
 def sample_in_ball(tree: JoinTree, tables: list[Table], center: np.ndarray,
-                   sq_radius: float, delta: float,
-                   rng: np.random.Generator, size: int | None = None,
-                   sampler: BallSampler | None = None) -> np.ndarray:
+                   sq_radius: float, delta: float, rng: np.random.Generator,
+                   size: int | None = None) -> np.ndarray:
     """Join point(s) drawn uniformly from the closed ball.  Per-table
     bucketing is delta / (2m), so the shell of candidates rejected outside
     the ball reaches out to about (1 + delta/2) times the radius."""
-    if sampler is None:
-        bucket_delta = delta / (2 * len(tables)) if delta else None
-        sampler = BallSampler(JoinEvaluator(tree, tables), center, bucket_delta)
+    bucket_delta = delta / (2 * len(tables)) if delta else None
+    sampler = BallSampler(JoinEvaluator(tree, tables), center, bucket_delta)
     pts = sampler.sample_batch(np.array([sq_radius]), size or 1, rng)[0]
     return pts if size is not None else pts[0]

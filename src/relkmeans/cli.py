@@ -89,7 +89,8 @@ def run(cfg: RunConfig) -> dict:
     tree = verdict
     clock.lap("load")
 
-    n_rows = int(JoinEvaluator(tree, tables).count_scalar())
+    ev = JoinEvaluator(tree, tables)
+    n_rows = int(ev.count_scalar())
     if n_rows == 0:
         raise ValueError("empty join: nothing to cluster")
     k_prime = coreset_size(cfg, n_rows)
@@ -119,6 +120,7 @@ def run(cfg: RunConfig) -> dict:
             "sampled": len(centers),
             "candidates_per_center": [t.candidates for t in state.telemetry],
             "rejections_per_center": [t.rejections for t in state.telemetry],
+            **dataclasses.asdict(state.forest_telemetry),
             **dataclasses.asdict(coreset.telemetry),
         },
     }
@@ -136,7 +138,7 @@ def run(cfg: RunConfig) -> dict:
     final, coreset_cost = solve_weighted_kmeans(ps, cfg.k, seed=cfg.seed)
     doc["final_centers"] = [list(c) for c in final]
     doc["coreset_cost"] = coreset_cost
-    doc["surrogate_cost"] = relational_cost(tree, tables, final)
+    doc["surrogate_cost"] = relational_cost(ev, final)
     clock.lap("cluster")
     if cfg.mode == "cluster":
         return doc

@@ -7,8 +7,8 @@ import numpy as np
 from dataclasses import dataclass
 
 from .boxes import build_boxes, sq_dists
-from .relational import JoinTree, Table
 from .sampling import StageSampler, make_rng
+from .sumprod import JoinEvaluator
 
 
 class InsufficientDistinctPoints(Exception):
@@ -103,12 +103,11 @@ def solve_weighted_kmeans(ps: WeightedPointSet, k: int, seed: int = 0,
     return best[2], best[0]
 
 
-def relational_cost(tree: JoinTree, tables: list[Table],
-                    centers: np.ndarray) -> float:
+def relational_cost(ev: JoinEvaluator, centers: np.ndarray) -> float:
     """Surrogate clustering cost of the centers over the whole join: each
     join row's squared distance to the representative of its smallest
     laminar box, an upper bound on the exact cost.  It is the total mass of
     the centers' k-means++ surrogate sampler, so the join is never
     materialized (``oracle.exact_cost`` gives the exact cost)."""
     forest = build_boxes(np.atleast_2d(np.asarray(centers, dtype=np.float64)))
-    return StageSampler.surrogate(tree, tables, forest).total_mass()
+    return StageSampler.surrogate(ev, forest).total_mass()

@@ -6,6 +6,9 @@ proportional to each join row's squared distance to the representative of
 its smallest laminar box.  Accepting with probability (true nearest-center
 cost) / (surrogate cost) corrects it to the k-means++ target distribution.
 
+Every sampler of a stage runs on the one :class:`JoinEvaluator` its
+:class:`SamplingState` holds; :func:`run_kmeanspp` builds one for all draws.
+
 The surrogate is realized exactly by drawing one row per table along the
 evaluator's walk (table 0, then always the smallest-id unvisited table next
 to a visited one, so each table's tree parent is fixed before it).  The
@@ -19,9 +22,10 @@ extended one table at a time, all draws together: the next table's weights
 for every draw are read off those arrays in O(draws * terms * rows of the
 table), with no further pass, and one inverse-CDF draw per table picks
 every draw's row.  The first center is drawn uniformly from the count
-component of one whole-space term of the same pass, and the surrogate cost
-of a set of centers (:func:`relkmeans.clustering.relational_cost`) is the
-total mass of their surrogate sampler.
+component of one whole-space term of the same pass
+(:meth:`StageSampler.uniform`), and the surrogate cost of a set of centers
+(:func:`relkmeans.clustering.relational_cost`) is the total mass of their
+surrogate sampler.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ log = logging.getLogger(__name__)
 
 # candidates drawn per rejection round, at the least
 BATCH_SIZE = 64
+# the i-th center over d features may take BUDGET_FACTOR * i^2 * d
+# consecutive rejections
+BUDGET_FACTOR = 64
 
 
 class EmptyJoin(Exception):
@@ -54,25 +61,6 @@ class RejectionBudgetExceeded(SamplingGaveUp):
     rejection budget."""
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Rejection budget is ``budget_factor * i^2 * d`` when sampling the
-    i-th center over d features."""
-
-    budget_factor: int = 64
-
-    def rejection_budget(self, i: int, d: int) -> int:
-        return self.budget_factor * i * i * max(d, 1)
-
-
-@dataclass(frozen=True)
-class CandidatePoint:
-    """A join row as a point plus the row index drawn from each table."""
-
-    coords: np.ndarray
-    provenance: tuple[int, ...]
-
-
 @dataclass
 class CenterTelemetry:
     center_index: int
@@ -81,20 +69,59 @@ class CenterTelemetry:
 
 
 @dataclass
+class ForestTelemetry:
+    """Deterministic counters of the box forests of one sampling session:
+    forests built, their boxes (sum and max), and the 2*|forest|-1
+    cost-pair terms summed over the forests sampled from."""
+
+    forests_built: int = 0
+    forest_boxes_sum: int = 0
+    forest_boxes_max: int = 0
+    costpair_terms: int = 0
+
+
+@dataclass
 class SamplingState:
-    """One k-means++ sampling session: centers so far, their box forest,
-    the RNG, and the surrogate sampler of that forest."""
+    """One k-means++ sampling session: centers so far, their box forest
+    (None until a draw needs it), the RNG, the evaluator every sampler of
+    the session runs on, and the surrogate sampler of the forest."""
 
     centers: list[np.ndarray]
     forest: LaminarForest | None
     rng: np.random.Generator
-    config: SamplerConfig = field(default_factory=SamplerConfig)
+    ev: JoinEvaluator | None = None
     telemetry: list[CenterTelemetry] = field(default_factory=list)
+    forest_telemetry: ForestTelemetry = field(default_factory=ForestTelemetry)
     _surrogate: "StageSampler | None" = None
 
     def refresh_forest(self) -> None:
         self.forest = build_boxes(np.asarray(self.centers)) if self.centers else None
         self._surrogate = None
+        if self.forest is not None:
+            tel = self.forest_telemetry
+            tel.forests_built += 1
+            tel.forest_boxes_sum += self.forest.size
+            tel.forest_boxes_max = max(tel.forest_boxes_max, self.forest.size)
+
+    def add_center(self, center: np.ndarray) -> None:
+        """Append a center; its forest is built when a draw needs it."""
+        self.centers.append(center)
+        self.forest = self._surrogate = None
+
+    def surrogate(self) -> "StageSampler":
+        """The surrogate sampler of the current centers' forest, on the
+        session's evaluator, built at most once per forest."""
+        if not self.centers:
+            raise ValueError("surrogate sampling requires at least one center")
+        if self.forest is None:
+            self.refresh_forest()
+        if self._surrogate is None:
+            s = StageSampler.surrogate(self.ev, self.forest)
+            if s.total_mass() <= 0.0:
+                raise DegenerateDistribution("total assignment cost is zero")
+            self._surrogate = s
+            self.forest_telemetry.costpair_terms += s.signs.size
+        return self._surrogate
 
 
 def make_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -139,20 +166,18 @@ class StageSampler:
                           for u in ev.walk}
 
     @classmethod
-    def uniform(cls, tree: JoinTree, tables: list[Table]) -> "StageSampler":
+    def uniform(cls, ev: JoinEvaluator) -> "StageSampler":
         """Join rows uniformly: the count of one whole-space term."""
-        ev = JoinEvaluator(tree, tables)
         return cls(ev, np.zeros((1, ev.n_features)), [1.0], count_only=True)
 
     @classmethod
-    def surrogate(cls, tree: JoinTree, tables: list[Table],
+    def surrogate(cls, ev: JoinEvaluator,
                   forest: LaminarForest) -> "StageSampler":
         """Join rows by surrogate cost, the squared distance to the
         representative of the smallest box holding the row.  It is the
         laminar difference as 2*|forest|-1 terms: every box's cost to its
         own representative, minus, for a non-root box, its cost to its
         parent's representative.  One masks_for_box call masks every box."""
-        ev = JoinEvaluator(tree, tables)
         boxes, targets, signs = [], [], []
         for idx, parent in enumerate(forest.parents):
             boxes.append(idx)
@@ -218,56 +243,25 @@ class StageSampler:
         return prov[:, np.argsort(walk)]
 
 
-def sample_uniform_row(tree: JoinTree, tables: list[Table],
-                       rng: np.random.Generator) -> CandidatePoint:
-    """A join row uniformly at random, one table at a time, weighted by the
-    join-row counts that extend the rows already fixed."""
-    s = StageSampler.uniform(tree, tables)
-    if s.total_mass() == 0:
-        raise EmptyJoin("join has no rows")
-    prov = s.sample_batch(rng, 1)
-    coords = s.ev.gather(prov)[0]
-    return CandidatePoint(coords, tuple(int(r) for r in prov[0]))
-
-
-def _surrogate_for(state: SamplingState, tree: JoinTree,
-                   tables: list[Table]) -> StageSampler:
-    if not state.centers:
-        raise ValueError("surrogate sampling requires at least one center")
-    if state.forest is None:
-        state.refresh_forest()
-    if state._surrogate is None:
-        state._surrogate = StageSampler.surrogate(tree, tables, state.forest)
-        if state._surrogate.total_mass() <= 0.0:
-            state._surrogate = None
-            raise DegenerateDistribution("total assignment cost is zero")
-    return state._surrogate
-
-
-def sample_next_center(state: SamplingState, tree: JoinTree,
-                       tables: list[Table]) -> np.ndarray:
-    """The next k-means++ center, drawn exactly from the target distribution
-    by rejection against the surrogate."""
-    pts, _ = rejection_sample_batch(state, tree, tables, 1)
-    return pts[0]
-
-
 def rejection_sample_batch(state: SamplingState, tree: JoinTree,
                            tables: list[Table], n_accepted: int,
                            ) -> tuple[np.ndarray, CenterTelemetry]:
     """Draw ``n_accepted`` independent accepted samples from the target
     distribution.  Accepted candidates are i.i.d., so collecting them from
-    pooled batches matches repeated single-sample rejection runs.
+    pooled batches matches repeated single-sample rejection runs.  The
+    state's evaluator is built from ``tree`` and ``tables`` when it has
+    none, and kept on it.
     """
-    s = _surrogate_for(state, tree, tables)
+    if state.ev is None:
+        state.ev = JoinEvaluator(tree, tables)
+    s = state.surrogate()
     centers = np.asarray(state.centers)
     i = len(state.centers) + 1
     d = centers.shape[1]
-    budget = state.config.rejection_budget(i, d)
+    budget = BUDGET_FACTOR * i * i * max(d, 1)
 
     out = np.empty((n_accepted, d))
     got = accepted = candidates = rejections_run = 0
-    telem = CenterTelemetry(i, 0, 0)
     batch = max(BATCH_SIZE, min(1024, 4 * n_accepted))
     while got < n_accepted:
         prov = s.sample_batch(state.rng, batch)
@@ -285,40 +279,38 @@ def rejection_sample_batch(state: SamplingState, tree: JoinTree,
         if idx.size == 0:
             rejections_run += batch
             if rejections_run > budget:
-                telem.candidates, telem.rejections = candidates, candidates - accepted
                 raise RejectionBudgetExceeded(
                     f"{rejections_run} consecutive rejections for center {i} "
                     f"(budget {budget}); retry with a new seed")
         else:
             rejections_run = int(batch - 1 - idx[-1])
-    telem.candidates, telem.rejections = candidates, candidates - accepted
+    telem = CenterTelemetry(i, candidates, candidates - accepted)
     state.telemetry.append(telem)
     return out, telem
 
 
 def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
-                 seed: int = 0,
-                 config: SamplerConfig | None = None,
-                 ) -> tuple[list[np.ndarray], SamplingState]:
+                 seed: int = 0) -> tuple[list[np.ndarray], SamplingState]:
     """Sample up to ``n_centers`` centers: the first uniformly, the rest from
-    the exact k-means++ distribution given their predecessors.
+    the exact k-means++ distribution given their predecessors.  One
+    evaluator serves every draw, and each box forest is built just before
+    the draw that needs it.
 
     Stops early (with a log message) if the remaining points all coincide
     with existing centers.  Deterministic given the seed.
     """
-    state = SamplingState([], None, make_rng(seed),
-                          config or SamplerConfig())
-    first = sample_uniform_row(tree, tables, state.rng)
-    state.centers.append(first.coords)
-    state.refresh_forest()
+    state = SamplingState([], None, make_rng(seed), JoinEvaluator(tree, tables))
+    first = StageSampler.uniform(state.ev)
+    if first.total_mass() == 0:
+        raise EmptyJoin("join has no rows")
+    state.add_center(state.ev.gather(first.sample_batch(state.rng, 1))[0])
     while len(state.centers) < n_centers:
         try:
-            nxt = sample_next_center(state, tree, tables)
+            pts, _ = rejection_sample_batch(state, tree, tables, 1)
         except DegenerateDistribution:
             log.warning(
                 "all join points coincide with the %d sampled centers; "
                 "stopping early (%d requested)", len(state.centers), n_centers)
             break
-        state.centers.append(nxt)
-        state.refresh_forest()
+        state.add_center(pts[0])
     return state.centers, state

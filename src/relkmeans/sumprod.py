@@ -6,9 +6,10 @@ is one message pass over the join tree, so the join itself is never built.
 Each feature is applied at exactly one owner node to avoid double-counting
 features shared between tables.
 
-:class:`JoinEvaluator` is the one evaluator the pipeline runs.  It carries
-cost pairs and sparse squared-distance histograms as numpy arrays, and it
-fixes the one table order (``walk``) both samplers draw join rows in.
+:class:`JoinEvaluator` is the one evaluator the pipeline runs, built once
+per stage and taken by every sampler of the stage.  It carries cost pairs
+and sparse squared-distance histograms as numpy arrays, and it fixes the
+one table order (``walk``) both samplers draw join rows in.
 :meth:`JoinEvaluator.costpair_walk` is the one cost/count pass: the join
 count, the surrogate cost and every k-means++ stage weight are read off
 it, and k-means++ candidates are drawn from those weights one table at a

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from relkmeans import FeatureId, Table, gyo_reduce, tables_to_schema
+from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_schema
 from relkmeans.boxes import LaminarForest
 from relkmeans.relational import SamplingGaveUp
 
@@ -27,6 +27,19 @@ def path_tables() -> list[Table]:
 @pytest.fixture
 def path_tree(path_tables):
     return gyo_reduce(tables_to_schema(path_tables))
+
+
+@pytest.fixture
+def evaluators_built(monkeypatch) -> list[None]:
+    """Gains one entry per JoinEvaluator built during the test."""
+    built: list[None] = []
+    init = JoinEvaluator.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(None)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(JoinEvaluator, "__init__", spy)
+    return built
 
 
 PATH_JOIN_ROWS = [

@@ -185,7 +185,37 @@ class TestSamplingGaveUp:
         assert "Traceback" not in err
 
 
+class TestEvaluators:
+    def test_cluster_run_builds_three_evaluators(self, schema_path, capsys,
+                                                 evaluators_built):
+        """One for the join count and the surrogate cost, one for sampling
+        and one for weighing, whatever k' is."""
+        code, out, _ = run_cli(
+            ["--schema", schema_path, "--k", "2", "--seed", "1",
+             "--ring-cap", "400"], capsys)
+        assert code == 0
+        assert json.loads(out)["telemetry"]["sampled"] == 5
+        assert len(evaluators_built) == 3
+
+
 class TestDeterminism:
+    def test_forest_counters_repeat(self, schema_path, capsys):
+        args = ["--schema", schema_path, "--k", "2", "--mode", "coreset",
+                "--seed", "5", "--ring-cap", "400"]
+        keys = ("forests_built", "forest_boxes_sum", "forest_boxes_max",
+                "costpair_terms")
+        telems = []
+        for _ in range(2):
+            code, out, _ = run_cli(args, capsys)
+            assert code == 0
+            telems.append(json.loads(out)["telemetry"])
+        a, b = ({key: t[key] for key in keys} for t in telems)
+        assert a == b
+        assert a["forests_built"] == telems[0]["sampled"] - 1
+        # every forest is sampled from, each with 2 * boxes - 1 terms
+        assert a["costpair_terms"] == 2 * a["forest_boxes_sum"] - a["forests_built"]
+        assert 1 <= a["forest_boxes_max"] <= a["forest_boxes_sum"]
+
     def test_weigh_counters_repeat(self, schema_path, capsys):
         args = ["--schema", schema_path, "--k", "2", "--mode", "coreset",
                 "--seed", "5", "--ring-cap", "400"]

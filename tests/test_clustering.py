@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from relkmeans import FeatureId, Table, gyo_reduce, tables_to_schema
+from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_schema
 from relkmeans.clustering import (
     InsufficientDistinctPoints,
     WeightedPointSet,
@@ -122,7 +122,7 @@ class TestRelationalCost:
 
     def test_single_center_surrogate_equals_exact(self, path_tree, path_tables):
         c = np.array([[1.0, 1.0, 1.0]])
-        sur = relational_cost(path_tree, path_tables, c)
+        sur = relational_cost(JoinEvaluator(path_tree, path_tables), c)
         ex = exact_cost(materialize(path_tables, tree=path_tree), c)
         assert sur == pytest.approx(ex, rel=1e-12)
 
@@ -130,14 +130,14 @@ class TestRelationalCost:
         for _ in range(10):
             k = int(rng.integers(1, 4))
             cs = rng.normal(2, 2, size=(k, 3))
-            sur = relational_cost(path_tree, path_tables, cs)
+            sur = relational_cost(JoinEvaluator(path_tree, path_tables), cs)
             ex = exact_cost(materialize(path_tables, tree=path_tree), cs)
             assert sur >= ex - 1e-9
 
     def test_derived_fixture_value(self, fixture_db):
         tables, tree = fixture_db
         cs = np.array([[0.0], [16.0]])
-        assert relational_cost(tree, tables, cs) == pytest.approx(114.0)
+        assert relational_cost(JoinEvaluator(tree, tables), cs) == pytest.approx(114.0)
         assert exact_cost(materialize(tables, tree=tree), cs) == \
             pytest.approx(114.0)
 
@@ -162,5 +162,5 @@ class TestRelationalCost:
         centers = join.rows[rng.choice(36, 5, replace=False)] + \
             rng.normal(0, 0.5, size=(5, 4))
         direct = assignment_reps_batch(build_boxes(centers), join.rows)[1].sum()
-        got = relational_cost(tree, tables, centers)
+        got = relational_cost(JoinEvaluator(tree, tables), centers)
         assert abs(got - direct) <= 1e-9 * direct

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from relkmeans import (FeatureId, JoinEvaluator, Table, gyo_reduce,
-                       load_database, tables_to_schema)
+                       load_database, sampling, tables_to_schema)
 from relkmeans.ballcount import BallSampler
 from relkmeans.boxes import build_boxes
 from relkmeans.oracle import materialize, exact_cost, exact_kmeanspp_distribution
@@ -14,15 +14,11 @@ from relkmeans.sampling import (
     DegenerateDistribution,
     EmptyJoin,
     RejectionBudgetExceeded,
-    SamplerConfig,
     SamplingState,
     StageSampler,
     make_rng,
     rejection_sample_batch,
     run_kmeanspp,
-    sample_next_center,
-    sample_uniform_row,
-    _surrogate_for,
 )
 
 from conftest import brute_force_join_rows, random_acyclic_tables, surrogate_costs
@@ -35,11 +31,11 @@ def single_table(values) -> tuple:
     return [t], gyo_reduce(tables_to_schema([t]))
 
 
-def sample_from_surrogate(state: SamplingState, tree, tables) -> np.ndarray:
+def sample_from_surrogate(state: SamplingState) -> np.ndarray:
     """One draw from the box-assignment surrogate distribution (probability
     of a join row proportional to its squared distance to its smallest box's
     representative)."""
-    s = _surrogate_for(state, tree, tables)
+    s = state.surrogate()
     return s.ev.gather(s.sample_batch(state.rng, 1))[0]
 
 
@@ -57,7 +53,7 @@ def empirical_tv(samples: np.ndarray, support: np.ndarray,
 class TestUniformRow:
     def test_uniform_on_path_fixture(self, path_tree, path_tables):
         rng = make_rng(1)
-        sampler = StageSampler.uniform(path_tree, path_tables)
+        sampler = StageSampler.uniform(JoinEvaluator(path_tree, path_tables))
         prov = sampler.sample_batch(rng, 100_000)
         pts = sampler.ev.gather(prov)
         join = materialize(path_tables).rows
@@ -66,15 +62,14 @@ class TestUniformRow:
 
     def test_single_row_join(self):
         tables, tree = single_table([[3.0, 4.0]])
-        got = sample_uniform_row(tree, tables, make_rng(0))
-        assert got.coords.tolist() == [3.0, 4.0]
-        assert got.provenance == (0,)
+        centers, _ = run_kmeanspp(tree, tables, 1)
+        assert centers[0].tolist() == [3.0, 4.0]
 
     def test_empty_join_raises(self, path_tables):
         empty = [path_tables[0], path_tables[1].with_rows(np.empty((0, 2)))]
         tree = gyo_reduce(tables_to_schema(empty))
         with pytest.raises(EmptyJoin):
-            sample_uniform_row(tree, empty, make_rng(0))
+            run_kmeanspp(tree, empty, 1)
 
 
 class TestAssignmentCostGrouped:
@@ -83,19 +78,20 @@ class TestAssignmentCostGrouped:
 
     def test_single_center_reduces_to_cost_vector(self, path_tree, path_tables):
         forest = build_boxes(np.array([[0.0, 0.0, 0.0]]))
-        got = StageSampler.surrogate(path_tree, path_tables, forest)
+        got = StageSampler.surrogate(JoinEvaluator(path_tree, path_tables),
+                                     forest)
         assert got.stage_weights([[]]).tolist() == [[9.0, 15.0, 22.0, 0.0, 0.0]]
 
     def test_two_center_fixture(self):
         tables, tree = single_table([[7.0], [9.0], [12.0]])
         forest = build_boxes(np.array([[0.0], [16.0]]), initial_half_side=0.5)
-        got = StageSampler.surrogate(tree, tables, forest)
+        got = StageSampler.surrogate(JoinEvaluator(tree, tables), forest)
         assert got.stage_weights([[]]).tolist() == [[49.0, 49.0, 16.0]]
 
     def test_total_matches_brute_force(self, path_tree, path_tables):
         centers = np.array([[1.0, 1.0, 1.0], [3.0, 2.0, 3.0]])
         forest = build_boxes(centers)
-        s = StageSampler.surrogate(path_tree, path_tables, forest)
+        s = StageSampler.surrogate(JoinEvaluator(path_tree, path_tables), forest)
         join = materialize(path_tables).rows
         want = surrogate_costs(join, forest).sum()
         assert s.total_mass() == pytest.approx(want, rel=1e-9)
@@ -112,7 +108,8 @@ class TestAssignmentCostGrouped:
             if join.n_rows < 2:
                 continue
             centers = join.rows[rng.choice(join.n_rows, 2, replace=False)]
-            s = StageSampler.surrogate(tree, tables, build_boxes(centers))
+            s = StageSampler.surrogate(JoinEvaluator(tree, tables),
+                                       build_boxes(centers))
             h0 = s.stage_weights([[]])[0]
             r0 = int(np.argmax(h0))
             h1 = s.stage_weights([[r0]])[0]
@@ -122,34 +119,37 @@ class TestAssignmentCostGrouped:
 class TestSurrogateSampling:
     def test_two_point_join_returns_other_point(self):
         tables, tree = single_table([[0.0], [5.0]])
-        state = SamplingState([np.array([0.0])], None, make_rng(0))
+        state = SamplingState([np.array([0.0])], None, make_rng(0),
+                              JoinEvaluator(tree, tables))
         state.refresh_forest()
         for _ in range(20):
-            got = sample_from_surrogate(state, tree, tables)
+            got = sample_from_surrogate(state)
             assert got.tolist() == [5.0]
 
     def test_matches_oracle_distribution(self, path_tree, path_tables):
         centers = [np.array([1.0, 1.0, 1.0]), np.array([5.0, 4.0, 5.0])]
-        state = SamplingState(list(centers), None, make_rng(3))
+        state = SamplingState(list(centers), None, make_rng(3),
+                              JoinEvaluator(path_tree, path_tables))
         state.refresh_forest()
         join = materialize(path_tables).rows
         costs = surrogate_costs(join, state.forest)
         probs = costs / costs.sum()
         draws = np.array([
-            sample_from_surrogate(state, path_tree, path_tables)
+            sample_from_surrogate(state)
             for _ in range(20_000)
         ])
         assert empirical_tv(draws, join, probs) < 0.02
 
     def test_root_only_forest_matches_two_means(self, path_tree, path_tables):
         center = [np.array([1.0, 1.0, 1.0])]
-        state = SamplingState(center, None, make_rng(4))
+        state = SamplingState(center, None, make_rng(4),
+                              JoinEvaluator(path_tree, path_tables))
         state.refresh_forest()
         join = materialize(path_tables).rows
         d2 = ((join - center[0]) ** 2).sum(axis=1)
         probs = d2 / d2.sum()
         draws = np.array([
-            sample_from_surrogate(state, path_tree, path_tables)
+            sample_from_surrogate(state)
             for _ in range(20_000)
         ])
         assert empirical_tv(draws, join, probs) < 0.02
@@ -157,10 +157,10 @@ class TestSurrogateSampling:
     def test_degenerate_when_all_points_are_centers(self):
         tables, tree = single_table([[0.0], [4.0]])
         state = SamplingState([np.array([0.0]), np.array([4.0])], None,
-                              make_rng(0))
+                              make_rng(0), JoinEvaluator(tree, tables))
         state.refresh_forest()
         with pytest.raises(DegenerateDistribution):
-            sample_from_surrogate(state, tree, tables)
+            sample_from_surrogate(state)
 
 
 class TestNextCenter:
@@ -190,21 +190,50 @@ class TestNextCenter:
             true = np.einsum("ijk,ijk->ij", diffs, diffs).min(axis=1)
             assert np.all(true <= surrogate + 1e-12)
 
-    def test_rejection_budget_exceeded(self):
+    def test_rejection_budget_exceeded(self, monkeypatch):
         # the only join row sits just outside the far cluster's local boxes,
         # so its surrogate cost is ~1000x its true cost; with a zero budget
         # the first all-reject batch trips the error (seed pinned)
         tables, tree = single_table([[1015.5]])
         centers = list(np.concatenate([np.arange(16.0),
                                        1000.0 + np.arange(16.0)]).reshape(-1, 1))
-        state = SamplingState(centers, None, make_rng(2),
-                              SamplerConfig(budget_factor=0))
+        monkeypatch.setattr(sampling, "BUDGET_FACTOR", 0)
+        state = SamplingState(centers, None, make_rng(2))
         state.refresh_forest()
         with pytest.raises(RejectionBudgetExceeded):
-            sample_next_center(state, tree, tables)
+            rejection_sample_batch(state, tree, tables, 1)
+
+
+def hub_star(rng: np.random.Generator) -> tuple[list[Table], object]:
+    """Three 40-row tables (h, x_i) joined on a hub key h in 0..5."""
+    h, x = FeatureId("h", 0), [FeatureId(f"x{i}", i + 1) for i in range(3)]
+    tables = [Table(i, f"T{i}", (h, x[i]), np.column_stack(
+        [rng.integers(0, 6, 40).astype(float), rng.normal(0, 3, 40)]))
+        for i in range(3)]
+    return tables, gyo_reduce(tables_to_schema(tables))
 
 
 class TestRunKmeanspp:
+    def test_one_evaluator_serves_every_draw(self, evaluators_built):
+        tables, tree = hub_star(np.random.default_rng(8))
+        centers, _ = run_kmeanspp(tree, tables, 6, seed=0)
+        assert len(centers) == 6
+        assert len(evaluators_built) == 1
+
+    def test_no_forest_after_the_last_center(self, monkeypatch):
+        """k' centers take k' - 1 surrogate draws, so k' - 1 forests."""
+        tables, tree = hub_star(np.random.default_rng(8))
+        forests = []
+
+        def spy(centers, *args, **kwargs):
+            forests.append(len(centers))
+            return build_boxes(centers, *args, **kwargs)
+        monkeypatch.setattr(sampling, "build_boxes", spy)
+        centers, state = run_kmeanspp(tree, tables, 6, seed=0)
+        assert len(centers) == 6
+        assert forests == [1, 2, 3, 4, 5]
+        assert state.forest_telemetry.forests_built == 5
+
     def test_single_center_is_uniform_row(self, path_tree, path_tables):
         centers, _ = run_kmeanspp(path_tree, path_tables, 1, seed=5)
         join = materialize(path_tables).rows
@@ -293,9 +322,9 @@ class TestStageWeights:
             centers = join.rows[rng.choice(join.n_rows, min(k, join.n_rows),
                                            replace=False)]
             forest = build_boxes(centers)
-            surrogate = StageSampler.surrogate(tree, tables, forest)
-            uniform = StageSampler.uniform(tree, tables)
-            ev = surrogate.ev
+            ev = JoinEvaluator(tree, tables)
+            surrogate = StageSampler.surrogate(ev, forest)
+            uniform = StageSampler.uniform(ev)
             not_id += ev.walk != tuple(range(len(tables)))
             scale = surrogate.total_mass()
             ref_cost, ref_count = brute_stage_weights(tables, forest, ev.walk)
@@ -326,7 +355,7 @@ class TestWalkOrder:
     def test_uniform_draws_on_split_star(self):
         tables, tree = split_star()
         join = materialize(tables, tree=tree).rows
-        sampler = StageSampler.uniform(tree, tables)
+        sampler = StageSampler.uniform(JoinEvaluator(tree, tables))
         pts = sampler.ev.gather(sampler.sample_batch(make_rng(5), 100_000))
         probs = np.full(len(join), 1.0 / len(join))
         assert empirical_tv(pts, join, probs) < 0.02
@@ -334,10 +363,11 @@ class TestWalkOrder:
     def test_surrogate_draws_on_split_star(self):
         tables, tree = split_star()
         join = materialize(tables, tree=tree).rows
-        state = SamplingState([join[0], join[3]], None, make_rng(6))
+        state = SamplingState([join[0], join[3]], None, make_rng(6),
+                              JoinEvaluator(tree, tables))
         state.refresh_forest()
         costs = surrogate_costs(join, state.forest)
-        s = _surrogate_for(state, tree, tables)
+        s = state.surrogate()
         pts = s.ev.gather(s.sample_batch(state.rng, 100_000))
         assert empirical_tv(pts, join, costs / costs.sum()) < 0.02
 
@@ -374,11 +404,7 @@ class TestPassCount:
         masks in one call and runs one cost-pair pass, not one per drawn
         prefix."""
         rng = np.random.default_rng(8)
-        h, x = FeatureId("h", 0), [FeatureId(f"x{i}", i + 1) for i in range(3)]
-        tables = [Table(i, f"T{i}", (h, x[i]), np.column_stack(
-            [rng.integers(0, 6, 40).astype(float), rng.normal(0, 3, 40)]))
-            for i in range(3)]
-        tree = gyo_reduce(tables_to_schema(tables))
+        tables, tree = hub_star(rng)
         join = materialize(tables, tree=tree).rows
         centers = list(join[rng.choice(len(join), 3, replace=False)])
         calls: Counter = Counter()
@@ -392,9 +418,10 @@ class TestPassCount:
         seen, n_prefixes = [], []
         for size in (64, 4096):
             calls.clear()
-            state = SamplingState(list(centers), None, make_rng(9))
+            state = SamplingState(list(centers), None, make_rng(9),
+                                  JoinEvaluator(tree, tables))
             state.refresh_forest()
-            s = _surrogate_for(state, tree, tables)
+            s = state.surrogate()
             prov = s.sample_batch(state.rng, size)
             seen.append(dict(calls))
             walk = list(s.ev.walk)

@@ -364,5 +364,5 @@ class TestHugeJoin:
             for t in tables:
                 proj = c[[f.index for f in t.features]]
                 assert (t.rows == proj).all(axis=1).any()
-        cost = relational_cost(tree, tables, np.array(centers))
+        cost = relational_cost(JoinEvaluator(tree, tables), np.array(centers))
         assert np.isfinite(cost) and cost > 0.0
