@@ -7,18 +7,21 @@ is its own squared deviation plus one key from each child's message, and a
 message is the union of its rows' histograms per separator key.  Keeping
 every exact distance would make intermediate results as large as the join,
 so keys are rounded up onto a (1+delta) geometric grid once per table; the
-rounding compounds to at most (1+delta)^m on the radius axis.  The pass
-keeps the provenance of every merge, so in-ball draws walk it top-down
-instead of running more passes, for every ball around the center at once,
-and rejection against exact membership makes them exactly uniform over
-each ball.  Counts are float64, like every
-count of the evaluator.  All radii in this module are squared distances.
+rounding compounds to at most (1+delta)^m on the radius axis.  A
+:class:`Bucketizer` maps keys to integer grid codes, and each table's last
+merge merges by (row, code), so the rounding needs no merge of its own;
+the grid values are computed once per center.  The pass keeps the
+provenance of every merge, so in-ball draws walk it top-down instead of
+running more passes, for every ball around the center at once, and
+rejection against exact membership makes them exactly uniform over each
+ball.  Counts are float64, like every count of the evaluator.  All radii
+in this module are squared distances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,31 +42,53 @@ class TargetExceedsN(SamplingGaveUp):
     """A count target larger than the join itself has no radius."""
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class Bucketizer:
-    """Rounds squared distances up to a (1+delta) geometric grid.
+    """Rounds squared distances up to a (1+delta) geometric grid, by
+    integer code.
 
-    Zero stays in a dedicated bucket; positive values v map to
-    v_min * (1+delta)^ceil(log_{1+delta}(v / v_min)), so counts at a grid
-    boundary are never inflated past the boundary.
+    Code 0 is a dedicated bucket for zero.  A positive value v has code
+    1 + max(0, ceil(log_{1+delta}(v / v_min))), and code c > 0 stands for
+    the grid value v_min * (1+delta)^(c-1), so counts at a grid boundary
+    are never inflated past the boundary.  Codes are monotone in the value,
+    so merging by code is merging by rounded value.  One bucketizer serves
+    one center: ``grid[c]`` is code c's value, computed once, by one Python
+    float power, when the code is first seen.  ``widen()`` thresholds land
+    within ulps of grid values, so a grid value computed any other way
+    (``np.power`` differs from it in some exponents) could flip a
+    key <= threshold test.
     """
 
     delta: float
     v_min: float
+    grid: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.grid = np.zeros(1)  # 0.0 marks a code not seen yet
+
+    def codes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The codes of ``values`` and the grid, which holds the value of
+        every code returned."""
+        # epsilon guard keeps exact grid points in their own bucket
+        with np.errstate(divide="ignore"):  # log(0); zero keeps code 0
+            steps = np.ceil(np.log(values / self.v_min)
+                            / math.log1p(self.delta) - 1e-9)
+        codes = np.where(values > 0.0, np.maximum(steps, 0.0) + 1.0,
+                         0.0).astype(np.int64)
+        if codes.size:
+            top = int(codes.max())
+            if top >= self.grid.size:  # a new array: earlier grids stay valid
+                self.grid = np.append(self.grid, np.zeros(top + 1 - self.grid.size))
+            seen = np.zeros(self.grid.size, dtype=bool)
+            seen[codes] = True
+            seen[0] = False
+            for c in np.flatnonzero(seen & (self.grid == 0.0)).tolist():
+                self.grid[c] = self.v_min * (1.0 + self.delta) ** (c - 1)
+        return codes, self.grid
 
     def round_up(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(values.shape)
-        pos = values > 0.0
-        # epsilon guard keeps exact grid points in their own bucket
-        steps = np.ceil(np.log(values[pos] / self.v_min)
-                        / math.log1p(self.delta) - 1e-9)
-        steps, inv = np.unique(np.maximum(steps, 0.0), return_inverse=True)
-        # one float pow per grid index: widen() thresholds land within ulps
-        # of grid values, so a grid value computed any other way could flip
-        # a key <= threshold test
-        grid = [self.v_min * (1.0 + self.delta) ** int(i) for i in steps]
-        out[pos] = np.array(grid)[inv]
-        return out
+        codes, grid = self.codes(np.asarray(values, dtype=np.float64))
+        return grid[codes]
 
     def widen(self, sq_radius: float | np.ndarray,
               m_tables: int) -> float | np.ndarray:
@@ -197,8 +222,7 @@ class BallSampler:
         self.center = np.asarray(center, dtype=np.float64)
         self.m = len(ev.tables)
         self.bucketizer = make_bucketizer(ev.tables, self.center, delta)
-        self.dists = ev.distance_pass(
-            self.center, self.bucketizer.round_up if self.bucketizer else None)
+        self.dists = ev.distance_pass(self.center, self.bucketizer)
         self.candidates = 0
 
     def _threshold(self, sq_radii: np.ndarray) -> np.ndarray:

@@ -12,9 +12,11 @@ representative serves as the point's approximate nearest center.
 The n active boxes are held as (n, d) ``low``/``high`` arrays.  Each meld
 takes the first strictly overlapping pair, in row-major order, of an (n, n)
 overlap matrix, deletes both rows and appends their bounding box.  The
-forest is (B, d) ``low``/``high`` arrays and a (B,) ``rep`` vector.  Parents
-come from one (B, B) strict-containment matrix, and queries from one
-(points, B) membership array (:func:`in_boxes`, the one membership rule).
+matrix is built once per round; a meld deletes its two rows and columns
+and computes only the new box's column.  The forest is (B, d)
+``low``/``high`` arrays and a (B,) ``rep`` vector.  Parents come from one
+(B, B) strict-containment matrix, and queries from one (points, B)
+membership array (:func:`in_boxes`, the one membership rule).
 Each matrix is built one dimension at a time, so memory is O(n^2) and
 O(B^2), not O(n^2 d).
 """
@@ -119,8 +121,11 @@ def build_boxes(centers: list[np.ndarray] | np.ndarray,
         c = pts[rep]
         low, high = c - 2.0 * (c - low), c + 2.0 * (high - c)
         fresh = np.ones(len(rep), dtype=bool)  # not a meld product
-        while (pairs := np.argwhere(np.triu(_strict_overlaps(low, high), 1))).size:
-            pair = pairs[0]
+        # ov[i, j]: boxes i < j overlap.  The diagonal is false, so a
+        # nonzero argmax is the first overlapping pair in row-major order
+        ov = np.triu(_strict_overlaps(low, high), 1)
+        while first := int(ov.argmax()):
+            pair = np.array(divmod(first, len(rep)))
             for i in pair[fresh[pair]]:
                 c = pts[rep[i]]
                 frozen.append((c - 0.5 * (c - low[i]), c + 0.5 * (high[i] - c),
@@ -131,6 +136,13 @@ def build_boxes(centers: list[np.ndarray] | np.ndarray,
             high = np.vstack([high[keep], high[pair].max(axis=0)])
             rep = np.append(rep[keep], rep[pair[0]])
             fresh = np.append(fresh[keep], False)
+            # the meld deletes two boxes and appends one: only the new
+            # box's column is new
+            grown = np.zeros((len(rep),) * 2, dtype=bool)
+            grown[:-1, :-1] = ov[np.flatnonzero(keep)[:, None], keep]
+            grown[:-1, -1] = (np.maximum(low[:-1], low[-1])
+                              < np.minimum(high[:-1], high[-1])).all(axis=1)
+            ov = grown
         if trace is not None:
             trace.append((round_index, h0, [(lo.copy(), hi.copy(), int(r))
                                             for lo, hi, r in zip(low, high, rep)]))

@@ -45,7 +45,11 @@ def weighted_cost(ps: WeightedPointSet, centers: np.ndarray) -> float:
 def weighted_kmeanspp_seed(ps: WeightedPointSet, k: int,
                            rng: np.random.Generator) -> np.ndarray:
     """k initial centers by squared-distance sampling with point masses."""
-    distinct = np.unique(ps.points, axis=0).shape[0]
+    # distinct rows by one lexsort and an adjacent-row compare, which treat
+    # -0.0 as 0.0, as np.unique does; np.unique without return_inverse
+    # would import numpy.ma, a cost the CLI would pay on every run
+    pts = ps.points[np.lexsort(ps.points.T)]
+    distinct = len(pts) and 1 + int((pts[1:] != pts[:-1]).any(axis=1).sum())
     if k > distinct:
         raise InsufficientDistinctPoints(
             f"need {k} centers from {distinct} distinct points")

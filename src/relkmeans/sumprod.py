@@ -25,14 +25,18 @@ pipeline path.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
 from .boxes import in_boxes
 from .relational import JoinTree, Table
+
+if TYPE_CHECKING:
+    from .ballcount import Bucketizer
 
 
 @dataclass(frozen=True)
@@ -178,25 +182,43 @@ def eval_sumprod(tree: JoinTree, tables: list[Table], spec: SemiringSpec,
     return total
 
 
-def _merge(ids: np.ndarray, keys: np.ndarray, counts: np.ndarray,
-           ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], "_Constituents"]:
-    """Sum the counts of equal (id, key) pairs; the result is sorted by id,
-    then key.  Also returns which input entries each result entry merged.
+def _exact_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes of exact keys: equal keys share a code, codes follow
+    key order, and ``grid[code]`` is the key."""
+    grid, codes = np.unique(keys, return_inverse=True)
+    return codes, grid
 
-    Input already in (id, key) order, as every rounding merge's is (the
-    rounding is monotone), skips the sort: the stable sort would return it
-    unchanged."""
-    step = (ids[1:] > ids[:-1]) | ((ids[1:] == ids[:-1]) & (keys[1:] >= keys[:-1]))
-    if step.all():
-        order = np.arange(ids.size)
+
+def _merge(ids: np.ndarray, codes: np.ndarray, counts: np.ndarray,
+           ) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], "_Constituents"]:
+    """Sum the counts of equal (id, code) pairs of non-negative integers;
+    the result is sorted by id, then code.  Also returns which input entries
+    each result entry merged, in input order: the sort is stable.
+
+    Each pair and its entry's position pack into one int64, so the stable
+    order is one sort of integer values; pairs too wide to pack fall back
+    to a lexsort, with the same result."""
+    n = ids.size
+    shift = n.bit_length()
+    span = int(codes.max()) + 1 if n else 1
+    new = np.ones(n, dtype=bool)
+    if n == 0 or (int(ids.max()) + 1) * span << shift <= 2 ** 63:
+        packed = (ids * span + codes) << shift | np.arange(n)
+        packed.sort()
+        order = packed & ((1 << shift) - 1)
+        packed >>= shift
+        np.not_equal(packed[1:], packed[:-1], out=new[1:])
     else:
-        order = np.lexsort((keys, ids))
-        ids, keys, counts = ids[order], keys[order], counts[order]
-    new = np.ones(ids.size, dtype=bool)
-    new[1:] = (ids[1:] != ids[:-1]) | (keys[1:] != keys[:-1])
+        order = np.lexsort((codes, ids))
+        i, c = ids[order], codes[order]
+        new[1:] = (i[1:] != i[:-1]) | (c[1:] != c[:-1])
+    counts = counts[order]
     into = np.cumsum(new) - 1
     merged = np.bincount(into, weights=counts)
-    return (ids[new], keys[new], merged), _Constituents.of(order, into, counts)
+    first = np.flatnonzero(new)
+    head = order[first]
+    return ((ids[head], codes[head], merged),
+            _Constituents.of(order, into, counts, merged, first))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,16 +238,20 @@ class _Constituents:
     last: np.ndarray  # position of each merged entry's last constituent
 
     @classmethod
-    def of(cls, source: np.ndarray, into: np.ndarray,
-           weights: np.ndarray) -> "_Constituents":
+    def of(cls, source: np.ndarray, into: np.ndarray, weights: np.ndarray,
+           totals: np.ndarray, first: np.ndarray) -> "_Constituents":
         """``into`` (non-decreasing) names the merged entry of each
-        constituent, ``weights`` its positive count."""
-        share = weights / np.bincount(into, weights=weights)[into]
-        cum = np.cumsum(share)
-        last = np.cumsum(np.bincount(into)) - 1
-        before = np.append(0.0, cum[last[:-1]])
+        constituent, ``weights`` its positive count, ``totals`` each merged
+        entry's count and ``first`` its first constituent's position.  The
+        shares' one cumsum is segmented by subtracting, per merged entry,
+        the running share before its first constituent."""
+        cum = np.cumsum(weights / totals[into])
+        before = np.append(0.0, cum[first[1:] - 1])
         # clipped at 1, no bound reaches into the next merged entry's range
         bound = into + np.minimum(cum - before[into], 1.0)
+        last = np.empty_like(first)
+        last[:-1] = first[1:] - 1
+        last[-1:] = source.size - 1
         bound[last] = np.arange(1, last.size + 1)
         return cls(source, bound, last)
 
@@ -276,17 +302,17 @@ class DistancePass:
     then key: ``counts[i]`` join rows of v's subtree (the tree rooted at the
     walk's first table) extend row ``rows[i]`` of v at subtree key
     ``keys[i]``.  The provenance of every merge that built it is kept:
-    ``convolutions[v]`` lists v's child merges oldest first,
-    ``rounding[v]`` is v's rounding merge (absent in exact mode) and
-    ``message[v]`` the merge of v's entries into the message v sends its
-    parent.
+    ``convolutions[v]`` lists v's child merges oldest first, the last of
+    which also rounds v's keys, and ``message[v]`` is the merge of v's
+    entries into the message v sends its parent.  ``merge_entries`` counts
+    the entries that entered those merges.
     """
 
     walk: tuple[int, ...]
     hist: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     convolutions: dict[int, list[_Convolution]]
-    rounding: dict[int, _Constituents]
     message: dict[int, _Constituents]
+    merge_entries: int
 
     @property
     def root(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -312,13 +338,13 @@ class DistancePass:
         entry by one search over the running counts, for every draw at once.
         A prefix's running counts are those of its entries alone, so each
         threshold's shares are normalized over its own entries.  Then, table
-        by table in walk order, each merge is undone newest first: the
-        rounding merge, then the child merges, each picking one constituent
-        per draw in proportion to its pre-merge count.  A child merge's
-        constituent names the child's message entry, and that entry picks
-        the child's own entry.  The probabilities telescope, so every join
-        row under a draw's threshold is equally likely.  One ``rng.random``
-        call per merge.  Returns (draws, m) row indices by table id.
+        by table in walk order, each child merge is undone newest first,
+        picking one constituent per draw in proportion to its pre-merge
+        count.  A child merge's constituent names the child's message
+        entry, and that entry picks the child's own entry.  The
+        probabilities telescope, so every join row under a draw's threshold
+        is equally likely.  One ``rng.random`` call per merge.  Returns
+        (draws, m) row indices by table id.
         """
         order, keys, cum = self._root_by_key
         last = np.searchsorted(keys, thresholds, side="right") - 1
@@ -327,8 +353,6 @@ class DistancePass:
         prov = np.empty((last.size, len(self.walk)), dtype=np.int64)
         for v in self.walk:
             e = entry.pop(v)
-            if v in self.rounding:
-                e = self.rounding[v].pick(e, rng)
             for conv in reversed(self.convolutions[v]):
                 c = conv.constituents.pick(e, rng)
                 e = conv.src[c]
@@ -477,8 +501,7 @@ class JoinEvaluator:
         return WalkMessages(owned, active, cost, count, msg_cost, msg_count)
 
     def distance_pass(self, center: np.ndarray,
-                      round_up: Callable[[np.ndarray], np.ndarray] | None = None,
-                      ) -> DistancePass:
+                      bucketizer: Bucketizer | None = None) -> DistancePass:
         """One upward pass of sparse squared-distance histograms to
         ``center``, rooted at the walk's first table (see
         :class:`DistancePass`).  The radius does not enter it, so one pass
@@ -487,27 +510,42 @@ class JoinEvaluator:
         A table's keys start as its rows' owned squared distances; each
         child's message is then convolved in (keys add, counts multiply), in
         the order the rooted order lists the children, and equal (row, key)
-        pairs are merged after each child.  ``round_up``, when given, rounds
-        each table's keys once, after its last child.  A message is the
-        union of the table's entries per separator key.
+        pairs are merged after each child, by one sort of integer key
+        codes.  ``bucketizer``, when given, rounds each table's keys once,
+        after its last child: that merge sums equal (row, rounded key code)
+        pairs, so rounding needs no merge of its own, and a leaf's rows,
+        being distinct, need none at all.  Other merges code exact keys.  A
+        message is the union of the table's entries per separator key,
+        merged by (separator key, code).
         """
-        hist = {t.id: (np.arange(t.n_rows), self._owned_sq_dist(t, center),
-                       np.ones(t.n_rows)) for t in self.tables}
+        code = bucketizer.codes if bucketizer is not None else _exact_codes
+        children = Counter(par for _, par in self._up)
+        hist, codes, grids = {}, {}, {}
+        for t in self.tables:
+            keys = self._owned_sq_dist(t, center)
+            if not children[t.id]:
+                codes[t.id], grids[t.id] = code(keys)
+                keys = grids[t.id][codes[t.id]]
+            hist[t.id] = (np.arange(t.n_rows), keys, np.ones(t.n_rows))
         convolutions: dict[int, list[_Convolution]] = {t.id: [] for t in self.tables}
-        rounding, message = {}, {}
+        message, entries = {}, 0
         for node, par in self._up:
-            if round_up is not None:
-                rows, keys, counts = hist[node]
-                hist[node], rounding[node] = _merge(rows, round_up(keys), counts)
             if par is None:
                 break
-            rows, keys, counts = hist[node]
+            rows, _, counts = hist[node]
+            entries += rows.size
             ids_child, ids_par, n = self.edge_keys(node, par)
-            msg, message[node] = _merge(ids_child[rows], keys, counts)
-            *merged, src, pick = _convolve(hist[par], ids_par, msg, n)
-            hist[par], cons = _merge(*merged)
+            (msg_ids, msg_codes, msg_counts), message[node] = _merge(
+                ids_child[rows], codes.pop(node), counts)
+            msg = (msg_ids, grids.pop(node)[msg_codes], msg_counts)
+            rows, keys, counts, src, pick = _convolve(hist[par], ids_par, msg, n)
+            entries += rows.size
+            children[par] -= 1
+            par_codes, grids[par] = (_exact_codes if children[par] else code)(keys)
+            (rows, codes[par], counts), cons = _merge(rows, par_codes, counts)
+            hist[par] = (rows, grids[par][codes[par]], counts)
             convolutions[par].append(_Convolution(node, cons, src, pick))
-        return DistancePass(self.walk, hist, convolutions, rounding, message)
+        return DistancePass(self.walk, hist, convolutions, message, entries)
 
     def masks_for_box(self, low: np.ndarray, high: np.ndarray) -> list[np.ndarray]:
         """Per table, the (boxes, rows) mask of the rows inside each box of

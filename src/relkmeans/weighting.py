@@ -72,14 +72,16 @@ class RingStats:
 class WeighTelemetry:
     """Deterministic counters of one :func:`compute_weights` call.
 
-    ``rings_skipped`` counts rings no wider than the ring before, which
-    hold no new points; ``rings_above_threshold`` the rings whose fraction
-    added weight; ``ring_draws`` the accepted in-ball draws and
+    ``pass_entries`` counts the entries entering a distance-pass merge,
+    summed over all passes; ``rings_skipped`` the rings no wider than the
+    ring before, which hold no new points; ``rings_above_threshold`` the
+    rings whose fraction added weight; ``ring_draws`` the accepted in-ball draws and
     ``ring_candidates`` the top-down draws, rejected ones included;
     ``ring_cap_bound`` whether the cap cut the per-ring draws.
     """
 
     distance_passes: int
+    pass_entries: int
     rings: int
     rings_skipped: int
     rings_above_threshold: int
@@ -148,13 +150,14 @@ def compute_weights(tree: JoinTree, tables: list[Table],
 
     weights = np.zeros(k_prime)
     stats: list[RingStats] = []
-    passes = skipped = above = ring_draws = candidates = 0
+    passes = entries = skipped = above = ring_draws = candidates = 0
     for i in range(k_prime):
         if alias[i] != i:
             continue
         center = cs[i]
         sampler = BallSampler(ev, center, bucket_delta)
         passes += 1
+        entries += sampler.dists.merge_entries
         profile = distance_profile(tree, tables, center, bucket_delta,
                                    sampler.dists)
         if profile.total < 1:
@@ -205,8 +208,8 @@ def compute_weights(tree: JoinTree, tables: list[Table],
             stats.append(RingStats(i, j, r_j, s_ij, t_ij, f_ij))
 
     telemetry = WeighTelemetry(
-        distance_passes=passes, rings=len(stats), rings_skipped=skipped,
-        rings_above_threshold=above, ring_draws=ring_draws,
+        distance_passes=passes, pass_entries=entries, rings=len(stats),
+        rings_skipped=skipped, rings_above_threshold=above, ring_draws=ring_draws,
         ring_candidates=candidates,
         ring_cap_bound=n_test < _uncapped_ring_size(cfg, k_prime, n_rows))
     return WeightedCoreset(cs, weights, alias, telemetry), stats

@@ -1,9 +1,10 @@
 """Shared fixtures: the two-table path fixture, an independent brute-force
-join, the loop construction of the box forest, and a random acyclic schema
-generator."""
+join, the loop construction of the box forest, the unfused distance pass,
+and a random acyclic schema generator."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_schema
 from relkmeans.boxes import LaminarForest
 from relkmeans.relational import SamplingGaveUp
+from relkmeans.sumprod import _convolve
 
 
 @pytest.fixture
@@ -229,6 +231,55 @@ def reference_assignment_reps(forest: LaminarForest, points: np.ndarray) -> np.n
         take = np.all(inside, axis=1) & (reps < 0)
         reps[take] = forest.rep[idx]
     return reps
+
+
+def _reference_merge(ids: np.ndarray, keys: np.ndarray, counts: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum the counts of equal (id, key) pairs by one float lexsort; the
+    result is sorted by id, then key."""
+    order = np.lexsort((keys, ids))
+    ids, keys, counts = ids[order], keys[order], counts[order]
+    new = np.ones(ids.size, dtype=bool)
+    new[1:] = (ids[1:] != ids[:-1]) | (keys[1:] != keys[:-1])
+    into = np.cumsum(new) - 1
+    return ids[new], keys[new], np.bincount(into, weights=counts)
+
+
+def reference_round_up(delta: float, v_min: float, values: np.ndarray) -> np.ndarray:
+    """Round squared distances up onto the (1+delta) grid from v_min, one
+    float power per grid index; zero stays in its own bucket."""
+    out = np.zeros(values.shape)
+    pos = values > 0.0
+    steps = np.ceil(np.log(values[pos] / v_min) / math.log1p(delta) - 1e-9)
+    steps, inv = np.unique(np.maximum(steps, 0.0), return_inverse=True)
+    grid = [v_min * (1.0 + delta) ** int(i) for i in steps]
+    out[pos] = np.array(grid)[inv]
+    return out
+
+
+def reference_distance_pass(ev: JoinEvaluator, center: np.ndarray,
+                            delta: float | None = None, v_min: float = 1.0,
+                            ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The unfused distance pass, histograms only: equal (row, key) pairs
+    are merged after every child, and with ``delta`` each table's keys are
+    then rounded up and merged once more, after its last child.
+    :meth:`relkmeans.JoinEvaluator.distance_pass` must match it byte for
+    byte below 2**53 join rows."""
+    hist = {t.id: (np.arange(t.n_rows), ev._owned_sq_dist(t, center),
+                   np.ones(t.n_rows)) for t in ev.tables}
+    for node, par in ev._up:
+        if delta is not None:
+            rows, keys, counts = hist[node]
+            hist[node] = _reference_merge(
+                rows, reference_round_up(delta, v_min, keys), counts)
+        if par is None:
+            break
+        rows, keys, counts = hist[node]
+        ids_child, ids_par, n = ev.edge_keys(node, par)
+        msg = _reference_merge(ids_child[rows], keys, counts)
+        *merged, _, _ = _convolve(hist[par], ids_par, msg, n)
+        hist[par] = _reference_merge(*merged)
+    return hist
 
 
 def random_acyclic_tables(rng: np.random.Generator, max_tables: int = 5,

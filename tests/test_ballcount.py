@@ -10,6 +10,7 @@ from relkmeans.ballcount import (
     EmptyBall,
     TargetExceedsN,
     distance_profile,
+    make_bucketizer,
     radius_for_count,
     sample_in_ball,
 )
@@ -17,7 +18,13 @@ from relkmeans.boxes import sq_dists
 from relkmeans.sampling import make_rng
 from relkmeans.sumprod import DistancePass
 
-from conftest import brute_force_join, brute_force_join_rows, random_acyclic_tables
+from conftest import (
+    brute_force_join,
+    brute_force_join_rows,
+    random_acyclic_tables,
+    reference_distance_pass,
+    reference_round_up,
+)
 
 ORIGIN3 = np.zeros(3)
 
@@ -216,6 +223,30 @@ class TestGroupedDistancePass:
                         rtol=1e-9, atol=1e-12)
 
 
+class TestAgainstUnfusedPass:
+    def test_histograms_byte_identical(self, rng):
+        """Rounding folded into each table's last merge, integer-coded
+        merges and the per-center grid leave every table's histogram byte
+        for byte that of the unfused pass: exact and bucketed at two deltas,
+        on random schemas, half of them with heavily tied values."""
+        for attempt in range(50):
+            tables = random_acyclic_tables(rng, max_tables=5, max_rows=10,
+                                           integer_values=attempt % 2 == 1)
+            tree = gyo_reduce(tables_to_schema(tables))
+            ev = JoinEvaluator(tree, tables)
+            center = rng.normal(size=ev.n_features)
+            if attempt % 2:
+                center = np.round(center)
+            for delta in (None, 0.05, 0.01):
+                bucketizer = make_bucketizer(tables, center, delta)
+                got = ev.distance_pass(center, bucketizer).hist
+                want = reference_distance_pass(
+                    ev, center, delta, bucketizer.v_min if bucketizer else 1.0)
+                for v in range(len(tables)):
+                    for a, b in zip(got[v], want[v]):
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def tied_path():
     """T0(a,x0) - T1(a,b,x1) - T2(b,x2).  Around the origin, T1's two rows
     under a = 0 reach key 1 through 3 and through 1 rows of T2, so T1's
@@ -361,3 +392,20 @@ class TestBucketizer:
         assert 1.3 <= got[3] <= 1.3 * 1.05
         # grid values stay put, so a message may union rounded row keys
         assert b.round_up(got).tolist() == got.tolist()
+
+    def test_codes_index_a_cached_grid_of_python_powers(self, rng):
+        """Codes follow the values, the grid they index rounds byte for
+        byte as one Python float power per grid index does, and a grid
+        value, once computed, stays put as later batches grow the grid."""
+        for delta in (0.05, 0.003):
+            b = Bucketizer(delta, 1e-4)
+            seen = {}
+            for scale in (1.0, 1e3, 1e6):
+                values = np.append(0.0, rng.uniform(0.0, scale, 400))
+                codes, grid = b.codes(values)
+                order = np.argsort(values, kind="stable")
+                assert (np.diff(codes[order]) >= 0).all()
+                assert grid[codes].tobytes() == reference_round_up(
+                    delta, 1e-4, values).tobytes()
+                for c, v in zip(codes.tolist(), grid[codes].tolist()):
+                    assert seen.setdefault(c, v) == v

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from relkmeans import ballcount, boxes, sampling, weighting
+import relkmeans
+from relkmeans import JoinEvaluator, ballcount, boxes, sampling, weighting
 from relkmeans.cli import CyclicSchemaError, RunConfig, main, run
 
 TABLE1 = "f1,f2\n1,1\n2,1\n3,2\n4,3\n5,4\n"
@@ -235,6 +240,31 @@ class TestDeterminism:
         assert telem["ring_candidates"] >= telem["ring_draws"]
         assert telem["ring_cap_bound"] is True
 
+    def test_pass_entries_repeat(self, schema_path, capsys, monkeypatch):
+        """``pass_entries`` is the same on every run, and it is the entries
+        of every message merge and every child merge of the weigh stage's
+        distance passes."""
+        passes = []
+        distance_pass = JoinEvaluator.distance_pass
+
+        def spy(self, *args):
+            passes.append(distance_pass(self, *args))
+            return passes[-1]
+        monkeypatch.setattr(JoinEvaluator, "distance_pass", spy)
+        args = ["--schema", schema_path, "--k", "2", "--mode", "coreset",
+                "--seed", "5", "--ring-cap", "400"]
+        counts = []
+        for _ in range(2):
+            passes.clear()
+            code, out, _ = run_cli(args, capsys)
+            assert code == 0
+            counts.append(json.loads(out)["telemetry"]["pass_entries"])
+            merged = sum(p.hist[v][0].size for p in passes for v in p.message)
+            merged += sum(conv.src.size for p in passes
+                          for convs in p.convolutions.values() for conv in convs)
+            assert counts[-1] == merged > 0
+        assert counts[0] == counts[1]
+
     def test_identical_runs_byte_identical(self, schema_path, tmp_path, capsys):
         out_a, out_b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         args = ["--schema", schema_path, "--k", "2", "--mode", "verify",
@@ -255,3 +285,28 @@ class TestDeterminism:
         a = json.loads(open(out_a).read())
         b = json.loads(open(out_b).read())
         assert a["sampled_centers"] != b["sampled_centers"]
+
+
+class TestColdPath:
+    def test_cluster_run_never_imports_numpy_ma(self, schema_path):
+        """A cold ``--mode cluster`` run leaves numpy.ma unimported: it
+        costs 15-24 ms and about 1 MB of peak RSS per run, and np.unique
+        without return_index, return_inverse or return_counts imports it."""
+        probe = (
+            "import runpy, sys\n"
+            "sys.argv = ['relkmeans', *sys.argv[1:]]\n"
+            "try:\n"
+            "    runpy.run_module('relkmeans.cli', run_name='__main__')\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code == 0, stop.code\n"
+            "print('numpy.ma imported:', 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+        src = str(Path(relkmeans.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "--schema", schema_path, "--k", "2",
+             "--mode", "cluster", "--seed", "1", "--ring-cap", "400"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["final_centers"]
+        assert done.stderr.splitlines()[-1] == "numpy.ma imported: False"

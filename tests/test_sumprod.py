@@ -174,13 +174,13 @@ class TestOracleEquivalence:
 
 class TestMerge:
     def test_sorted_input_merges_as_shuffled_input(self, rng):
-        """Input already in (id, key) order skips the sort; it merges byte
-        for byte as the same entries shuffled, when equal (id, key) pairs
-        keep their order, as the stable sort keeps them."""
+        """Input already in (id, code) order merges byte for byte as the
+        same entries shuffled, when equal (id, code) pairs keep their order,
+        as the stable sort keeps them."""
         for _ in range(50):
             n = int(rng.integers(1, 300))
             ids = np.sort(rng.integers(0, 20, n))
-            keys = rng.choice([0.0, 0.5, 1.25, 3.0], n)
+            keys = rng.choice([0, 1, 4, 9], n)
             order = np.lexsort((keys, ids))
             ids, keys = ids[order], keys[order]
             counts = rng.uniform(0.5, 2.0, n)
@@ -198,6 +198,23 @@ class TestMerge:
             assert perm[cons_s.source].tobytes() == cons.source.tobytes()
             assert cons_s.bound.tobytes() == cons.bound.tobytes()
             assert cons_s.last.tobytes() == cons.last.tobytes()
+
+
+    def test_pairs_too_wide_to_pack_merge_alike(self, rng):
+        """Codes spread past what packs into one int64 with the id and the
+        position take the lexsort path, and merge as the same pairs packed."""
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            ids = rng.integers(0, 20, n)
+            codes = rng.integers(0, 5, n)
+            counts = rng.uniform(0.5, 2.0, n)
+            packed, cons = _merge(ids, codes, counts)
+            wide, cons_w = _merge(ids, codes << 58, counts)
+            assert wide[1].tolist() == (packed[1] << 58).tolist()
+            for a, b in [(packed[0], wide[0]), (packed[2], wide[2]),
+                         (cons.source, cons_w.source), (cons.bound, cons_w.bound),
+                         (cons.last, cons_w.last)]:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestFeatureOwnership:

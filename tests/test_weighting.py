@@ -190,9 +190,9 @@ class TestComputeWeights:
         passes = []
         distance_pass = JoinEvaluator.distance_pass
 
-        def spy(self, center, round_up=None):
+        def spy(self, center, bucketizer=None):
             passes.append(center.tobytes())
-            return distance_pass(self, center, round_up)
+            return distance_pass(self, center, bucketizer)
         monkeypatch.setattr(JoinEvaluator, "distance_pass", spy)
         per_center = []
         for n in (16, 1024):  # 4 and 10 rings per center
