@@ -10,12 +10,15 @@ so keys are rounded up onto a (1+delta) geometric grid once per table; the
 rounding compounds to at most (1+delta)^m on the radius axis.  A
 :class:`Bucketizer` maps keys to integer grid codes, and each table's last
 merge merges by (row, code), so the rounding needs no merge of its own;
-the grid values are computed once per center.  The pass keeps the
-provenance of every merge, so in-ball draws walk it top-down instead of
-running more passes, for every ball around the center at once, and
-rejection against exact membership makes them exactly uniform over each
-ball.  Counts are float64, like every count of the evaluator.  All radii
-in this module are squared distances.
+the grid values are computed once per center.  A center's one pass
+serves its profile, every radius and every draw: its root keys are sorted
+once, with running counts (:attr:`DistancePass.by_key`), and the profile
+(:meth:`DistanceProfile.of`), each radius search and each draw's root pick
+read that one curve.  The pass keeps the provenance of every merge, so
+in-ball draws walk it top-down instead of running more passes, for every
+ball around the center at once, and rejection against exact membership
+makes them exactly uniform over each ball.  Counts are float64, like every
+count of the evaluator.  All radii in this module are squared distances.
 """
 
 from __future__ import annotations
@@ -86,10 +89,6 @@ class Bucketizer:
                 self.grid[c] = self.v_min * (1.0 + self.delta) ** (c - 1)
         return codes, self.grid
 
-    def round_up(self, values: np.ndarray) -> np.ndarray:
-        codes, grid = self.codes(np.asarray(values, dtype=np.float64))
-        return grid[codes]
-
     def widen(self, sq_radius: float | np.ndarray,
               m_tables: int) -> float | np.ndarray:
         """Radius covering everything whose rounded key might exceed the
@@ -127,11 +126,19 @@ class DistanceProfile:
     squared distance <= sq_radii[i].
     """
 
-    center: np.ndarray
-    delta: float  # per-table bucketing delta (0 for exact mode)
     sq_radii: np.ndarray
     cum_counts: np.ndarray
-    n_tables: int
+
+    @classmethod
+    def of(cls, dists: DistancePass) -> "DistanceProfile":
+        """The curve of a pass's root histogram, read off its key-sorted
+        running counts: each run of equal keys keeps its last running
+        count, so the keys are sorted once, for the profile and every draw
+        alike."""
+        _, keys, cum = dists.by_key
+        last = np.ones(keys.size, dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        return cls(keys[last], cum[last])
 
     @property
     def total(self) -> int:
@@ -141,71 +148,53 @@ class DistanceProfile:
         idx = np.searchsorted(self.sq_radii, sq_radius, side="right") - 1
         return int(self.cum_counts[idx]) if idx >= 0 else 0
 
-    def smallest_radius_for(self, count: float | np.ndarray) -> float | np.ndarray:
-        """Smallest radius holding at least ``count`` points; element-wise,
-        by one search, for an array of counts."""
-        idx = np.searchsorted(self.cum_counts, count, side="left")
-        if np.any(idx >= self.sq_radii.size):
+    def radius_for(self, target: float | np.ndarray,
+                   delta: float = 0.0) -> float | np.ndarray:
+        """Smallest radius whose count reaches (1-delta) * target, and at
+        least one point; element-wise, by one search, for an array of
+        targets."""
+        target = np.asarray(target, dtype=np.float64)
+        if np.any(np.maximum(target, 1.0) > self.total):
             raise TargetExceedsN(
-                f"needed {np.max(count)} points, join holds {self.total}")
-        return self.sq_radii[idx]
+                f"target {np.max(target)} exceeds join size {self.total}")
+        # a float's ceiling is a whole number, held exactly, like the counts
+        need = np.maximum(1.0, np.ceil((1.0 - delta) * target))
+        return self.sq_radii[np.searchsorted(self.cum_counts, need, side="left")]
 
 
 def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
-                     delta: float | None = None,
-                     dists: DistancePass | None = None) -> DistanceProfile:
-    """Profile of squared distances from all join points to the center: the
-    root histogram of one distance pass, summed over rows.
-
-    ``delta`` is the per-table bucketing error; None or 0 keeps exact
-    distances (fine for small joins, linear-size intermediates otherwise).
-    ``dists``, when given, is that pass (a :class:`BallSampler`'s), and no
-    new pass is run.
-    """
-    center = np.asarray(center, dtype=np.float64)
-    if dists is None:
-        dists = BallSampler(JoinEvaluator(tree, tables), center, delta).dists
-    _, keys, counts = dists.root
-    keys, inv = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inv, weights=counts, minlength=keys.size)
-    return DistanceProfile(center, delta or 0.0, keys, np.cumsum(counts),
-                           len(tables))
+                     delta: float | None = None) -> DistanceProfile:
+    """Profile of squared distances from all join points to the center, off
+    one distance pass.  ``delta`` is the per-table bucketing error; None or
+    0 keeps exact distances (fine for small joins, linear-size
+    intermediates otherwise)."""
+    return BallSampler(JoinEvaluator(tree, tables), center, delta).profile
 
 
 def radius_for_count(tree: JoinTree, tables: list[Table], center: np.ndarray,
                      target: float | np.ndarray, delta: float,
-                     profile: DistanceProfile | None = None,
                      ) -> float | np.ndarray:
-    """Smallest profile radius whose count reaches (1-delta) * target;
-    element-wise, by one search of the profile, for an array of targets.
-
-    The profile, unless supplied, is built with per-table bucketing
-    delta / (8m): the count granularity near the chosen radius has to sit
-    well inside the [(1-delta), (1+delta)] * target window, and join
-    distances pile up (sums of few distinct per-table values), so the
+    """:meth:`DistanceProfile.radius_for` on a profile with per-table
+    bucketing delta / (8m): the count granularity near the chosen radius
+    has to sit well inside the [(1-delta), (1+delta)] * target window, and
+    join distances pile up (sums of few distinct per-table values), so the
     buckets are kept much finer than the window itself.
     """
-    if profile is None:
-        bucket_delta = delta / (8 * len(tables)) if delta > 0 else None
-        profile = distance_profile(tree, tables, center, bucket_delta)
-    target = np.asarray(target, dtype=np.float64)
-    if np.any(target > profile.total):
-        raise TargetExceedsN(
-            f"target {np.max(target)} exceeds join size {profile.total}")
-    # a float's ceiling is a whole number, held exactly, like the counts
-    need = np.maximum(1.0, np.ceil((1.0 - delta) * target))
-    return profile.smallest_radius_for(need)
+    bucket_delta = delta / (8 * len(tables)) if delta > 0 else None
+    return distance_profile(tree, tables, center, bucket_delta).radius_for(
+        target, delta)
 
 
 class BallSampler:
     """Uniform sampling of join points inside balls around one center.
 
     One distance pass (:meth:`JoinEvaluator.distance_pass`) serves every
-    radius and every draw.  Each draw is a join row whose root key lies
-    under a widened threshold, drawn top-down with probability proportional
-    to its count.  Each table rounds its keys up once, by at most (1+delta),
-    so a root key is at most (1+delta)^m times the true squared distance
-    and the threshold R * (1+delta)^m keeps every ball member drawable.
+    radius and every draw: ``profile`` is its root curve, and each draw is
+    a join row whose root key lies under a widened threshold, drawn
+    top-down with probability proportional to its count.  Each table
+    rounds its keys up once, by at most (1+delta), so a root key is at
+    most (1+delta)^m times the true squared distance and the threshold
+    R * (1+delta)^m keeps every ball member drawable.
     Points outside the requested ball are rejected against exact membership
     afterwards, which leaves the draws exactly uniform over the ball.
 
@@ -223,6 +212,7 @@ class BallSampler:
         self.m = len(ev.tables)
         self.bucketizer = make_bucketizer(ev.tables, self.center, delta)
         self.dists = ev.distance_pass(self.center, self.bucketizer)
+        self.profile = DistanceProfile.of(self.dists)
         self.candidates = 0
 
     def _threshold(self, sq_radii: np.ndarray) -> np.ndarray:
@@ -241,8 +231,8 @@ class BallSampler:
         squared radius ``sq_radii[b]``: a (balls, size, features) array."""
         sq_radii = np.atleast_1d(np.asarray(sq_radii, dtype=np.float64))
         thresholds = self._threshold(sq_radii)
-        keys = self.dists.root[1]
-        if keys.size == 0 or np.any(thresholds < keys.min()):
+        radii = self.profile.sq_radii
+        if radii.size == 0 or np.any(thresholds < radii[0]):
             raise EmptyBall("no join points within squared radius "
                             f"{sq_radii[np.argmin(thresholds)]}")
         n_balls = sq_radii.size

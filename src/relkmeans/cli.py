@@ -19,7 +19,7 @@ import numpy as np
 
 from .clustering import (InsufficientDistinctPoints, WeightedPointSet,
                          relational_cost, solve_weighted_kmeans)
-from .oracle import MaterializationGuard, materialize, exact_cost
+from .oracle import DEFAULT_GUARD, MaterializationGuard, materialize, exact_cost
 from .relational import (CyclicVerdict, SamplingGaveUp, SchemaError, gyo_reduce,
                          load_database)
 from .sampling import run_kmeanspp
@@ -45,7 +45,7 @@ class RunConfig:
     seed: int = 0
     mode: str = "cluster"
     out: str | None = None
-    guard: int = 100_000
+    guard: int = DEFAULT_GUARD
     ring_cap: int | None = None
 
     def __post_init__(self):
@@ -162,24 +162,27 @@ def run(cfg: RunConfig) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI flags, one per :class:`RunConfig` field; a flag left out
+    leaves its field's default."""
     p = argparse.ArgumentParser(
         prog="relkmeans",
         description="Approximate k-means over an acyclic relational database "
-                    "without materializing the join.")
+                    "without materializing the join.",
+        argument_default=argparse.SUPPRESS)
     p.add_argument("--schema", required=True, help="schema document path")
     p.add_argument("--k", type=int, required=True, help="number of clusters")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--delta", type=float,
                    help="ball-count slack (default epsilon/2)")
-    p.add_argument("--tau", type=int, default=30)
-    p.add_argument("--coreset-factor", type=float, default=3.0,
+    p.add_argument("--tau", type=int)
+    p.add_argument("--coreset-factor", type=float,
                    help="coreset size multiplier c in k' = min(c*k*ceil(lg N), N)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=MODES, default="cluster")
-    p.add_argument("--out", default=None, help="write the JSON result here")
-    p.add_argument("--guard", type=int, default=100_000,
+    p.add_argument("--seed", type=int)
+    p.add_argument("--mode", choices=MODES)
+    p.add_argument("--out", help="write the JSON result here")
+    p.add_argument("--guard", type=int,
                    help="materialization row cap for baseline/verify modes")
-    p.add_argument("--ring-cap", type=int, default=None,
+    p.add_argument("--ring-cap", type=int,
                    help="cap per-ring test draws in the weigher")
     return p
 
@@ -187,11 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(schema=args.schema, k=args.k, epsilon=args.epsilon,
-                        delta=args.delta, tau=args.tau,
-                        coreset_factor=args.coreset_factor, seed=args.seed,
-                        mode=args.mode, out=args.out, guard=args.guard,
-                        ring_cap=args.ring_cap)
+        cfg = RunConfig(**vars(args))
         doc = run(cfg)
     except (SchemaError, InsufficientDistinctPoints, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -208,8 +207,12 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     text = json.dumps(doc, indent=2)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out: {exc}", file=sys.stderr)
+            return 1
     print(text)
     return 0
 

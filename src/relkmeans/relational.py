@@ -57,9 +57,6 @@ class Table:
     def feature_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
-    def with_rows(self, rows: np.ndarray) -> "Table":
-        return Table(self.id, self.name, self.features, rows)
-
 
 @dataclass(frozen=True)
 class SchemaGraph:
@@ -137,15 +134,12 @@ class CyclicVerdict:
         return "residual hypergraph: " + " ".join(parts)
 
 
-def load_database(schema_doc: str | Path,
-                  table_files: list[str | Path] | None = None,
-                  ) -> tuple[list[Table], SchemaGraph]:
+def load_database(schema_doc: str | Path) -> tuple[list[Table], SchemaGraph]:
     """Load tables described by a schema document.
 
     The document has one line per table, ``name: col1,col2,... @ csv_path``.
     Relative CSV paths are resolved against the schema file's directory (or
-    the cwd when the schema is passed as inline text).  ``table_files``, if
-    given, overrides the per-line paths positionally.
+    the cwd when the schema is passed as inline text).
     """
     schema_path: Path | None = None
     text = str(schema_doc)
@@ -156,7 +150,10 @@ def load_database(schema_doc: str | Path,
         if not schema_path.exists():
             raise SchemaError(f"{text}: no such schema file")
     if schema_path is not None:
-        text = schema_path.read_text(encoding="utf-8")
+        try:
+            text = schema_path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise SchemaError(f"{schema_path}: {exc}") from exc
     base = schema_path.parent if schema_path is not None else Path.cwd()
     doc_name = str(schema_path) if schema_path is not None else "<schema>"
 
@@ -179,12 +176,6 @@ def load_database(schema_doc: str | Path,
     if len(set(names)) != len(names):
         dup = next(n for n in names if names.count(n) > 1)
         raise SchemaError(f"{doc_name}: duplicate table name {dup!r}")
-
-    if table_files is not None:
-        if len(table_files) != len(entries):
-            raise SchemaError(
-                f"{doc_name}: {len(table_files)} table files for {len(entries)} tables")
-        entries = [(n, c, Path(p)) for (n, c, _), p in zip(entries, table_files)]
 
     feature_index: dict[str, int] = {}
     for _, cols, _ in entries:
@@ -307,22 +298,3 @@ def gyo_reduce(g: SchemaGraph) -> JoinTree | CyclicVerdict:
     )
     return JoinTree(tuple(parents), separators, node_features, root)
 
-
-def running_intersection_holds(tree: JoinTree) -> bool:
-    """Check the join-tree invariant: nodes holding each feature are connected."""
-    adj = tree.adjacency()
-    features = set().union(*tree.node_features) if tree.node_features else set()
-    for f in features:
-        holders = {i for i in range(tree.n_nodes) if f in tree.node_features[i]}
-        start = next(iter(holders))
-        seen = {start}
-        stack = [start]
-        while stack:
-            node = stack.pop()
-            for nbr in adj[node]:
-                if nbr in holders and nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        if seen != holders:
-            return False
-    return True

@@ -320,8 +320,11 @@ class DistancePass:
         return self.hist[self.walk[0]]
 
     @cached_property
-    def _root_by_key(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Root entries in key order: (entry, key, running count)."""
+    def by_key(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Root entries in key order: (entry, key, running count).  The
+        one sort of the root keys: the ball curve
+        (:meth:`relkmeans.ballcount.DistanceProfile.of`) and every draw read
+        it."""
         _, keys, counts = self.root
         order = np.argsort(keys, kind="stable")
         return order, keys[order], np.cumsum(counts[order])
@@ -346,7 +349,7 @@ class DistancePass:
         is equally likely.  One ``rng.random`` call per merge.  Returns
         (draws, m) row indices by table id.
         """
-        order, keys, cum = self._root_by_key
+        order, keys, cum = self.by_key
         last = np.searchsorted(keys, thresholds, side="right") - 1
         pos = np.searchsorted(cum, rng.random(last.size) * cum[last], side="right")
         entry = {self.walk[0]: order[np.minimum(pos, last)]}

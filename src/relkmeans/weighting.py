@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballcount import BallSampler, distance_profile, radius_for_count
+from .ballcount import BallSampler
 from .boxes import distinct_centers, sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
 from .sampling import make_rng
@@ -121,12 +121,13 @@ def compute_weights(tree: JoinTree, tables: list[Table],
                     ) -> tuple[WeightedCoreset, list[RingStats]]:
     """Weights for the sampled centers via ring-wise test sampling.
 
-    Each distinct center costs one distance pass, shared by one evaluator:
-    its profile, every ring's radius (one search of the profile) and every
-    ring's draws (one :meth:`BallSampler.sample_batch` call) are read off
-    it.  Deterministic given ``cfg.seed``: center i's draws come from one
-    stream split from the master seed by spawn key (i, 0), which no other
-    stage uses.
+    Each distinct center costs one distance pass, on one evaluator shared
+    by all centers: its profile (``BallSampler.profile``), every ring's
+    radius (one search of the profile) and every ring's draws (one
+    :meth:`BallSampler.sample_batch` call) read the pass's one key-sorted
+    root curve.  Only one pass is alive at a time.  Deterministic given
+    ``cfg.seed``: center i's draws come from one stream split from the
+    master seed by spawn key (i, 0), which no other stage uses.
     """
     cfg = cfg or WeightConfig()
     cs = np.atleast_2d(np.asarray(centers, dtype=np.float64))
@@ -158,15 +159,13 @@ def compute_weights(tree: JoinTree, tables: list[Table],
         sampler = BallSampler(ev, center, bucket_delta)
         passes += 1
         entries += sampler.dists.merge_entries
-        profile = distance_profile(tree, tables, center, bucket_delta,
-                                   sampler.dists)
+        profile = sampler.profile
         if profile.total < 1:
             raise SamplingGaveUp(f"the distance profile of center {i} is empty")
         # a ring whose 2^j points exceed the join covers the whole space
         radii = np.full(n_rings, math.inf)
         inner = targets <= profile.cum_counts[-1]
-        radii[inner] = radius_for_count(tree, tables, center, targets[inner],
-                                        cfg.ball_slack, profile=profile)
+        radii[inner] = profile.radius_for(targets[inner], cfg.ball_slack)
         # radii never shrink, so each donut starts at the radius before it;
         # the first donut is [0, r_1], so join rows at the center count, and
         # a ring no wider than the one before holds no new points
@@ -178,9 +177,10 @@ def compute_weights(tree: JoinTree, tables: list[Table],
         drawn = live & (radii > 0.0)
         batch = iter(sampler.sample_batch(radii[drawn], n_test,
                                           make_rng(cfg.seed, (i, 0))))
+        candidates += sampler.candidates
+        del sampler  # the next center's pass is built after this one is freed
         gaps = sq_dists(cs, center[None])[:, 0]  # to every center
         ring_draws += n_test * int(drawn.sum())
-        candidates += sampler.candidates
         for j in range(1, n_rings + 1):
             r_j, prev_radius = float(radii[j - 1]), float(lower[j - 1])
             if not live[j - 1]:

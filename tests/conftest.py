@@ -282,6 +282,17 @@ def reference_distance_pass(ev: JoinEvaluator, center: np.ndarray,
     return hist
 
 
+def reference_profile(dists) -> tuple[np.ndarray, np.ndarray]:
+    """The ball curve of a distance pass by a second sort of its root keys:
+    (ascending distinct keys, cumulative counts).
+    :meth:`relkmeans.ballcount.DistanceProfile.of` must match it byte for
+    byte below 2**53 join rows."""
+    _, keys, counts = dists.root
+    keys, inv = np.unique(keys, return_inverse=True)
+    counts = np.bincount(inv, weights=counts, minlength=keys.size)
+    return keys, np.cumsum(counts)
+
+
 def random_acyclic_tables(rng: np.random.Generator, max_tables: int = 5,
                           max_rows: int = 8, max_features: int = 6,
                           integer_values: bool = False) -> list[Table]:

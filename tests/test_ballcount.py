@@ -7,6 +7,7 @@ from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_sch
 from relkmeans.ballcount import (
     BallSampler,
     Bucketizer,
+    DistanceProfile,
     EmptyBall,
     TargetExceedsN,
     distance_profile,
@@ -23,20 +24,21 @@ from conftest import (
     brute_force_join_rows,
     random_acyclic_tables,
     reference_distance_pass,
+    reference_profile,
     reference_round_up,
 )
 
 ORIGIN3 = np.zeros(3)
 
 
-def profile_entries(profile):
+def profile_entries(profile, delta=0.0):
     """The count-level view of a profile: for j = 0, 1, ..., the smallest
     radius holding at least ceil((1+delta)^j) points (j + 1 when exact)."""
     out, j = [], 0
     while True:
-        level = math.ceil((1.0 + profile.delta) ** j) if profile.delta > 0 else j + 1
+        level = math.ceil((1.0 + delta) ** j) if delta > 0 else j + 1
         try:
-            out.append(profile.smallest_radius_for(level))
+            out.append(profile.radius_for(level))
         except TargetExceedsN:
             return np.array(out)
         j += 1
@@ -132,8 +134,7 @@ class TestRadiusForCount:
         names = sorted({f.name for t in tables for f in t.features})
         center = rng.normal(size=len(names))
         p = distance_profile(tree, tables, center, delta=0.01)
-        radii = [radius_for_count(tree, tables, center, t, 0.05, profile=p)
-                 for t in range(1, p.total + 1)]
+        radii = [p.radius_for(t, 0.05) for t in range(1, p.total + 1)]
         assert all(a <= b for a, b in zip(radii, radii[1:]))
 
 
@@ -245,6 +246,30 @@ class TestAgainstUnfusedPass:
                 for v in range(len(tables)):
                     for a, b in zip(got[v], want[v]):
                         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_profiles_byte_identical(self, rng):
+        """The profile read off the pass's key-sorted running counts is,
+        byte for byte, the one a second sort of the root keys builds: exact
+        and bucketed at two deltas, on random schemas, half of them with
+        heavily tied values."""
+        tied = 0
+        for attempt in range(50):
+            tables = random_acyclic_tables(rng, max_tables=5, max_rows=10,
+                                           integer_values=attempt % 2 == 1)
+            tree = gyo_reduce(tables_to_schema(tables))
+            ev = JoinEvaluator(tree, tables)
+            center = rng.normal(size=ev.n_features)
+            if attempt % 2:
+                center = np.round(center)
+            for delta in (None, 0.05, 0.01):
+                dists = ev.distance_pass(
+                    center, make_bucketizer(tables, center, delta))
+                got = DistanceProfile.of(dists)
+                want = reference_profile(dists)
+                for a, b in zip((got.sq_radii, got.cum_counts), want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                tied += got.sq_radii.size < dists.root[1].size
+        assert tied >= 25  # runs of equal root keys are common
 
 
 def tied_path():
@@ -382,16 +407,21 @@ class TestHugeJoin:
         assert p.total == pytest.approx(40 ** 13, rel=1e-12)
 
 
+def rounded(bucketizer, values):
+    codes, grid = bucketizer.codes(np.asarray(values, dtype=np.float64))
+    return grid[codes]
+
+
 class TestBucketizer:
     def test_bucketizer_rounds_up_onto_grid(self):
         b = Bucketizer(0.05, 1.0)
         grid_point = 1.05 ** 7
-        got = b.round_up(np.array([0.0, 1.0, grid_point, 1.3]))
+        got = rounded(b, [0.0, 1.0, grid_point, 1.3])
         assert got[:2].tolist() == [0.0, 1.0]
         assert got[2] == pytest.approx(grid_point, rel=1e-12)
         assert 1.3 <= got[3] <= 1.3 * 1.05
         # grid values stay put, so a message may union rounded row keys
-        assert b.round_up(got).tolist() == got.tolist()
+        assert rounded(b, got).tolist() == got.tolist()
 
     def test_codes_index_a_cached_grid_of_python_powers(self, rng):
         """Codes follow the values, the grid they index rounds byte for

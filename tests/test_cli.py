@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import relkmeans
-from relkmeans import JoinEvaluator, ballcount, boxes, sampling, weighting
-from relkmeans.cli import CyclicSchemaError, RunConfig, main, run
+from relkmeans import JoinEvaluator, ballcount, boxes, sampling
+from relkmeans.cli import CyclicSchemaError, RunConfig, build_parser, main, run
 
 TABLE1 = "f1,f2\n1,1\n2,1\n3,2\n4,3\n5,4\n"
 TABLE2 = "f2,f3\n1,1\n1,2\n2,3\n5,4\n5,5\n"
@@ -138,6 +138,43 @@ class TestDiagnostics:
         assert err.count("error:") == 1 and "3 distinct points" in err
         assert "Traceback" not in err
 
+    @staticmethod
+    def assert_one_error_line(code, out, err):
+        assert code == 1 and out == ""
+        assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == 1
+        assert "Traceback" not in err
+
+    def test_schema_directory_exits_1_with_one_line(self, tmp_path, capsys):
+        code, out, err = run_cli(["--schema", str(tmp_path), "--k", "2"], capsys)
+        self.assert_one_error_line(code, out, err)
+        assert str(tmp_path) in err
+
+    def test_out_in_missing_directory_exits_1_with_one_line(
+            self, schema_path, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(
+            ["--schema", schema_path, "--k", "2", "--ring-cap", "400",
+             "--out", str(out_path)], capsys)
+        self.assert_one_error_line(code, out, err)
+        assert str(out_path) in err
+
+
+class TestParser:
+    def test_defaults_are_the_run_config_defaults(self):
+        args = build_parser().parse_args(["--schema", "s", "--k", "2"])
+        assert RunConfig(**vars(args)) == RunConfig(schema="s", k=2)
+
+    def test_each_flag_lands_in_its_field(self):
+        want = RunConfig(schema="s", k=3, epsilon=0.2, delta=0.05, tau=40,
+                         coreset_factor=0.5, seed=7, mode="verify",
+                         out="r.json", guard=12, ring_cap=9)
+        args = build_parser().parse_args(
+            ["--schema", "s", "--k", "3", "--epsilon", "0.2", "--delta", "0.05",
+             "--tau", "40", "--coreset-factor", "0.5", "--seed", "7",
+             "--mode", "verify", "--out", "r.json", "--guard", "12",
+             "--ring-cap", "9"])
+        assert RunConfig(**vars(args)) == want
+
 
 def _never_accept(monkeypatch):
     # true cost 0 everywhere: every candidate is rejected
@@ -151,9 +188,9 @@ def _empty_ball(monkeypatch):
 
 
 def _target_past_join(monkeypatch):
-    def short(self, count):
-        raise ballcount.TargetExceedsN(f"needed {count} points")
-    monkeypatch.setattr(ballcount.DistanceProfile, "smallest_radius_for", short)
+    def short(self, target, delta=0.0):
+        raise ballcount.TargetExceedsN(f"needed {target} points")
+    monkeypatch.setattr(ballcount.DistanceProfile, "radius_for", short)
 
 
 def _boxes_never_meld(monkeypatch):
@@ -166,10 +203,9 @@ def _ball_draws_exhausted(monkeypatch):
 
 
 def _empty_profile(monkeypatch):
-    def empty(tree, tables, center, delta=None, dists=None):
-        return ballcount.DistanceProfile(center, delta or 0.0, np.array([]),
-                                         np.array([]), len(tables))
-    monkeypatch.setattr(weighting, "distance_profile", empty)
+    def empty(cls, dists):
+        return cls(np.array([]), np.array([]))
+    monkeypatch.setattr(ballcount.DistanceProfile, "of", classmethod(empty))
 
 
 class TestSamplingGaveUp:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,6 @@ from relkmeans import (
     load_database,
     tables_to_schema,
 )
-from relkmeans.relational import running_intersection_holds
 
 from conftest import brute_force_join, random_acyclic_tables
 
@@ -83,16 +84,25 @@ class TestLoadDatabase:
         with pytest.raises(SchemaError, match="expected"):
             load_database(str(doc))
 
-    def test_table_files_override(self, tmp_path):
-        (tmp_path / "ignored.csv").write_text("x\n1\n")
-        (tmp_path / "actual.csv").write_text("x\n1\n2\n3\n")
-        doc = tmp_path / "schema.txt"
-        doc.write_text("T: x @ ignored.csv\n")
-        tables, _ = load_database(str(doc),
-                                  table_files=[tmp_path / "actual.csv"])
-        assert tables[0].n_rows == 3
-        with pytest.raises(SchemaError, match="table files"):
-            load_database(str(doc), table_files=[])
+
+def running_intersection_holds(tree):
+    """Check the join-tree invariant: nodes holding each feature are connected."""
+    adj = tree.adjacency()
+    features = set().union(*tree.node_features) if tree.node_features else set()
+    for f in features:
+        holders = {i for i in range(tree.n_nodes) if f in tree.node_features[i]}
+        start = next(iter(holders))
+        seen = {start}
+        stack = [start]
+        while stack:
+            node = stack.pop()
+            for nbr in adj[node]:
+                if nbr in holders and nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        if seen != holders:
+            return False
+    return True
 
 
 class TestGyoReduce:
@@ -139,7 +149,7 @@ def apply_box_masks(tables, low, high):
     ``low <= x < high`` keep."""
     ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
     masks = ev.masks_for_box(np.array([low], dtype=float), np.array([high], dtype=float))
-    return [t.with_rows(t.rows[m[0]]) for t, m in zip(tables, masks)]
+    return [replace(t, rows=t.rows[m[0]]) for t, m in zip(tables, masks)]
 
 
 class TestFilterByBox:

@@ -1,5 +1,6 @@
 import sys
 from collections import Counter, defaultdict
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ class TestUniformRow:
         assert centers[0].tolist() == [3.0, 4.0]
 
     def test_empty_join_raises(self, path_tables):
-        empty = [path_tables[0], path_tables[1].with_rows(np.empty((0, 2)))]
+        empty = [path_tables[0], replace(path_tables[1], rows=np.empty((0, 2)))]
         tree = gyo_reduce(tables_to_schema(empty))
         with pytest.raises(EmptyJoin):
             run_kmeanspp(tree, empty, 1)

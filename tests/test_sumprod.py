@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestScalarQueries:
         assert got.a == pytest.approx(46.0) and got.b == 5
 
     def test_empty_table_gives_zero(self, path_tables):
-        empty = path_tables[1].with_rows(np.empty((0, 2)))
+        empty = replace(path_tables[1], rows=np.empty((0, 2)))
         tables = [path_tables[0], empty]
         tree = gyo_reduce(tables_to_schema(tables))
         assert eval_sumprod(tree, tables, counting_semiring(ALL_FEATURES)) == 0
@@ -162,7 +163,8 @@ class TestOracleEquivalence:
             first = ev.walk[0]
             for term in range(n_terms):
                 keep = masks[first][term]
-                masked = [t.with_rows(t.rows[m[term]]) for t, m in zip(tables, masks)]
+                masked = [replace(t, rows=t.rows[m[term]])
+                          for t, m in zip(tables, masks)]
                 spec = costpair_semiring(names, dict(zip(names, targets[term])))
                 gcp = eval_sumprod_grouped(tree, masked, spec, first)
                 cost, cnt = up.cost[first][term], up.count[first][term]

@@ -1,5 +1,6 @@
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ class TestComputeWeights:
             assert len(set(passes)) == 2
             per_center.append(len(passes) / 2)
         assert per_center[0] == per_center[1] == 1
+
+    def test_one_pass_alive_at_a_time(self, monkeypatch):
+        """Each center's distance pass is freed before the next center's
+        is built, so the weigher holds one pass at a time."""
+        passes, alive = [], []
+        distance_pass = JoinEvaluator.distance_pass
+
+        def spy(self, center, bucketizer=None):
+            alive.append(sum(ref() is not None for ref in passes))
+            dists = distance_pass(self, center, bucketizer)
+            passes.append(weakref.ref(dists))
+            return dists
+        monkeypatch.setattr(JoinEvaluator, "distance_pass", spy)
+        tables, tree = single_table_db(np.arange(64, dtype=float))
+        centers = [np.array([1.0]), np.array([20.0]), np.array([40.0]),
+                   np.array([63.0])]
+        compute_weights(tree, tables, centers,
+                        WeightConfig(epsilon=0.2, seed=3, max_ring_samples=50))
+        assert alive == [0, 0, 0, 0]
 
     def test_draw_calls_do_not_grow_with_rings(self, monkeypatch):
         # squared distances to either center grow by more than the
