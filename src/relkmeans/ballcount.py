@@ -8,11 +8,11 @@ message is the union of its rows' histograms per separator key.  Keeping
 every exact distance would make intermediate results as large as the join,
 so keys are rounded up onto a (1+delta) geometric grid once per table; the
 rounding compounds to at most (1+delta)^m on the radius axis.  A
-:class:`Bucketizer` maps keys to integer grid codes, and each table's last
-merge merges by (row, code), so the rounding needs no merge of its own;
-the grid values are computed once per center.  A center's one pass
-serves its profile, every radius and every draw: its root keys are sorted
-once, with running counts (:attr:`DistancePass.by_key`), and the profile
+:class:`Bucketizer` maps keys to integer grid codes, and each table merges
+its entries once, by (separator key, code), into its message, so the
+rounding needs no merge of its own; the grid values are computed once per
+center.  The root's separator key is the empty one, so its message is the
+ball curve (:attr:`DistancePass.curve`): the profile
 (:meth:`DistanceProfile.of`), each radius search and each draw's root pick
 read that one curve.  The pass keeps the provenance of every merge, so
 in-ball draws walk it top-down instead of running more passes, for every
@@ -131,14 +131,8 @@ class DistanceProfile:
 
     @classmethod
     def of(cls, dists: DistancePass) -> "DistanceProfile":
-        """The curve of a pass's root histogram, read off its key-sorted
-        running counts: each run of equal keys keeps its last running
-        count, so the keys are sorted once, for the profile and every draw
-        alike."""
-        _, keys, cum = dists.by_key
-        last = np.ones(keys.size, dtype=bool)
-        last[:-1] = keys[1:] != keys[:-1]
-        return cls(keys[last], cum[last])
+        """A pass's ball curve: the root's message, merged by key."""
+        return cls(*dists.curve)
 
     @property
     def total(self) -> int:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -55,6 +57,8 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if not (math.isfinite(self.coreset_factor) and self.coreset_factor > 0):
             raise ValueError("coreset factor must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 class _StageClock:
@@ -191,6 +195,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig(**vars(args))
+        folder = os.path.dirname(cfg.out or "") or "."
+        if cfg.out and not os.path.isdir(folder):  # fail before the run
+            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+            raise ValueError("cannot write --out: "
+                             f"{OSError(code, os.strerror(code), cfg.out)}")
         doc = run(cfg)
     except (SchemaError, InsufficientDistinctPoints, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

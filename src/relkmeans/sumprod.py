@@ -25,7 +25,6 @@ pipeline path.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Mapping
@@ -284,50 +283,45 @@ def _convolve(hist: tuple[np.ndarray, np.ndarray, np.ndarray],
 
 @dataclass(frozen=True, eq=False)
 class _Convolution:
-    """One child merged into its parent's histogram: per entry of the
-    convolution, the parent entry before it (``src``) and the child's
-    message entry (``msg``); ``constituents`` groups them by merged entry."""
+    """One child's message convolved into its parent's entries: per entry
+    of the convolution, the parent entry it extends (``src``) and the
+    child's message entry (``msg``).  ``before``, for a third or later
+    child, merges the parent's equal (row, key) entries first, so ``src``
+    names merged entries; None when nothing was merged."""
 
     child: int
-    constituents: _Constituents
     src: np.ndarray
     msg: np.ndarray
+    before: _Constituents | None
 
 
 @dataclass(frozen=True, eq=False)
 class DistancePass:
     """What :meth:`JoinEvaluator.distance_pass` keeps for one center.
 
-    ``hist[v]`` is table v's histogram (rows, keys, counts), sorted by row,
-    then key: ``counts[i]`` join rows of v's subtree (the tree rooted at the
-    walk's first table) extend row ``rows[i]`` of v at subtree key
-    ``keys[i]``.  The provenance of every merge that built it is kept:
-    ``convolutions[v]`` lists v's child merges oldest first, the last of
-    which also rounds v's keys, and ``message[v]`` is the merge of v's
-    entries into the message v sends its parent.  ``merge_entries`` counts
-    the entries that entered those merges.
+    ``sent[v]`` is the message table v sends its parent, (separator key
+    ids, keys, counts) sorted by id, then key: ``counts[i]`` join rows of
+    v's subtree (the tree rooted at the walk's first table) carry separator
+    key ``ids[i]`` and subtree key ``keys[i]``.  The root's separator key is
+    the empty one, id 0, so its message is the ball curve (:attr:`curve`).
+    ``message[v]`` is the provenance of v's merge into ``sent[v]``,
+    ``convolutions[v]`` lists v's child convolutions oldest first, and
+    ``merge_entries`` counts the entries that entered the merges.
     """
 
     walk: tuple[int, ...]
-    hist: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    sent: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     convolutions: dict[int, list[_Convolution]]
     message: dict[int, _Constituents]
     merge_entries: int
 
-    @property
-    def root(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The histogram of the walk's first table: the whole join."""
-        return self.hist[self.walk[0]]
-
     @cached_property
-    def by_key(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Root entries in key order: (entry, key, running count).  The
-        one sort of the root keys: the ball curve
-        (:meth:`relkmeans.ballcount.DistanceProfile.of`) and every draw read
+    def curve(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ascending distinct root keys, running counts): the ball curve
+        (:meth:`relkmeans.ballcount.DistanceProfile.of`); every draw reads
         it."""
-        _, keys, counts = self.root
-        order = np.argsort(keys, kind="stable")
-        return order, keys[order], np.cumsum(counts[order])
+        _, keys, counts = self.sent[self.walk[0]]
+        return keys, np.cumsum(counts)
 
     def draw(self, thresholds: np.ndarray,
              rng: np.random.Generator) -> np.ndarray:
@@ -335,32 +329,30 @@ class DistancePass:
         probability proportional to its count among the join rows whose root
         key is at most that threshold; at least one root key must be.
 
-        Root entries are picked in proportion to their counts: the entries
-        under a threshold are a prefix of the key order, so a draw scales a
-        uniform u in [0, 1) by its prefix's running count and finds the
-        entry by one search over the running counts, for every draw at once.
-        A prefix's running counts are those of its entries alone, so each
-        threshold's shares are normalized over its own entries.  Then, table
-        by table in walk order, each child merge is undone newest first,
-        picking one constituent per draw in proportion to its pre-merge
-        count.  A child merge's constituent names the child's message
-        entry, and that entry picks the child's own entry.  The
+        The keys under a threshold are a prefix of the curve, so one search
+        over the running counts, scaled per draw by its prefix's count,
+        picks every draw's key at once.  Then every merge is undone, one
+        constituent per draw in proportion to its count: the root's merge,
+        then, table by table in walk order, each child convolution newest
+        first, whose entry names the child's message entry.  The
         probabilities telescope, so every join row under a draw's threshold
         is equally likely.  One ``rng.random`` call per merge.  Returns
         (draws, m) row indices by table id.
         """
-        order, keys, cum = self.by_key
+        keys, cum = self.curve
         last = np.searchsorted(keys, thresholds, side="right") - 1
         pos = np.searchsorted(cum, rng.random(last.size) * cum[last], side="right")
-        entry = {self.walk[0]: order[np.minimum(pos, last)]}
+        root = self.walk[0]
+        entry = {root: self.message[root].pick(np.minimum(pos, last), rng)}
         prov = np.empty((last.size, len(self.walk)), dtype=np.int64)
         for v in self.walk:
             e = entry.pop(v)
             for conv in reversed(self.convolutions[v]):
-                c = conv.constituents.pick(e, rng)
-                e = conv.src[c]
-                entry[conv.child] = self.message[conv.child].pick(conv.msg[c], rng)
-            prov[:, v] = e  # a table's entries before any merge are its rows
+                entry[conv.child] = self.message[conv.child].pick(conv.msg[e], rng)
+                e = conv.src[e]
+                if conv.before is not None:
+                    e = conv.before.pick(e, rng)
+            prov[:, v] = e  # a table's entries before any convolution are its rows
         return prov
 
 
@@ -510,45 +502,46 @@ class JoinEvaluator:
         :class:`DistancePass`).  The radius does not enter it, so one pass
         serves every ball around the center.
 
-        A table's keys start as its rows' owned squared distances; each
-        child's message is then convolved in (keys add, counts multiply), in
-        the order the rooted order lists the children, and equal (row, key)
-        pairs are merged after each child, by one sort of integer key
-        codes.  ``bucketizer``, when given, rounds each table's keys once,
-        after its last child: that merge sums equal (row, rounded key code)
-        pairs, so rounding needs no merge of its own, and a leaf's rows,
-        being distinct, need none at all.  Other merges code exact keys.  A
-        message is the union of the table's entries per separator key,
-        merged by (separator key, code).
+        A table's entries start as its rows at their owned squared
+        distances; each child's message is convolved in (keys add, counts
+        multiply) in rooted order.  Each table then merges its entries once,
+        straight into its message, by one sort of (separator key, key code)
+        integers; ``bucketizer``, when given, codes keys rounded, else they
+        are coded exactly.  One more merge bounds tied stars: before its
+        third and later children, a table sums equal (row, exact key)
+        entries.  After one child a row's keys are distinct, as a message's
+        are; from the second on, sums can repeat.
         """
         code = bucketizer.codes if bucketizer is not None else _exact_codes
-        children = Counter(par for _, par in self._up)
-        hist, codes, grids = {}, {}, {}
-        for t in self.tables:
-            keys = self._owned_sq_dist(t, center)
-            if not children[t.id]:
-                codes[t.id], grids[t.id] = code(keys)
-                keys = grids[t.id][codes[t.id]]
-            hist[t.id] = (np.arange(t.n_rows), keys, np.ones(t.n_rows))
+        hist = {t.id: (np.arange(t.n_rows), self._owned_sq_dist(t, center),
+                       np.ones(t.n_rows)) for t in self.tables}
         convolutions: dict[int, list[_Convolution]] = {t.id: [] for t in self.tables}
-        message, entries = {}, 0
+        sent, message, entries = {}, {}, 0
         for node, par in self._up:
+            rows, keys, counts = hist.pop(node)
+            entries += rows.size
+            if par is None:
+                ids = np.broadcast_to(np.int64(0), rows.size)
+            else:
+                ids_child, ids_par, n = self.edge_keys(node, par)
+                ids = ids_child[rows]
+            codes, grid = code(keys)
+            del rows, keys  # freed before the merge's sort
+            (ids, codes, counts), message[node] = _merge(ids, codes, counts)
+            sent[node] = (ids, grid[codes], counts)
             if par is None:
                 break
-            rows, _, counts = hist[node]
-            entries += rows.size
-            ids_child, ids_par, n = self.edge_keys(node, par)
-            (msg_ids, msg_codes, msg_counts), message[node] = _merge(
-                ids_child[rows], codes.pop(node), counts)
-            msg = (msg_ids, grids.pop(node)[msg_codes], msg_counts)
-            rows, keys, counts, src, pick = _convolve(hist[par], ids_par, msg, n)
-            entries += rows.size
-            children[par] -= 1
-            par_codes, grids[par] = (_exact_codes if children[par] else code)(keys)
-            (rows, codes[par], counts), cons = _merge(rows, par_codes, counts)
-            hist[par] = (rows, grids[par][codes[par]], counts)
-            convolutions[par].append(_Convolution(node, cons, src, pick))
-        return DistancePass(self.walk, hist, convolutions, message, entries)
+            before = None
+            if len(convolutions[par]) >= 2:
+                rows, keys, counts = hist[par]
+                entries += rows.size
+                codes, grid = _exact_codes(keys)
+                (rows, codes, counts), before = _merge(rows, codes, counts)
+                hist[par] = (rows, grid[codes], counts)
+            rows, keys, counts, src, pick = _convolve(hist[par], ids_par, sent[node], n)
+            hist[par] = (rows, keys, counts)
+            convolutions[par].append(_Convolution(node, src, pick, before))
+        return DistancePass(self.walk, sent, convolutions, message, entries)
 
     def masks_for_box(self, low: np.ndarray, high: np.ndarray) -> list[np.ndarray]:
         """Per table, the (boxes, rows) mask of the rows inside each box of

@@ -124,8 +124,8 @@ def compute_weights(tree: JoinTree, tables: list[Table],
     Each distinct center costs one distance pass, on one evaluator shared
     by all centers: its profile (``BallSampler.profile``), every ring's
     radius (one search of the profile) and every ring's draws (one
-    :meth:`BallSampler.sample_batch` call) read the pass's one key-sorted
-    root curve.  Only one pass is alive at a time.  Deterministic given
+    :meth:`BallSampler.sample_batch` call) read the pass's one ball
+    curve.  Only one pass is alive at a time.  Deterministic given
     ``cfg.seed``: center i's draws come from one stream split from the
     master seed by spawn key (i, 0), which no other stage uses.
     """

@@ -233,7 +233,7 @@ def reference_assignment_reps(forest: LaminarForest, points: np.ndarray) -> np.n
     return reps
 
 
-def _reference_merge(ids: np.ndarray, keys: np.ndarray, counts: np.ndarray,
+def reference_merge(ids: np.ndarray, keys: np.ndarray, counts: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum the counts of equal (id, key) pairs by one float lexsort; the
     result is sorted by id, then key."""
@@ -270,24 +270,25 @@ def reference_distance_pass(ev: JoinEvaluator, center: np.ndarray,
     for node, par in ev._up:
         if delta is not None:
             rows, keys, counts = hist[node]
-            hist[node] = _reference_merge(
+            hist[node] = reference_merge(
                 rows, reference_round_up(delta, v_min, keys), counts)
         if par is None:
             break
         rows, keys, counts = hist[node]
         ids_child, ids_par, n = ev.edge_keys(node, par)
-        msg = _reference_merge(ids_child[rows], keys, counts)
+        msg = reference_merge(ids_child[rows], keys, counts)
         *merged, _, _ = _convolve(hist[par], ids_par, msg, n)
-        hist[par] = _reference_merge(*merged)
+        hist[par] = reference_merge(*merged)
     return hist
 
 
-def reference_profile(dists) -> tuple[np.ndarray, np.ndarray]:
-    """The ball curve of a distance pass by a second sort of its root keys:
-    (ascending distinct keys, cumulative counts).
+def reference_profile(root: tuple[np.ndarray, np.ndarray, np.ndarray],
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The ball curve of a root histogram (rows, keys, counts) by a sort of
+    its keys: (ascending distinct keys, cumulative counts).
     :meth:`relkmeans.ballcount.DistanceProfile.of` must match it byte for
     byte below 2**53 join rows."""
-    _, keys, counts = dists.root
+    _, keys, counts = root
     keys, inv = np.unique(keys, return_inverse=True)
     counts = np.bincount(inv, weights=counts, minlength=keys.size)
     return keys, np.cumsum(counts)

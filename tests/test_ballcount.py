@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_schema
+from relkmeans import (FeatureId, JoinEvaluator, Table, gyo_reduce, sumprod,
+                       tables_to_schema)
 from relkmeans.ballcount import (
     BallSampler,
     Bucketizer,
@@ -24,6 +25,7 @@ from conftest import (
     brute_force_join_rows,
     random_acyclic_tables,
     reference_distance_pass,
+    reference_merge,
     reference_profile,
     reference_round_up,
 )
@@ -193,10 +195,14 @@ def subtree_tables(ev, v):
 
 
 class TestGroupedDistancePass:
-    """The one distance pass per center, table by table and row by row,
-    against brute force over the join rows of each table's subtree."""
+    """The one distance pass per center, table by table and separator key
+    by separator key, against brute force over the join rows of each
+    table's subtree."""
 
     def test_rows_match_brute_force(self, rng):
+        """Every table's message holds, per separator key, the squared
+        distances of its subtree's join rows through its rows under that
+        key; the root's message, the curve, holds the whole join's."""
         for _ in range(20):
             tables = random_acyclic_tables(rng, max_tables=4)
             tree = gyo_reduce(tables_to_schema(tables))
@@ -214,22 +220,33 @@ class TestGroupedDistancePass:
                 want = np.zeros(len(pts))
                 for pos in owned:
                     want += (pts[:, pos] - center[feats[pos][0]]) ** 2
-                rows, keys, counts = dists.hist[v]
+                par = ev.walk_parent[v]
+                if par is None:
+                    keys, cum = dists.curve
+                    got = np.repeat(keys, np.diff(cum, prepend=0.0).astype(int))
+                    np.testing.assert_allclose(got, np.sort(want),
+                                               rtol=1e-9, atol=1e-12)
+                    continue
+                ids, keys, counts = dists.sent[v]
+                ids_child, _, n = ev.edge_keys(v, par)
                 at_v = [t.id for t in sub].index(v)
-                for r in range(tables[v].n_rows):
-                    mine = rows == r
-                    got = np.sort(np.repeat(keys[mine], counts[mine].astype(int)))
+                for key in range(n):
+                    mine = ids == key
+                    got = np.repeat(keys[mine], counts[mine].astype(int))
+                    under = ids_child[prov[:, at_v]] == key
                     np.testing.assert_allclose(
-                        got, np.sort(want[prov[:, at_v] == r]),
-                        rtol=1e-9, atol=1e-12)
+                        got, np.sort(want[under]), rtol=1e-9, atol=1e-12)
 
 
 class TestAgainstUnfusedPass:
     def test_histograms_byte_identical(self, rng):
-        """Rounding folded into each table's last merge, integer-coded
-        merges and the per-center grid leave every table's histogram byte
-        for byte that of the unfused pass: exact and bucketed at two deltas,
-        on random schemas, half of them with heavily tied values."""
+        """Merging each table once, straight into its message, with
+        integer codes, rounding folded in and the per-center grid, leaves
+        every table's message byte for byte the unfused pass's histogram
+        merged by separator key: exact and bucketed at two deltas, on
+        random schemas, half of them with heavily tied values.  The root's
+        message, the curve, is checked against the unfused root histogram
+        the same way."""
         for attempt in range(50):
             tables = random_acyclic_tables(rng, max_tables=5, max_rows=10,
                                            integer_values=attempt % 2 == 1)
@@ -240,17 +257,25 @@ class TestAgainstUnfusedPass:
                 center = np.round(center)
             for delta in (None, 0.05, 0.01):
                 bucketizer = make_bucketizer(tables, center, delta)
-                got = ev.distance_pass(center, bucketizer).hist
-                want = reference_distance_pass(
+                dists = ev.distance_pass(center, bucketizer)
+                hist = reference_distance_pass(
                     ev, center, delta, bucketizer.v_min if bucketizer else 1.0)
-                for v in range(len(tables)):
-                    for a, b in zip(got[v], want[v]):
+                for v, par in ev._up:
+                    if par is None:
+                        got, want = dists.curve, reference_profile(hist[v])
+                    else:
+                        rows, keys, counts = hist[v]
+                        ids_child = ev.edge_keys(v, par)[0]
+                        got = dists.sent[v]
+                        want = reference_merge(ids_child[rows], keys, counts)
+                    assert len(got) == len(want)
+                    for a, b in zip(got, want):
                         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_profiles_byte_identical(self, rng):
-        """The profile read off the pass's key-sorted running counts is,
-        byte for byte, the one a second sort of the root keys builds: exact
-        and bucketed at two deltas, on random schemas, half of them with
+        """The profile read off the root's message is, byte for byte, the
+        one a sort of the unfused pass's root keys builds: exact and
+        bucketed at two deltas, on random schemas, half of them with
         heavily tied values."""
         tied = 0
         for attempt in range(50):
@@ -262,14 +287,108 @@ class TestAgainstUnfusedPass:
             if attempt % 2:
                 center = np.round(center)
             for delta in (None, 0.05, 0.01):
-                dists = ev.distance_pass(
-                    center, make_bucketizer(tables, center, delta))
-                got = DistanceProfile.of(dists)
-                want = reference_profile(dists)
+                bucketizer = make_bucketizer(tables, center, delta)
+                got = DistanceProfile.of(ev.distance_pass(center, bucketizer))
+                root = reference_distance_pass(
+                    ev, center, delta,
+                    bucketizer.v_min if bucketizer else 1.0)[ev.walk[0]]
+                want = reference_profile(root)
                 for a, b in zip((got.sq_radii, got.cum_counts), want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                tied += got.sq_radii.size < dists.root[1].size
+                tied += got.sq_radii.size < root[1].size
         assert tied >= 25  # runs of equal root keys are common
+
+
+def tied_star(n_spokes=10, hub_rows=8, spoke_rows=6, noise=0.0, seed=0):
+    """Hub(k1..kn, x0) with n spokes Si(ki, xi) over integer codes: under
+    each key a spoke's message holds the keys 0, 1 and 4, so a hub row's
+    sums repeat from its second spoke on.  ``noise`` > 0 jitters the
+    spokes' values, which unties them."""
+    rng = np.random.default_rng(seed)
+    keys = [FeatureId(f"k{i}", i) for i in range(n_spokes)]
+    hub = np.column_stack([rng.integers(0, 2, size=(hub_rows, n_spokes)),
+                           np.zeros(hub_rows)]).astype(float)
+    return [Table(0, "Hub", (*keys, FeatureId("x0", n_spokes)), hub)] + [
+        Table(i + 1, f"S{i}", (keys[i], FeatureId(f"x{i + 1}", n_spokes + 1 + i)),
+              np.column_stack([np.arange(spoke_rows) % 2,
+                               np.arange(spoke_rows) // 2
+                               + noise * rng.normal(size=spoke_rows)]))
+        for i in range(n_spokes)]
+
+
+class TestOneMergePerTable:
+    def test_one_merge_per_table_up_to_two_children(self, rng, monkeypatch):
+        """A table with at most two children merges its entries once, into
+        its message, exact and bucketed, on random schemas."""
+        calls = []
+        merge = sumprod._merge
+
+        def spy(*args):
+            calls.append(args[0].size)
+            return merge(*args)
+        monkeypatch.setattr(sumprod, "_merge", spy)
+        done = deep = 0
+        for _ in range(200):
+            if done >= 40 and deep >= 15:
+                break
+            tables = random_acyclic_tables(rng, max_tables=6)
+            tree = gyo_reduce(tables_to_schema(tables))
+            ev = JoinEvaluator(tree, tables)
+            children = list(ev.walk_parent.values())
+            if max(children.count(v) for v in range(len(tables))) > 2:
+                continue
+            center = rng.normal(size=ev.n_features)
+            m = len(tables)
+            for delta in (None, 0.05):
+                calls.clear()
+                ev.distance_pass(center, make_bucketizer(tables, center, delta))
+                assert len(calls) == m
+            done += 1
+            deep += m >= 3
+        assert done >= 40 and deep >= 15
+
+    def test_tied_star_stays_bounded(self):
+        """Merging a hub's equal (row, key) entries before its third and
+        later spokes keeps a ten-spoke star of tied codes small: without
+        that merge its pass merges about 470,000 entries."""
+        tables = tied_star()
+        ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
+        assert list(ev.walk_parent.values()).count(0) == 10
+        dists = ev.distance_pass(np.zeros(ev.n_features))
+        assert dists.merge_entries < 20_000
+        assert dists.curve[1][-1] == ev.count_scalar()
+
+    def test_draws_uniform_through_merges_before_children(self, rng):
+        """Draws undo the merges before a hub's third and later spokes:
+        after rejection they are uniform over the ball, on tied and on
+        untied four-spoke stars, exact and bucketed."""
+        n_draws = 20_000
+        worst = 0.0
+        for attempt in range(8):
+            tables = tied_star(n_spokes=4, hub_rows=4, noise=attempt % 2,
+                               seed=attempt)
+            ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
+            join = brute_force_join(tables)
+            center = rng.normal(size=join.shape[1])
+            d2 = sq_dists(join, center[None])[:, 0]
+            sq_radius = float(np.median(d2))
+            for delta in (None, 0.05):
+                sampler = BallSampler(ev, center, delta)
+                assert any(conv.before is not None
+                           for conv in sampler.dists.convolutions[0])
+                members, mult = np.unique(join[d2 <= sq_radius], axis=0,
+                                          return_counts=True)
+                pts = sampler.sample_batch([sq_radius], n_draws,
+                                           make_rng(attempt))[0]
+                seen, inv = np.unique(np.vstack([members, pts]), axis=0,
+                                      return_inverse=True)
+                assert len(seen) == len(members)  # no draw outside the ball
+                got = np.bincount(inv.ravel()[len(members):],
+                                  minlength=len(members))
+                n_members = int(mult.sum())
+                tv = 0.5 * np.abs(got / n_draws - mult / n_members).sum()
+                worst = max(worst, tv / math.sqrt(n_members / n_draws))
+        assert worst <= 2.0
 
 
 def tied_path():
@@ -334,7 +453,7 @@ class TestTopDownDraws:
     def test_many_balls_in_one_call(self, rng, monkeypatch):
         """One call draws several balls, bucketed and exact: the whole
         join, two equal radii, so one shared threshold, and a ball whose
-        threshold admits a single root entry.  Each ball's draws are
+        threshold admits a single curve key.  Each ball's draws are
         uniform over that ball, and every top-down candidate lies under its
         own ball's threshold."""
         candidates = []
@@ -360,9 +479,9 @@ class TestTopDownDraws:
             d2 = sq_dists(join, center[None])[:, 0]
             for delta in done:
                 sampler = BallSampler(JoinEvaluator(tree, tables), center, delta)
-                root_keys = sampler.dists.root[1]
+                curve_keys = sampler.dists.curve[0]
                 nearest = float(d2.min())
-                if (root_keys <= sampler._threshold(np.array([nearest]))).sum() != 1:
+                if (curve_keys <= sampler._threshold(np.array([nearest]))).sum() != 1:
                     continue
                 median = float(np.median(d2))
                 radii = np.array([median, math.inf, nearest, median])

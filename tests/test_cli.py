@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import relkmeans
-from relkmeans import JoinEvaluator, ballcount, boxes, sampling
+from relkmeans import JoinEvaluator, ballcount, boxes, cli, sampling
 from relkmeans.cli import CyclicSchemaError, RunConfig, build_parser, main, run
+from relkmeans.relational import load_database
 
 TABLE1 = "f1,f2\n1,1\n2,1\n3,2\n4,3\n5,4\n"
 TABLE2 = "f2,f3\n1,1\n1,2\n2,3\n5,4\n5,5\n"
@@ -128,6 +129,13 @@ class TestDiagnostics:
             assert err.count("error:") == 1 and named in err
             assert "[load]" not in err
 
+    def test_negative_seed_rejected_before_load(self, schema_path, capsys):
+        code, out, err = run_cli(
+            ["--schema", schema_path, "--k", "2", "--seed", "-1"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1 and "seed must be non-negative" in err
+        assert "[load]" not in err
+
     def test_too_few_distinct_points_exits_1(self, tmp_path, capsys):
         (tmp_path / "t.csv").write_text(CODED)
         doc = tmp_path / "s.txt"
@@ -157,6 +165,19 @@ class TestDiagnostics:
              "--out", str(out_path)], capsys)
         self.assert_one_error_line(code, out, err)
         assert str(out_path) in err
+
+    @pytest.mark.parametrize("folder", ["missing", "t1.csv"])
+    def test_out_without_directory_fails_before_loading(
+            self, schema_path, tmp_path, capsys, monkeypatch, folder):
+        loads = []
+        monkeypatch.setattr(cli, "load_database",
+                            lambda *a: loads.append(a) or load_database(*a))
+        out_path = tmp_path / folder / "r.json"
+        code, out, err = run_cli(
+            ["--schema", schema_path, "--k", "2", "--out", str(out_path)], capsys)
+        self.assert_one_error_line(code, out, err)
+        assert "error: cannot write --out: " in err and str(out_path) in err
+        assert loads == [] and "[load]" not in err
 
 
 class TestParser:
@@ -278,8 +299,8 @@ class TestDeterminism:
 
     def test_pass_entries_repeat(self, schema_path, capsys, monkeypatch):
         """``pass_entries`` is the same on every run, and it is the entries
-        of every message merge and every child merge of the weigh stage's
-        distance passes."""
+        of every message merge and every merge before a child of the weigh
+        stage's distance passes."""
         passes = []
         distance_pass = JoinEvaluator.distance_pass
 
@@ -295,9 +316,10 @@ class TestDeterminism:
             code, out, _ = run_cli(args, capsys)
             assert code == 0
             counts.append(json.loads(out)["telemetry"]["pass_entries"])
-            merged = sum(p.hist[v][0].size for p in passes for v in p.message)
-            merged += sum(conv.src.size for p in passes
-                          for convs in p.convolutions.values() for conv in convs)
+            merged = sum(m.source.size for p in passes for m in p.message.values())
+            merged += sum(conv.before.source.size for p in passes
+                          for convs in p.convolutions.values() for conv in convs
+                          if conv.before is not None)
             assert counts[-1] == merged > 0
         assert counts[0] == counts[1]
 
