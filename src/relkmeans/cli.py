@@ -94,15 +94,15 @@ def run(cfg: RunConfig) -> dict:
     clock.lap("load")
 
     ev = JoinEvaluator(tree, tables)
-    n_rows = int(ev.count_scalar())
+    n_rows = ev.count_scalar()
     if n_rows == 0:
         raise ValueError("empty join: nothing to cluster")
     k_prime = coreset_size(cfg, n_rows)
 
-    centers, state = run_kmeanspp(tree, tables, k_prime, seed=cfg.seed)
+    centers, state = run_kmeanspp(tree, tables, k_prime, seed=cfg.seed, ev=ev)
     clock.lap("sample")
 
-    coreset, _ = compute_weights(tree, tables, centers, wcfg)
+    coreset, _ = compute_weights(tree, tables, centers, wcfg, ev=ev)
     clock.lap("weigh")
 
     doc: dict = {
@@ -203,6 +203,10 @@ def main(argv: list[str] | None = None) -> int:
         doc = run(cfg)
     except (SchemaError, InsufficientDistinctPoints, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({exc}); a smaller --ring-cap bounds the "
+              "weigher's test draws", file=sys.stderr)
         return 1
     except CyclicSchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -52,7 +52,7 @@ def materialize(tables: list[Table], guard: int = DEFAULT_GUARD,
     ev = JoinEvaluator(tree, tables)
     n = ev.count_scalar()
     if n > guard:
-        raise MaterializationGuard(f"join has {int(n)} rows, guard is {guard}")
+        raise MaterializationGuard(f"join has {n} rows, guard is {guard}")
     if n == 0:
         return MaterializedJoin(np.empty((0, d)), guard)
 

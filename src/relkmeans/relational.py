@@ -170,6 +170,10 @@ def load_database(schema_doc: str | Path) -> tuple[list[Table], SchemaGraph]:
         cols = [c.strip() for c in cols_part.split(",") if c.strip()]
         if not name or not cols:
             raise SchemaError(f"{doc_name}:{lineno}: missing table name or columns")
+        dup = next((c for i, c in enumerate(cols) if c in cols[:i]), None)
+        if dup is not None:
+            raise SchemaError(
+                f"{doc_name}:{lineno}: column {dup!r} repeats in table {name!r}")
         entries.append((name, cols, Path(path_part.strip())))
 
     names = [e[0] for e in entries]

@@ -7,7 +7,7 @@ its smallest laminar box.  Accepting with probability (true nearest-center
 cost) / (surrogate cost) corrects it to the k-means++ target distribution.
 
 Every sampler of a stage runs on the one :class:`JoinEvaluator` its
-:class:`SamplingState` holds; :func:`run_kmeanspp` builds one for all draws.
+:class:`SamplingState` holds, which :func:`run_kmeanspp` takes or builds.
 
 The surrogate is realized exactly by drawing one row per table along the
 evaluator's walk (table 0, then always the smallest-id unvisited table next
@@ -161,9 +161,6 @@ class StageSampler:
         self.up = ev.costpair_walk(targets, masks)
         self.signs = np.asarray(signs, dtype=np.float64)
         self.count_only = count_only
-        self._pos = {v: i for i, v in enumerate(ev.walk)}
-        self._children = {u: [c for c in ev.walk if ev.walk_parent[c] == u]
-                          for u in ev.walk}
 
     @classmethod
     def uniform(cls, ev: JoinEvaluator) -> "StageSampler":
@@ -205,8 +202,8 @@ class StageSampler:
         for u, r in zip(ev.walk, prefixes.T):
             inside &= up.masks[u][:, r].T
             f_cost += up.owned[u][:, r].T
-            for c in self._children[u]:
-                if self._pos[c] > depth:
+            for c in ev.walk_children[u]:
+                if ev.walk_pos[c] > depth:
                     key = ev.edge_keys(c, u)[1][r]
                     ma, mb = up.msg_cost[c][:, key].T, up.msg_count[c][:, key].T
                     p_cost, p_count = p_cost * mb + ma * p_count, p_count * mb
@@ -219,7 +216,7 @@ class StageSampler:
         if depth:
             par = ev.walk_parent[v]
             ids_v, ids_par, _ = ev.edge_keys(v, par)
-            w[ids_v != ids_par[prefixes[:, self._pos[par]]][:, None]] = 0.0
+            w[ids_v != ids_par[prefixes[:, ev.walk_pos[par]]][:, None]] = 0.0
         # inclusion-exclusion may leave -0-size noise
         return np.maximum(w, 0.0)
 
@@ -290,16 +287,17 @@ def rejection_sample_batch(state: SamplingState, tree: JoinTree,
 
 
 def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
-                 seed: int = 0) -> tuple[list[np.ndarray], SamplingState]:
+                 seed: int = 0, *, ev: JoinEvaluator | None = None,
+                 ) -> tuple[list[np.ndarray], SamplingState]:
     """Sample up to ``n_centers`` centers: the first uniformly, the rest from
     the exact k-means++ distribution given their predecessors.  One
-    evaluator serves every draw, and each box forest is built just before
-    the draw that needs it.
+    evaluator (``ev``, else a new one) serves every draw, and each box
+    forest is built just before the draw that needs it.
 
     Stops early (with a log message) if the remaining points all coincide
     with existing centers.  Deterministic given the seed.
     """
-    state = SamplingState([], None, make_rng(seed), JoinEvaluator(tree, tables))
+    state = SamplingState([], None, make_rng(seed), ev or JoinEvaluator(tree, tables))
     first = StageSampler.uniform(state.ev)
     if first.total_mass() == 0:
         raise EmptyJoin("join has no rows")

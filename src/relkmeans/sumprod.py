@@ -7,12 +7,13 @@ Each feature is applied at exactly one owner node to avoid double-counting
 features shared between tables.
 
 :class:`JoinEvaluator` is the one evaluator the pipeline runs, built once
-per stage and taken by every sampler of the stage.  It carries cost pairs
+per run and taken by every stage and every sampler.  It counts the join
+once, exactly (:meth:`JoinEvaluator.count_scalar`), carries cost pairs
 and sparse squared-distance histograms as numpy arrays, and it fixes the
 one table order (``walk``) both samplers draw join rows in.
-:meth:`JoinEvaluator.costpair_walk` is the one cost/count pass: the join
-count, the surrogate cost and every k-means++ stage weight are read off
-it, and k-means++ candidates are drawn from those weights one table at a
+:meth:`JoinEvaluator.costpair_walk` is the one cost/count pass: the
+surrogate cost and every k-means++ stage weight are read off it, and
+k-means++ candidates are drawn from those weights one table at a
 time, every draw of a batch at once
 (:meth:`relkmeans.sampling.StageSampler.sample_batch`).
 :meth:`JoinEvaluator.distance_pass` is the one distance pass: ball counts
@@ -387,17 +388,20 @@ class JoinEvaluator:
     comparison is exact (values come from input files, never from
     arithmetic), with -0.0 equal to 0.0.
 
-    Counts are float64 throughout: exact below 2**53 join rows and never
-    overflowing beyond.  Every count is a sum or product of non-negative
-    floats, so past 2**53 only the relative error grows, by at most one
-    float64 rounding per operation (test_ballcount's 40**13-row star is off
-    by under 1e-15).
+    The join count (:meth:`count_scalar`) is an exact Python ``int`` at any
+    size, computed at most once per evaluator.  Every other count is
+    float64: exact below 2**53 join rows and never overflowing beyond.
+    Each is a sum or product of non-negative floats, so past 2**53 only the
+    relative error grows, by at most one float64 rounding per operation
+    (test_ballcount's 40**13-row star is off by under 1e-15).
 
     Samplers visit the tables in one fixed order, ``walk``: table 0 first,
     then repeatedly the smallest-id unvisited table adjacent in the join
     tree to a visited one.  It equals table-id order whenever that order is
     connected.  ``walk_parent[v]`` is v's one visited neighbour when v is
     reached (None for table 0), i.e. its parent in the tree rooted at 0.
+    ``walk_pos[v]`` is v's position in the walk, ``walk_children[u]`` the
+    tables whose walk parent is u.
     """
 
     def __init__(self, tree: JoinTree, tables: list[Table]):
@@ -423,6 +427,10 @@ class JoinEvaluator:
         while len(walk) < len(tables):
             walk.append(min(u for w in walk for u in adj[w] if u not in walk))
         self.walk: tuple[int, ...] = tuple(walk)
+        self.walk_pos = {v: i for i, v in enumerate(walk)}
+        self.walk_children = {u: [c for c in walk if self.walk_parent[c] == u]
+                              for u in walk}
+        self._n_rows: int | None = None
 
     def edge_keys(self, child: int, parent: int) -> tuple[np.ndarray, np.ndarray, int]:
         """(child row key ids, parent row key ids, number of keys) for an edge."""
@@ -453,11 +461,19 @@ class JoinEvaluator:
             self._owned_dists[key] = d
         return self._owned_dists[key]
 
-    def count_scalar(self) -> float:
-        """Number of join rows: the count component of one whole-space
-        :meth:`costpair_walk` term, summed over the walk's first table."""
-        up = self.costpair_walk(np.zeros(self.n_features))
-        return float(up.count[self.walk[0]].sum())
+    def count_scalar(self) -> int:
+        """Number of join rows, exact at any size: one upward pass of per-row
+        counts as Python ints in object arrays, summed into each message by
+        separator key.  Counted at most once per evaluator."""
+        if self._n_rows is None:
+            count = {t.id: np.ones(t.n_rows, dtype=object) for t in self.tables}
+            for node, par in self._up[:-1]:
+                ids_child, ids_par, n = self.edge_keys(node, par)
+                msg = np.zeros(n, dtype=object)
+                np.add.at(msg, ids_child, count.pop(node))
+                count[par] = count[par] * msg[ids_par]
+            self._n_rows = int(count[self.walk[0]].sum())
+        return self._n_rows
 
     def costpair_walk(self, targets: np.ndarray,
                       masks: list[np.ndarray] | None = None) -> WalkMessages:

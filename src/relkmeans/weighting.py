@@ -117,17 +117,19 @@ def ring_sample_size(cfg: WeightConfig, n_centers: int, n_rows: int) -> int:
 
 def compute_weights(tree: JoinTree, tables: list[Table],
                     centers: list[np.ndarray] | np.ndarray,
-                    cfg: WeightConfig | None = None,
+                    cfg: WeightConfig | None = None, *,
+                    ev: JoinEvaluator | None = None,
                     ) -> tuple[WeightedCoreset, list[RingStats]]:
     """Weights for the sampled centers via ring-wise test sampling.
 
-    Each distinct center costs one distance pass, on one evaluator shared
-    by all centers: its profile (``BallSampler.profile``), every ring's
-    radius (one search of the profile) and every ring's draws (one
-    :meth:`BallSampler.sample_batch` call) read the pass's one ball
-    curve.  Only one pass is alive at a time.  Deterministic given
-    ``cfg.seed``: center i's draws come from one stream split from the
-    master seed by spawn key (i, 0), which no other stage uses.
+    Each distinct center costs one distance pass, on one evaluator (``ev``,
+    else a new one) shared by all centers, which also counts the join: its
+    profile (``BallSampler.profile``), every ring's radius (one search of
+    the profile) and every ring's draws (one :meth:`BallSampler.sample_batch`
+    call) read the pass's one ball curve.  Only one pass is alive at a
+    time.  Deterministic given ``cfg.seed``: center i's draws come from one
+    stream split from the master seed by spawn key (i, 0), which no other
+    stage uses.
     """
     cfg = cfg or WeightConfig()
     cs = np.atleast_2d(np.asarray(centers, dtype=np.float64))
@@ -135,8 +137,8 @@ def compute_weights(tree: JoinTree, tables: list[Table],
     if k_prime == 0:
         raise ValueError("no centers to weigh")
 
-    ev = JoinEvaluator(tree, tables)
-    n_rows = int(ev.count_scalar())
+    ev = ev or JoinEvaluator(tree, tables)
+    n_rows = ev.count_scalar()
     if n_rows < 2:
         raise ValueError("weighting needs a join with at least 2 rows")
 

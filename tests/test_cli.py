@@ -146,6 +146,27 @@ class TestDiagnostics:
         assert err.count("error:") == 1 and "3 distinct points" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["cluster", "verify"])
+    def test_repeated_column_exits_1_naming_it(self, tmp_path, capsys, mode):
+        (tmp_path / "t.csv").write_text("a,a\n1,1\n2,3\n")
+        doc = tmp_path / "s.txt"
+        doc.write_text("# one table\nT1: a,a @ t.csv\n")
+        code, out, err = run_cli(
+            ["--schema", str(doc), "--k", "1", "--mode", mode], capsys)
+        self.assert_one_error_line(code, out, err)
+        assert f"{doc}:2: column 'a' repeats in table 'T1'" in err
+
+    def test_out_of_memory_exits_1_naming_ring_cap(self, tmp_path, capsys):
+        # tau = 1e12 asks for about 4e14 test draws per ring: petabytes, so
+        # the allocation fails at once on any machine
+        (tmp_path / "t.csv").write_text("x\n0\n1\n")
+        doc = tmp_path / "s.txt"
+        doc.write_text("T: x @ t.csv\n")
+        code, out, err = run_cli(
+            ["--schema", str(doc), "--k", "1", "--tau", "1000000000000"], capsys)
+        self.assert_one_error_line(code, out, err)
+        assert "error: out of memory" in err and "--ring-cap" in err
+
     @staticmethod
     def assert_one_error_line(code, out, err):
         assert code == 1 and out == ""
@@ -248,16 +269,42 @@ class TestSamplingGaveUp:
 
 
 class TestEvaluators:
-    def test_cluster_run_builds_three_evaluators(self, schema_path, capsys,
-                                                 evaluators_built):
-        """One for the join count and the surrogate cost, one for sampling
-        and one for weighing, whatever k' is."""
+    def test_cluster_run_builds_one_evaluator(self, schema_path, capsys,
+                                              evaluators_built):
+        """The join count, sampling, weighing and the surrogate cost all
+        run on one evaluator, whatever k' is."""
         code, out, _ = run_cli(
             ["--schema", schema_path, "--k", "2", "--seed", "1",
              "--ring-cap", "400"], capsys)
         assert code == 0
         assert json.loads(out)["telemetry"]["sampled"] == 5
-        assert len(evaluators_built) == 3
+        assert len(evaluators_built) == 1
+
+    @pytest.mark.parametrize("mode", ["coreset", "cluster"])
+    def test_run_counts_the_join_once(self, schema_path, capsys, monkeypatch,
+                                      mode):
+        """The CLI and the weigher both ask for the join count; only the
+        first call makes a pass over the tables, which reads the one edge's
+        keys."""
+        edge_reads, passes = [], []
+        edge_keys, count = JoinEvaluator.edge_keys, JoinEvaluator.count_scalar
+
+        def read_edge(self, *args):
+            edge_reads.append(None)
+            return edge_keys(self, *args)
+
+        def counted(self):
+            before = len(edge_reads)
+            n = count(self)
+            passes.append(len(edge_reads) > before)
+            return n
+        monkeypatch.setattr(JoinEvaluator, "edge_keys", read_edge)
+        monkeypatch.setattr(JoinEvaluator, "count_scalar", counted)
+        code, out, _ = run_cli(
+            ["--schema", schema_path, "--k", "2", "--seed", "1",
+             "--ring-cap", "400", "--mode", mode], capsys)
+        assert code == 0 and json.loads(out)["n_join_rows"] == 5
+        assert len(passes) >= 2 and sum(passes) == 1
 
 
 class TestDeterminism:

@@ -64,6 +64,15 @@ class TestLoadDatabase:
         with pytest.raises(SchemaError, match="duplicate table name"):
             load_database(str(doc))
 
+    def test_repeated_column_names_file_line_and_column(self, tmp_path):
+        (tmp_path / "t.csv").write_text("b,a,a\n1,1,1\n1,2,3\n")
+        (tmp_path / "u.csv").write_text("b\n1\n")
+        doc = tmp_path / "schema.txt"
+        doc.write_text("U: b @ u.csv\nT1: b,a,a @ t.csv\n")
+        with pytest.raises(SchemaError,
+                           match=r"schema\.txt:2: column 'a' repeats in table 'T1'"):
+            load_database(str(doc))
+
     def test_non_numeric_cell_names_file_and_line(self, tmp_path):
         (tmp_path / "t.csv").write_text("x\n1\nfoo\n")
         doc = tmp_path / "schema.txt"

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 import weakref
@@ -8,6 +9,7 @@ import pytest
 from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_schema
 from relkmeans.ballcount import BallSampler
 from relkmeans.boxes import sq_dists
+from relkmeans.cli import main
 from relkmeans.clustering import relational_cost
 from relkmeans.sampling import run_kmeanspp
 from relkmeans.sumprod import DistancePass
@@ -335,12 +337,13 @@ class TestComputeWeights:
                             WeightConfig(epsilon=0.2))
 
 
-def thirteen_table_star():
-    """13 tables of 80 rows, 40 per key value: N = 2 * 40^13 ~ 1.3e21."""
+def thirteen_table_star(r=40):
+    """13 tables of 2r rows, r per key value: N = 2 * r^13 (~1.3e21 at the
+    default r = 40)."""
     rng = np.random.default_rng(13)
-    key = np.repeat([0.0, 1.0], 40)
+    key = np.repeat([0.0, 1.0], r)
     tables = [Table(i, f"T{i}", (FeatureId("k", 0), FeatureId(f"x{i}", i + 1)),
-                    np.column_stack([key, 10 * key + rng.normal(size=80)]))
+                    np.column_stack([key, 10 * key + rng.normal(size=2 * r)]))
               for i in range(13)]
     return tables, gyo_reduce(tables_to_schema(tables))
 
@@ -386,3 +389,50 @@ class TestHugeJoin:
                 assert (t.rows == proj).all(axis=1).any()
         cost = relational_cost(JoinEvaluator(tree, tables), np.array(centers))
         assert np.isfinite(cost) and cost > 0.0
+
+
+class TestExactJoinCount:
+    """Past 2^53 a float64 count drifts: 2 * 41^13 would read 1,886,994
+    low and 2 * 43^13 3,762,250 high."""
+
+    @pytest.mark.parametrize("r", [41, 43, 300])
+    def test_count_scalar_is_exact(self, r):
+        tables, tree = thirteen_table_star(r)
+        n = JoinEvaluator(tree, tables).count_scalar()
+        assert n == 2 * r ** 13 and type(n) is int
+
+    def test_cli_document_count_is_exact(self, tmp_path, capsys):
+        tables, _ = thirteen_table_star(41)
+        lines = []
+        for t in tables:
+            cols = ",".join(t.feature_names())
+            body = "".join(f"{k!r},{x!r}\n" for k, x in t.rows.tolist())
+            (tmp_path / f"{t.name}.csv").write_text(f"{cols}\n{body}")
+            lines.append(f"{t.name}: {cols} @ {t.name}.csv\n")
+        doc = tmp_path / "star.txt"
+        doc.write_text("".join(lines))
+        code = main(["--schema", str(doc), "--k", "1", "--mode", "coreset",
+                     "--ring-cap", "4", "--coreset-factor", "0.01"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["n_join_rows"] == 2 * 41 ** 13
+
+
+def test_stages_match_with_and_without_an_evaluator(path_tables, path_tree):
+    """run_kmeanspp and compute_weights give the same results on their own
+    evaluators as on one evaluator shared with the join count, as the CLI
+    runs them."""
+    tables, tree = path_tables, path_tree
+    cfg = WeightConfig(seed=4, max_ring_samples=50)
+    own_centers, own_state = run_kmeanspp(tree, tables, 3, seed=2)
+    own, own_stats = compute_weights(tree, tables, own_centers, cfg)
+    ev = JoinEvaluator(tree, tables)
+    assert ev.count_scalar() == 5
+    centers, state = run_kmeanspp(tree, tables, 3, seed=2, ev=ev)
+    coreset, stats = compute_weights(tree, tables, centers, cfg, ev=ev)
+    assert state.ev is ev
+    np.testing.assert_array_equal(centers, own_centers)
+    assert state.telemetry == own_state.telemetry
+    assert state.forest_telemetry == own_state.forest_telemetry
+    np.testing.assert_array_equal(coreset.weights, own.weights)
+    assert coreset.alias == own.alias and coreset.telemetry == own.telemetry
+    assert stats == own_stats
