@@ -1,18 +1,19 @@
 """Approximate counting and uniform sampling inside hyperspheres.
 
 Exact in-ball counting on a join is intractable, so squared distances to a
-center are pushed through the join tree as sparse histograms, in one
-upward pass per center (:meth:`JoinEvaluator.distance_pass`): a row's key
-is its own squared deviation plus one key from each child's message, and a
-message is the union of its rows' histograms per separator key.  Keeping
-every exact distance would make intermediate results as large as the join,
-so keys are rounded up onto a (1+delta) geometric grid once per table; the
-rounding compounds to at most (1+delta)^m on the radius axis.  A
-:class:`Bucketizer` maps keys to integer grid codes, and each table merges
-its entries once, by (separator key, code), into its message, so the
-rounding needs no merge of its own; the grid values are computed once per
-center.  The root's separator key is the empty one, so its message is the
-ball curve (:attr:`DistancePass.curve`): the profile
+center are pushed through the join tree as sparse histograms, in one upward
+pass per center (:meth:`JoinEvaluator.distance_pass`): a row's key is its
+own squared deviation plus one key from each child's message, and a message
+is the union of its rows' histograms per separator key.  Keeping every
+exact distance would make intermediate results as large as the join, so
+each table's one merge into its message also rounds keys up, by integer
+codes (:class:`Bucketizer`), onto a (1+delta/m) geometric grid, the one
+policy (:func:`bucket_delta`) for a ball slack delta.  The rounding
+compounds to at most (1+delta/m)^m <= e^delta on the radius axis, so a
+radius search for a target holds at least (1-delta) * target join points,
+at most (1+delta/m)^m times the smallest radius that does; ties, or points
+dense within that factor, can push its count past (1+delta) * target.  The
+root's message is the ball curve (:attr:`DistancePass.curve`): the profile
 (:meth:`DistanceProfile.of`), each radius search and each draw's root pick
 read that one curve.  The pass keeps the provenance of every merge, so
 in-ball draws walk it top-down instead of running more passes, for every
@@ -99,14 +100,17 @@ class Bucketizer:
 def smallest_positive_deviation(tables: list[Table], center: np.ndarray) -> float:
     """Grid origin for bucketing: the smallest positive squared
     single-coordinate deviation from the center anywhere in the data."""
-    best = np.inf
-    for t in tables:
-        for pos, f in enumerate(t.features):
-            dev = (t.rows[:, pos] - center[f.index]) ** 2
-            pos_dev = dev[dev > 0]
-            if pos_dev.size:
-                best = min(best, float(pos_dev.min()))
+    dev = np.concatenate([(t.rows[:, pos] - center[f.index]) ** 2
+                          for t in tables for pos, f in enumerate(t.features)])
+    best = float(dev[dev > 0].min(initial=np.inf))
     return best if np.isfinite(best) else 1.0
+
+
+def bucket_delta(slack: float, m_tables: int) -> float | None:
+    """The one bucketing policy: per-table delta slack / m; None (exact) at 0."""
+    if slack != 0.0 and not 0.0 < slack <= 0.5:
+        raise ValueError(f"ball slack delta={slack} must be 0 or in (0, 1/2]")
+    return slack / m_tables if slack else None
 
 
 def make_bucketizer(tables: list[Table], center: np.ndarray,
@@ -168,15 +172,13 @@ def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
 def radius_for_count(tree: JoinTree, tables: list[Table], center: np.ndarray,
                      target: float | np.ndarray, delta: float,
                      ) -> float | np.ndarray:
-    """:meth:`DistanceProfile.radius_for` on a profile with per-table
-    bucketing delta / (8m): the count granularity near the chosen radius
-    has to sit well inside the [(1-delta), (1+delta)] * target window, and
-    join distances pile up (sums of few distinct per-table values), so the
-    buckets are kept much finer than the window itself.
-    """
-    bucket_delta = delta / (8 * len(tables)) if delta > 0 else None
-    return distance_profile(tree, tables, center, bucket_delta).radius_for(
-        target, delta)
+    """:meth:`DistanceProfile.radius_for` at ball slack ``delta``, on a
+    profile bucketed by :func:`bucket_delta`.  The radius holds at least
+    (1-delta) * target join points and is at most (1+delta/m)^m times the
+    smallest radius that does.  Its count stays under (1+delta) * target
+    unless ties, or points dense within that factor, pile up at it."""
+    return distance_profile(tree, tables, center, bucket_delta(
+        delta, len(tables))).radius_for(target, delta)
 
 
 class BallSampler:
@@ -185,12 +187,11 @@ class BallSampler:
     One distance pass (:meth:`JoinEvaluator.distance_pass`) serves every
     radius and every draw: ``profile`` is its root curve, and each draw is
     a join row whose root key lies under a widened threshold, drawn
-    top-down with probability proportional to its count.  Each table
-    rounds its keys up once, by at most (1+delta), so a root key is at
-    most (1+delta)^m times the true squared distance and the threshold
-    R * (1+delta)^m keeps every ball member drawable.
-    Points outside the requested ball are rejected against exact membership
-    afterwards, which leaves the draws exactly uniform over the ball.
+    top-down with probability proportional to its count.  A root key is
+    at most (1+delta)^m times the true squared distance (per-table
+    ``delta``), so the threshold R * (1+delta)^m keeps every ball member
+    drawable.  Draws outside the requested ball are rejected against
+    exact membership, which leaves the accepted ones exactly uniform.
 
     One :meth:`sample_batch` call serves any number of balls: each
     rejection round is one top-down draw (:meth:`DistancePass.draw`) for
@@ -257,10 +258,10 @@ class BallSampler:
 def sample_in_ball(tree: JoinTree, tables: list[Table], center: np.ndarray,
                    sq_radius: float, delta: float, rng: np.random.Generator,
                    size: int | None = None) -> np.ndarray:
-    """Join point(s) drawn uniformly from the closed ball.  Per-table
-    bucketing is delta / (2m), so the shell of candidates rejected outside
-    the ball reaches out to about (1 + delta/2) times the radius."""
-    bucket_delta = delta / (2 * len(tables)) if delta else None
-    sampler = BallSampler(JoinEvaluator(tree, tables), center, bucket_delta)
+    """Join point(s) drawn uniformly from the closed ball, bucketed by
+    :func:`bucket_delta`: candidates rejected outside the ball reach out
+    to (1+delta/m)^m <= e^delta times the radius."""
+    sampler = BallSampler(JoinEvaluator(tree, tables), center,
+                          bucket_delta(delta, len(tables)))
     pts = sampler.sample_batch(np.array([sq_radius]), size or 1, rng)[0]
     return pts if size is not None else pts[0]

@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="number of clusters")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--delta", type=float,
-                   help="ball-count slack (default epsilon/2)")
+                   help="ball-count slack, sets delta/m buckets (default epsilon/2)")
     p.add_argument("--tau", type=int)
     p.add_argument("--coreset-factor", type=float,
                    help="coreset size multiplier c in k' = min(c*k*ceil(lg N), N)")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ballcount import BallSampler
+from .ballcount import BallSampler, bucket_delta
 from .boxes import distinct_centers, sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
 from .sampling import make_rng
@@ -36,7 +36,7 @@ class WeightConfig:
     """
 
     epsilon: float = 0.1
-    delta: float | None = None
+    delta: float | None = None  # ball slack; also sets the buckets (bucket_delta)
     tau: int = 30
     seed: int = 0
     max_ring_samples: int | None = None
@@ -125,11 +125,11 @@ def compute_weights(tree: JoinTree, tables: list[Table],
     Each distinct center costs one distance pass, on one evaluator (``ev``,
     else a new one) shared by all centers, which also counts the join: its
     profile (``BallSampler.profile``), every ring's radius (one search of
-    the profile) and every ring's draws (one :meth:`BallSampler.sample_batch`
-    call) read the pass's one ball curve.  Only one pass is alive at a
-    time.  Deterministic given ``cfg.seed``: center i's draws come from one
-    stream split from the master seed by spawn key (i, 0), which no other
-    stage uses.
+    the profile) and every ring's draws (one ``sample_batch`` call) read
+    the pass's one ball curve, bucketed as in ``radius_for_count``, whose
+    radius bound every ring obeys.  Only one pass is alive at a time.
+    Deterministic given ``cfg.seed``: center i's draws come from one stream
+    split from the master seed by spawn key (i, 0), which no other stage uses.
     """
     cfg = cfg or WeightConfig()
     cs = np.atleast_2d(np.asarray(centers, dtype=np.float64))
@@ -146,7 +146,6 @@ def compute_weights(tree: JoinTree, tables: list[Table],
     n_rings = math.ceil(lg)
     threshold = 1.0 / (2.0 * k_prime ** 2 * lg)
     n_test = ring_sample_size(cfg, k_prime, n_rows)
-    bucket_delta = cfg.epsilon / (2 * len(tables))
     targets = 2.0 ** np.arange(1, n_rings + 1)
 
     alias = distinct_centers(cs)[0]
@@ -158,7 +157,7 @@ def compute_weights(tree: JoinTree, tables: list[Table],
         if alias[i] != i:
             continue
         center = cs[i]
-        sampler = BallSampler(ev, center, bucket_delta)
+        sampler = BallSampler(ev, center, bucket_delta(cfg.ball_slack, len(tables)))
         passes += 1
         entries += sampler.dists.merge_entries
         profile = sampler.profile
