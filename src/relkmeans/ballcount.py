@@ -26,12 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .boxes import sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
 from .sumprod import DistancePass, JoinEvaluator
+
+if TYPE_CHECKING:
+    from .sampling import UniformStream
 
 
 # rejection rounds one BallSampler.sample_batch call may take
@@ -221,7 +225,7 @@ class BallSampler:
         return sq_radii * (1.0 + 1e-9)
 
     def sample_batch(self, sq_radii: np.ndarray, size: int,
-                     rng: np.random.Generator) -> np.ndarray:
+                     rng: UniformStream) -> np.ndarray:
         """``size`` independent uniform draws from each closed ball of
         squared radius ``sq_radii[b]``: a (balls, size, features) array."""
         sq_radii = np.atleast_1d(np.asarray(sq_radii, dtype=np.float64))
@@ -256,7 +260,7 @@ class BallSampler:
 
 
 def sample_in_ball(tree: JoinTree, tables: list[Table], center: np.ndarray,
-                   sq_radius: float, delta: float, rng: np.random.Generator,
+                   sq_radius: float, delta: float, rng: UniformStream,
                    size: int | None = None) -> np.ndarray:
     """Join point(s) drawn uniformly from the closed ball, bucketed by
     :func:`bucket_delta`: candidates rejected outside the ball reach out

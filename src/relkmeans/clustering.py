@@ -7,7 +7,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .boxes import build_boxes, sq_dists
-from .sampling import StageSampler, make_rng
+from .sampling import StageSampler, UniformStream, make_rng
 from .sumprod import JoinEvaluator
 
 
@@ -42,8 +42,16 @@ def weighted_cost(ps: WeightedPointSet, centers: np.ndarray) -> float:
     return float(ps.weights @ sq_dists(ps.points, centers).min(axis=1))
 
 
+def inverse_cdf(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One index per uniform in ``u`` (on [0, 1)), drawn in proportion to
+    the nonnegative ``mass``: u scaled by the total is below it, so the
+    first running sum above it belongs to a point of positive mass."""
+    cum = np.cumsum(mass)
+    return np.searchsorted(cum, u * cum[-1], side="right")
+
+
 def weighted_kmeanspp_seed(ps: WeightedPointSet, k: int,
-                           rng: np.random.Generator) -> np.ndarray:
+                           rng: UniformStream) -> np.ndarray:
     """k initial centers by squared-distance sampling with point masses."""
     # distinct rows by one lexsort and an adjacent-row compare, which treat
     # -0.0 as 0.0, as np.unique does; np.unique without return_inverse
@@ -53,12 +61,11 @@ def weighted_kmeanspp_seed(ps: WeightedPointSet, k: int,
     if k > distinct:
         raise InsufficientDistinctPoints(
             f"need {k} centers from {distinct} distinct points")
-    first = rng.choice(ps.size, p=ps.weights / ps.weights.sum())
-    centers = [ps.points[first]]
+    centers = [ps.points[inverse_cdf(ps.weights, rng.random(1))[0]]]
     min_d2 = sq_dists(ps.points, centers[0][None])[:, 0]
     for _ in range(1, k):
-        mass = ps.weights * min_d2
-        centers.append(ps.points[rng.choice(ps.size, p=mass / mass.sum())])
+        pick = inverse_cdf(ps.weights * min_d2, rng.random(1))[0]
+        centers.append(ps.points[pick])
         d2 = sq_dists(ps.points, centers[-1][None])[:, 0]
         min_d2 = np.minimum(min_d2, d2)
     return np.array(centers)

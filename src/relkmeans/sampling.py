@@ -31,6 +31,7 @@ surrogate sampler.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,7 +89,7 @@ class SamplingState:
 
     centers: list[np.ndarray]
     forest: LaminarForest | None
-    rng: np.random.Generator
+    rng: UniformStream
     ev: JoinEvaluator | None = None
     telemetry: list[CenterTelemetry] = field(default_factory=list)
     forest_telemetry: ForestTelemetry = field(default_factory=ForestTelemetry)
@@ -124,11 +125,70 @@ class SamplingState:
         return self._surrogate
 
 
-def make_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
-    """Counter-based 64-bit generator; the same seed and spawn key reproduce
-    runs bit for bit, and distinct spawn keys give independent streams."""
-    return np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(seed, spawn_key=spawn_key)))
+# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the stream's increment
+# and the constants of its output function
+_GOLDEN = 0x9E3779B97F4A7C15
+_WORD = (1 << 64) - 1
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on a uint64 array (the
+    multiplications wrap modulo 2^64)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
+class UniformStream:
+    """Counter-based uniforms on [0, 1), the only randomness the pipeline
+    draws.  Value i of the stream is SplitMix64's output function applied
+    to ``key + i * 0x9E3779B97F4A7C15`` (mod 2^64), shifted right by 11 and
+    scaled by 2^-53, the 53-bit construction of numpy's
+    ``Generator.random``.  The stream is split-invariant: ``random(3)``
+    then ``random(5)`` equals ``random(8)``.  Any object with a
+    ``random(size)`` method (a numpy ``Generator``, say) may stand in."""
+
+    __slots__ = ("key", "drawn")
+
+    def __init__(self, key: int):
+        self.key = key
+        self.drawn = 0
+
+    def random(self, size: int) -> np.ndarray:
+        """The stream's next ``size`` values, as float64."""
+        z = np.arange(self.drawn, self.drawn + size, dtype=np.uint64)
+        self.drawn += size
+        z *= _GOLDEN
+        z += self.key
+        z = _mix(z) >> 11
+        return z * 2.0 ** -53
+
+
+def make_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> UniformStream:
+    """The stream of a seed and a spawn key: the same pair reproduces runs
+    bit for bit, and distinct pairs give unrelated streams.  The key folds
+    each part (the seed, then the spawn key's entries) through :func:`_mix`
+    as its count of 64-bit words, then those words, low first: no two
+    sequences of non-negative ints fold the same words, and a part of any
+    size fits."""
+    words = []
+    for part in map(operator.index, (seed, *spawn_key)):
+        if part < 0:
+            raise ValueError("seed and spawn key parts must be non-negative, "
+                             f"got {part}")
+        split = [part & _WORD]
+        while part := part >> 64:
+            split.append(part & _WORD)
+        words += [len(split), *split]
+    key = np.zeros(1, dtype=np.uint64)
+    for w in words:
+        key += _GOLDEN
+        key ^= w
+        _mix(key)
+    return UniformStream(int(key[0]))
 
 
 class StageSampler:
@@ -223,7 +283,7 @@ class StageSampler:
     def total_mass(self) -> float:
         return float(self.stage_weights(np.empty((1, 0), dtype=np.int64)).sum())
 
-    def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample_batch(self, rng: UniformStream, size: int) -> np.ndarray:
         """Draw ``size`` independent join rows, one table at a time in walk
         order, every draw at once: one inverse-CDF draw per stage.  Returns
         (size, m) row indices by table id."""

@@ -37,6 +37,7 @@ from .relational import JoinTree, Table
 
 if TYPE_CHECKING:
     from .ballcount import Bucketizer
+    from .sampling import UniformStream
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,7 @@ class _Constituents:
         bound[last] = np.arange(1, last.size + 1)
         return cls(source, bound, last)
 
-    def pick(self, merged: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def pick(self, merged: np.ndarray, rng: UniformStream) -> np.ndarray:
         """One constituent of each entry in ``merged``, drawn in proportion
         to count, from one ``rng.random`` call."""
         pos = np.searchsorted(self.bound, merged + rng.random(merged.size),
@@ -325,7 +326,7 @@ class DistancePass:
         return keys, np.cumsum(counts)
 
     def draw(self, thresholds: np.ndarray,
-             rng: np.random.Generator) -> np.ndarray:
+             rng: UniformStream) -> np.ndarray:
         """One join row per entry of ``thresholds``, drawn top-down with
         probability proportional to its count among the join rows whose root
         key is at most that threshold; at least one root key must be.

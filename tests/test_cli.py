@@ -391,12 +391,37 @@ class TestDeterminism:
         b = json.loads(open(out_b).read())
         assert a["sampled_centers"] != b["sampled_centers"]
 
+    def test_seed_past_64_bits_repeats_and_differs(self, schema_path, tmp_path,
+                                                   capsys):
+        """Seeds fold in 64-bit words: 2^70 runs, repeats byte for byte, and
+        its draws differ from those of 0 and of 2^64, which share its low
+        word."""
+        base = ["--schema", schema_path, "--k", "2", "--mode", "coreset",
+                "--ring-cap", "4000"]
+        docs = {}
+        for name, seed in (("a", 2 ** 70), ("b", 2 ** 70), ("zero", 0),
+                           ("two64", 2 ** 64)):
+            out = tmp_path / f"{name}.json"
+            assert main(base + ["--seed", str(seed), "--out", str(out)]) == 0
+            docs[name] = out.read_bytes()
+        capsys.readouterr()
+        assert docs["a"] == docs["b"]
+        draws = {name: {k: v for k, v in json.loads(doc).items() if k != "seed"}
+                 for name, doc in docs.items()}
+        assert draws["a"] != draws["zero"]
+        assert draws["a"] != draws["two64"]
+        assert draws["zero"] != draws["two64"]
+
 
 class TestColdPath:
     def test_cluster_run_never_imports_numpy_ma(self, schema_path):
-        """A cold ``--mode cluster`` run leaves numpy.ma unimported: it
-        costs 15-24 ms and about 1 MB of peak RSS per run, and np.unique
-        without return_index, return_inverse or return_counts imports it."""
+        """A cold ``--mode cluster`` run leaves numpy.ma, numpy.random and
+        OpenSSL's ``_hashlib`` unimported.  numpy.ma costs 15-24 ms and
+        about 1 MB of peak RSS per run, and np.unique without return_index,
+        return_inverse or return_counts imports it.  numpy.random's bit
+        generators import ``secrets``, hence ``hmac`` and ``_hashlib``: about
+        15 ms and 5.7 MB of peak RSS per run, for uniforms that
+        ``sampling.make_rng``'s stream draws without them."""
         probe = (
             "import runpy, sys\n"
             "sys.argv = ['relkmeans', *sys.argv[1:]]\n"
@@ -404,7 +429,8 @@ class TestColdPath:
             "    runpy.run_module('relkmeans.cli', run_name='__main__')\n"
             "except SystemExit as stop:\n"
             "    assert stop.code == 0, stop.code\n"
-            "print('numpy.ma imported:', 'numpy.ma' in sys.modules, file=sys.stderr)\n")
+            "print('imported:', [m for m in ('numpy.ma', 'numpy.random', '_hashlib')\n"
+            "                    if m in sys.modules], file=sys.stderr)\n")
         src = str(Path(relkmeans.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -414,4 +440,4 @@ class TestColdPath:
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["final_centers"]
-        assert done.stderr.splitlines()[-1] == "numpy.ma imported: False"
+        assert done.stderr.splitlines()[-1] == "imported: []"

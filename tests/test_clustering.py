@@ -5,6 +5,7 @@ from relkmeans import FeatureId, JoinEvaluator, Table, gyo_reduce, tables_to_sch
 from relkmeans.clustering import (
     InsufficientDistinctPoints,
     WeightedPointSet,
+    inverse_cdf,
     relational_cost,
     solve_weighted_kmeans,
     weighted_cost,
@@ -62,13 +63,11 @@ class TestSeeding:
         first = pts[3]
         d2 = ((pts - first) ** 2).sum(axis=1)
         want = d2 / d2.sum()
-        counts = np.zeros(12)
         trials = 100_000
-        g = make_rng(1)
-        for _ in range(trials):
-            mass = np.ones(12) * d2
-            idx = g.choice(12, p=mass / mass.sum())
-            counts[idx] += 1
+        # the seeding's own draw, mass = weight * squared distance
+        idx = inverse_cdf(ps.weights * d2, make_rng(1).random(trials))
+        counts = np.bincount(idx, minlength=12)
+        assert counts[3] == 0  # the first center has no mass
         tv = 0.5 * np.abs(counts / trials - want).sum()
         assert tv < 0.02
 

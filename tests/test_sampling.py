@@ -430,3 +430,51 @@ class TestPassCount:
                                   for d in range(len(walk))))
         assert n_prefixes[1] > 2 * n_prefixes[0]
         assert seen[0] == seen[1] == {"masks_for_box": 1, "costpair_walk": 1}
+
+
+class TestUniformStream:
+    """The counter-based stream every stage draws its uniforms from."""
+
+    def test_same_seed_and_key_same_values(self):
+        a = make_rng(7, (2, 3)).random(1000)
+        assert np.array_equal(a, make_rng(7, (2, 3)).random(1000))
+
+    def test_split_invariant(self):
+        rng = make_rng(5, (1,))
+        parts = [rng.random(3), rng.random(0), rng.random(5)]
+        assert np.array_equal(np.concatenate(parts), make_rng(5, (1,)).random(8))
+
+    @pytest.mark.parametrize("seed", [0, 9, 2 ** 64 - 1])
+    def test_distinct_keys_distinct_streams(self, seed):
+        keys = [(), (0,), (1,), (1, 0), (0, 1), (0, 0), (2 ** 64,), (0, 2 ** 64)]
+        firsts = {make_rng(seed, key).random(4).tobytes() for key in keys}
+        assert len(firsts) == len(keys)
+
+    def test_seeds_past_one_word_distinct(self):
+        seeds = [0, 1, 2 ** 64, 2 ** 64 + 1, 2 ** 70, 2 ** 128]
+        firsts = {make_rng(seed).random(4).tobytes() for seed in seeds}
+        assert len(firsts) == len(seeds)
+
+    def test_values_on_the_53_bit_grid(self):
+        u = make_rng(3).random(100_000)
+        scaled = u * 2.0 ** 53
+        assert np.array_equal(scaled, np.floor(scaled))
+        assert u.min() >= 0.0 and u.max() < 1.0
+
+    def test_chi_square_64_bins(self):
+        n = 1_000_000
+        counts = np.bincount((make_rng(11).random(n) * 64).astype(np.int64),
+                             minlength=64)
+        expected = n / 64
+        # 63 degrees of freedom: P(chi2 > 110) is about 2e-4
+        assert ((counts - expected) ** 2 / expected).sum() < 110
+
+    def test_lag_one_correlation(self):
+        u = make_rng(12).random(1_000_000)
+        # the standard error at 10^6 draws is 1e-3
+        assert abs(np.corrcoef(u[:-1], u[1:])[0, 1]) < 5e-3
+
+    @pytest.mark.parametrize("seed, key", [(-1, ()), (0, (-1,)), (3, (0, -2))])
+    def test_negative_parts_rejected(self, seed, key):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_rng(seed, key)
