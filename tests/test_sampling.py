@@ -444,16 +444,12 @@ class TestUniformStream:
         parts = [rng.random(3), rng.random(0), rng.random(5)]
         assert np.array_equal(np.concatenate(parts), make_rng(5, (1,)).random(8))
 
-    @pytest.mark.parametrize("seed", [0, 9, 2 ** 64 - 1])
-    def test_distinct_keys_distinct_streams(self, seed):
+    def test_distinct_seeds_and_keys_distinct_streams(self):
+        seeds = [0, 1, 9, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 70, 2 ** 128]
         keys = [(), (0,), (1,), (1, 0), (0, 1), (0, 0), (2 ** 64,), (0, 2 ** 64)]
-        firsts = {make_rng(seed, key).random(4).tobytes() for key in keys}
-        assert len(firsts) == len(keys)
-
-    def test_seeds_past_one_word_distinct(self):
-        seeds = [0, 1, 2 ** 64, 2 ** 64 + 1, 2 ** 70, 2 ** 128]
-        firsts = {make_rng(seed).random(4).tobytes() for seed in seeds}
-        assert len(firsts) == len(seeds)
+        firsts = {make_rng(seed, key).random(4).tobytes()
+                  for seed in seeds for key in keys}
+        assert len(firsts) == len(seeds) * len(keys)
 
     def test_values_on_the_53_bit_grid(self):
         u = make_rng(3).random(100_000)
