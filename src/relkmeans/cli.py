@@ -59,6 +59,8 @@ class RunConfig:
             raise ValueError("coreset factor must be finite and positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.guard < 0:
+            raise ValueError("guard must be non-negative")
 
 
 class _StageClock:
@@ -100,6 +102,9 @@ def run(cfg: RunConfig) -> dict:
     k_prime = coreset_size(cfg, n_rows)
 
     centers, state = run_kmeanspp(tree, tables, k_prime, seed=cfg.seed, ev=ev)
+    if len(centers) < k_prime:
+        print(f"note: sampling stopped at {len(centers)} of {k_prime} centers: "
+              "every join point coincides with one", file=sys.stderr)
     clock.lap("sample")
 
     coreset, _ = compute_weights(tree, tables, centers, wcfg, ev=ev)

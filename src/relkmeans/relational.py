@@ -46,8 +46,11 @@ class Table:
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[1] != len(self.features):
+        if rows.ndim != 2:
             rows = rows.reshape(-1, len(self.features))
+        elif rows.shape[1] != len(self.features):
+            raise ValueError(f"table {self.name!r}: rows have {rows.shape[1]} "
+                             f"columns, expected {len(self.features)}")
         object.__setattr__(self, "rows", rows)
 
     @property
@@ -106,7 +109,6 @@ class JoinTree:
         Returns (node, parent) pairs; the root appears last with parent None.
         """
         adj = self.adjacency()
-        order: list[tuple[int, int | None]] = []
         seen = {root}
         stack: list[tuple[int, int | None]] = [(root, None)]
         pre: list[tuple[int, int | None]] = []
@@ -117,8 +119,7 @@ class JoinTree:
                 if nbr not in seen:
                     seen.add(nbr)
                     stack.append((nbr, node))
-        order = list(reversed(pre))
-        return order
+        return list(reversed(pre))
 
 
 @dataclass(frozen=True)
@@ -135,27 +136,18 @@ class CyclicVerdict:
 
 
 def load_database(schema_doc: str | Path) -> tuple[list[Table], SchemaGraph]:
-    """Load tables described by a schema document.
+    """Load the tables of the schema document at path ``schema_doc``.
 
-    The document has one line per table, ``name: col1,col2,... @ csv_path``.
-    Relative CSV paths are resolved against the schema file's directory (or
-    the cwd when the schema is passed as inline text).
+    The document has one line per table, ``name: col1,col2,... @ csv_path``;
+    blank lines and ``#`` comments are skipped.  Relative CSV paths are
+    resolved against the document's directory.  An unreadable document, or
+    one naming no table, raises :class:`SchemaError`.
     """
-    schema_path: Path | None = None
-    text = str(schema_doc)
-    if isinstance(schema_doc, Path):
-        schema_path = schema_doc
-    elif "\n" not in text and (":" not in text or Path(text).exists()):
-        schema_path = Path(text)
-        if not schema_path.exists():
-            raise SchemaError(f"{text}: no such schema file")
-    if schema_path is not None:
-        try:
-            text = schema_path.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise SchemaError(f"{schema_path}: {exc}") from exc
-    base = schema_path.parent if schema_path is not None else Path.cwd()
-    doc_name = str(schema_path) if schema_path is not None else "<schema>"
+    doc = Path(schema_doc)
+    try:
+        text = doc.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise SchemaError(f"{doc}: {exc}") from exc
 
     entries: list[tuple[str, list[str], Path]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -163,35 +155,29 @@ def load_database(schema_doc: str | Path) -> tuple[list[Table], SchemaGraph]:
         if not line or line.startswith("#"):
             continue
         if ":" not in line or "@" not in line:
-            raise SchemaError(f"{doc_name}:{lineno}: expected 'name: cols @ path'")
+            raise SchemaError(f"{doc}:{lineno}: expected 'name: cols @ path'")
         name, rest = line.split(":", 1)
         cols_part, path_part = rest.rsplit("@", 1)
         name = name.strip()
         cols = [c.strip() for c in cols_part.split(",") if c.strip()]
         if not name or not cols:
-            raise SchemaError(f"{doc_name}:{lineno}: missing table name or columns")
+            raise SchemaError(f"{doc}:{lineno}: missing table name or columns")
+        if name in (e[0] for e in entries):
+            raise SchemaError(f"{doc}:{lineno}: duplicate table name {name!r}")
         dup = next((c for i, c in enumerate(cols) if c in cols[:i]), None)
         if dup is not None:
             raise SchemaError(
-                f"{doc_name}:{lineno}: column {dup!r} repeats in table {name!r}")
+                f"{doc}:{lineno}: column {dup!r} repeats in table {name!r}")
         entries.append((name, cols, Path(path_part.strip())))
+    if not entries:
+        raise SchemaError(f"{doc}: no tables")
 
-    names = [e[0] for e in entries]
-    if len(set(names)) != len(names):
-        dup = next(n for n in names if names.count(n) > 1)
-        raise SchemaError(f"{doc_name}: duplicate table name {dup!r}")
-
-    feature_index: dict[str, int] = {}
-    for _, cols, _ in entries:
-        for c in cols:
-            if c not in feature_index:
-                feature_index[c] = len(feature_index)
+    columns = dict.fromkeys(c for _, cols, _ in entries for c in cols)
+    feature_index = {c: i for i, c in enumerate(columns)}
 
     tables: list[Table] = []
     for tid, (name, cols, path) in enumerate(entries):
-        if not path.is_absolute():
-            path = base / path
-        rows = _read_csv(path, cols)
+        rows = _read_csv(doc.parent / path, cols)
         feats = tuple(FeatureId(c, feature_index[c]) for c in cols)
         tables.append(Table(tid, name, feats, rows))
 

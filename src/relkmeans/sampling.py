@@ -30,7 +30,6 @@ surrogate sampler.
 
 from __future__ import annotations
 
-import logging
 import operator
 from dataclasses import dataclass, field
 
@@ -39,8 +38,6 @@ import numpy as np
 from .boxes import LaminarForest, assignment_reps_batch, build_boxes, sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
 from .sumprod import JoinEvaluator
-
-log = logging.getLogger(__name__)
 
 # candidates drawn per rejection round, at the least
 BATCH_SIZE = 64
@@ -264,7 +261,7 @@ class StageSampler:
             f_cost += up.owned[u][:, r].T
             for c in ev.walk_children[u]:
                 if ev.walk_pos[c] > depth:
-                    key = ev.edge_keys(c, u)[1][r]
+                    key = ev.edge_keys(c)[1][r]
                     ma, mb = up.msg_cost[c][:, key].T, up.msg_count[c][:, key].T
                     p_cost, p_count = p_cost * mb + ma * p_count, p_count * mb
         signed = self.signs * inside
@@ -275,7 +272,7 @@ class StageSampler:
                  + (signed * p_count) @ up.cost[v])
         if depth:
             par = ev.walk_parent[v]
-            ids_v, ids_par, _ = ev.edge_keys(v, par)
+            ids_v, ids_par, _ = ev.edge_keys(v)
             w[ids_v != ids_par[prefixes[:, ev.walk_pos[par]]][:, None]] = 0.0
         # inclusion-exclusion may leave -0-size noise
         return np.maximum(w, 0.0)
@@ -354,8 +351,8 @@ def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
     evaluator (``ev``, else a new one) serves every draw, and each box
     forest is built just before the draw that needs it.
 
-    Stops early (with a log message) if the remaining points all coincide
-    with existing centers.  Deterministic given the seed.
+    Stops early if the remaining points all coincide with existing
+    centers.  Deterministic given the seed.
     """
     state = SamplingState([], None, make_rng(seed), ev or JoinEvaluator(tree, tables))
     first = StageSampler.uniform(state.ev)
@@ -366,9 +363,6 @@ def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
         try:
             pts, _ = rejection_sample_batch(state, tree, tables, 1)
         except DegenerateDistribution:
-            log.warning(
-                "all join points coincide with the %d sampled centers; "
-                "stopping early (%d requested)", len(state.centers), n_centers)
             break
         state.add_center(pts[0])
     return state.centers, state

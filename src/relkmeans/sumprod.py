@@ -10,7 +10,9 @@ features shared between tables.
 per run and taken by every stage and every sampler.  It counts the join
 once, exactly (:meth:`JoinEvaluator.count_scalar`), carries cost pairs
 and sparse squared-distance histograms as numpy arrays, and it fixes the
-one table order (``walk``) both samplers draw join rows in.
+one table order (``walk``): samplers draw join rows along it, and every
+pass runs it backwards, so each table folds in its children's messages
+before it sends its own.
 :meth:`JoinEvaluator.costpair_walk` is the one cost/count pass: the
 surrogate cost and every k-means++ stage weight are read off it, and
 k-means++ candidates are drawn from those weights one table at a
@@ -402,7 +404,10 @@ class JoinEvaluator:
     connected.  ``walk_parent[v]`` is v's one visited neighbour when v is
     reached (None for table 0), i.e. its parent in the tree rooted at 0.
     ``walk_pos[v]`` is v's position in the walk, ``walk_children[u]`` the
-    tables whose walk parent is u.
+    tables whose walk parent is u, in ascending id.  Every pass visits each
+    table once, in reversed walk order: it folds in the table's children's
+    messages, in that order, then sends the table's message to its walk
+    parent.
     """
 
     def __init__(self, tree: JoinTree, tables: list[Table]):
@@ -410,7 +415,7 @@ class JoinEvaluator:
         self.tables = tables
         self.owner = default_ownership(tree, tables)
         self.n_features = len({f.name for t in tables for f in t.features})
-        self._edge_keys: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, int]] = {}
+        self._edge_keys: dict[int, tuple[np.ndarray, np.ndarray, int]] = {}
         # owned column positions per node, plus feature index for box
         # lookups and for gathering drawn rows into points
         self._owned: dict[int, list[tuple[int, int]]] = {}
@@ -420,34 +425,32 @@ class JoinEvaluator:
                 if self.owner[f.name] == t.id
             ]
         self._owned_dists: dict[tuple[int, bytes], np.ndarray] = {}
-        # every pass runs upward in one (node, parent) order rooted at table 0
-        self._up = tree.rooted_order(0)
-        self.walk_parent: dict[int, int | None] = dict(self._up)
         adj = tree.adjacency()
+        self.walk_parent: dict[int, int | None] = {0: None}
         walk = [0]
         while len(walk) < len(tables):
-            walk.append(min(u for w in walk for u in adj[w] if u not in walk))
+            v, u = min((v, u) for u in walk for v in adj[u]
+                       if v not in self.walk_parent)
+            walk.append(v)
+            self.walk_parent[v] = u
         self.walk: tuple[int, ...] = tuple(walk)
         self.walk_pos = {v: i for i, v in enumerate(walk)}
         self.walk_children = {u: [c for c in walk if self.walk_parent[c] == u]
                               for u in walk}
         self._n_rows: int | None = None
 
-    def edge_keys(self, child: int, parent: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """(child row key ids, parent row key ids, number of keys) for an edge."""
-        edge = (min(child, parent), max(child, parent))
-        if edge not in self._edge_keys:
-            sep = self.tree.edge_separator(*edge)
-            ta, tb = self.tables[edge[0]], self.tables[edge[1]]
+    def edge_keys(self, child: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """(child row key ids, parent row key ids, number of keys) for the
+        edge from ``child`` to its walk parent."""
+        if child not in self._edge_keys:
+            par = self.walk_parent[child]
+            sep = self.tree.edge_separator(child, par)
             cols = [t.rows[:, [t.feature_names().index(s) for s in sep]]
-                    for t in (ta, tb)]
+                    for t in (self.tables[child], self.tables[par])]
             uniq, ids = np.unique(np.vstack(cols), axis=0, return_inverse=True)
-            ids = ids.reshape(-1)
-            self._edge_keys[edge] = (ids[:ta.n_rows], ids[ta.n_rows:], len(uniq))
-        ids_a, ids_b, n = self._edge_keys[edge]
-        if child == min(child, parent):
-            return ids_a, ids_b, n
-        return ids_b, ids_a, n
+            ids, cut = ids.reshape(-1), self.tables[child].n_rows
+            self._edge_keys[child] = (ids[:cut], ids[cut:], len(uniq))
+        return self._edge_keys[child]
 
     def _owned_sq_dist(self, t: Table, target: np.ndarray) -> np.ndarray:
         """Per row, the squared distance to ``target`` over the features the
@@ -467,13 +470,16 @@ class JoinEvaluator:
         counts as Python ints in object arrays, summed into each message by
         separator key.  Counted at most once per evaluator."""
         if self._n_rows is None:
-            count = {t.id: np.ones(t.n_rows, dtype=object) for t in self.tables}
-            for node, par in self._up[:-1]:
-                ids_child, ids_par, n = self.edge_keys(node, par)
-                msg = np.zeros(n, dtype=object)
-                np.add.at(msg, ids_child, count.pop(node))
-                count[par] = count[par] * msg[ids_par]
-            self._n_rows = int(count[self.walk[0]].sum())
+            msg = {}
+            for v in reversed(self.walk):
+                count = np.ones(self.tables[v].n_rows, dtype=object)
+                for c in self.walk_children[v]:
+                    count = count * msg.pop(c)[self.edge_keys(c)[1]]
+                if self.walk_parent[v] is not None:
+                    ids, _, n = self.edge_keys(v)
+                    msg[v] = np.zeros(n, dtype=object)
+                    np.add.at(msg[v], ids, count)
+            self._n_rows = int(count.sum())
         return self._n_rows
 
     def costpair_walk(self, targets: np.ndarray,
@@ -498,18 +504,19 @@ class JoinEvaluator:
             count[t.id] = active[t.id].astype(np.float64)
             cost[t.id] = owned[t.id] * count[t.id]
         msg_cost, msg_count = {}, {}
-        for node, par in self._up:
-            if par is None:
-                break
-            ids_child, ids_par, n = self.edge_keys(node, par)
-            # one bincount over (term, key) bins: bin t*n + key
-            bins = (np.arange(n_terms)[:, None] * n + ids_child).ravel()
-            ma, mb = (np.bincount(bins, weights=v[node].ravel(),
-                                  minlength=n_terms * n).reshape(n_terms, n)
-                      for v in (cost, count))
-            msg_cost[node], msg_count[node] = ma, mb
-            ma, mb = ma[:, ids_par], mb[:, ids_par]
-            cost[par], count[par] = cost[par] * mb + ma * count[par], count[par] * mb
+        for v in reversed(self.walk):
+            for c in self.walk_children[v]:
+                ids_v = self.edge_keys(c)[1]
+                ma, mb = msg_cost[c][:, ids_v], msg_count[c][:, ids_v]
+                cost[v], count[v] = cost[v] * mb + ma * count[v], count[v] * mb
+            if self.walk_parent[v] is not None:
+                ids, _, n = self.edge_keys(v)
+                # one bincount over (term, key) bins: bin t*n + key
+                bins = (np.arange(n_terms)[:, None] * n + ids).ravel()
+                msg_cost[v], msg_count[v] = (
+                    np.bincount(bins, weights=a[v].ravel(),
+                                minlength=n_terms * n).reshape(n_terms, n)
+                    for a in (cost, count))
         return WalkMessages(owned, active, cost, count, msg_cost, msg_count)
 
     def distance_pass(self, center: np.ndarray,
@@ -521,43 +528,43 @@ class JoinEvaluator:
 
         A table's entries start as its rows at their owned squared
         distances; each child's message is convolved in (keys add, counts
-        multiply) in rooted order.  Each table then merges its entries once,
-        straight into its message, by one sort of (separator key, key code)
-        integers; ``bucketizer``, when given, codes keys rounded, else they
-        are coded exactly.  One more merge bounds tied stars: before its
+        multiply) in ``walk_children`` order.  Each table then merges its
+        entries once, straight into its message, by one sort of (separator
+        key, key code) integers; ``bucketizer``, when given, codes keys
+        rounded, else they are coded exactly.  One more merge bounds tied stars: before its
         third and later children, a table sums equal (row, exact key)
         entries.  After one child a row's keys are distinct, as a message's
         are; from the second on, sums can repeat.
         """
         code = bucketizer.codes if bucketizer is not None else _exact_codes
-        hist = {t.id: (np.arange(t.n_rows), self._owned_sq_dist(t, center),
-                       np.ones(t.n_rows)) for t in self.tables}
-        convolutions: dict[int, list[_Convolution]] = {t.id: [] for t in self.tables}
+        convolutions: dict[int, list[_Convolution]] = {}
         sent, message, entries = {}, {}, 0
-        for node, par in self._up:
-            rows, keys, counts = hist.pop(node)
+        for v in reversed(self.walk):
+            t = self.tables[v]
+            hist = (np.arange(t.n_rows), self._owned_sq_dist(t, center),
+                     np.ones(t.n_rows))
+            convolutions[v] = []
+            for c in self.walk_children[v]:
+                before = None
+                if len(convolutions[v]) >= 2:
+                    rows, keys, counts = hist
+                    entries += rows.size
+                    codes, grid = _exact_codes(keys)
+                    (rows, codes, counts), before = _merge(rows, codes, counts)
+                    hist = (rows, grid[codes], counts)
+                _, ids_v, n = self.edge_keys(c)
+                *hist, src, pick = _convolve(hist, ids_v, sent[c], n)
+                convolutions[v].append(_Convolution(c, src, pick, before))
+            rows, keys, counts = hist
             entries += rows.size
-            if par is None:
+            if self.walk_parent[v] is None:
                 ids = np.broadcast_to(np.int64(0), rows.size)
             else:
-                ids_child, ids_par, n = self.edge_keys(node, par)
-                ids = ids_child[rows]
+                ids = self.edge_keys(v)[0][rows]
             codes, grid = code(keys)
-            del rows, keys  # freed before the merge's sort
-            (ids, codes, counts), message[node] = _merge(ids, codes, counts)
-            sent[node] = (ids, grid[codes], counts)
-            if par is None:
-                break
-            before = None
-            if len(convolutions[par]) >= 2:
-                rows, keys, counts = hist[par]
-                entries += rows.size
-                codes, grid = _exact_codes(keys)
-                (rows, codes, counts), before = _merge(rows, codes, counts)
-                hist[par] = (rows, grid[codes], counts)
-            rows, keys, counts, src, pick = _convolve(hist[par], ids_par, sent[node], n)
-            hist[par] = (rows, keys, counts)
-            convolutions[par].append(_Convolution(node, src, pick, before))
+            del hist, rows, keys  # freed before the merge's sort
+            (ids, codes, counts), message[v] = _merge(ids, codes, counts)
+            sent[v] = (ids, grid[codes], counts)
         return DistancePass(self.walk, sent, convolutions, message, entries)
 
     def masks_for_box(self, low: np.ndarray, high: np.ndarray) -> list[np.ndarray]:

@@ -12,8 +12,8 @@ aggregate the weighted centers behave as a coreset.
 
 from __future__ import annotations
 
-import logging
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +24,13 @@ from .relational import JoinTree, SamplingGaveUp, Table
 from .sampling import make_rng
 from .sumprod import JoinEvaluator
 
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class WeightConfig:
     """Accuracy knobs; ``delta`` defaults to ``epsilon / 2``.
 
     ``max_ring_samples`` caps the per-ring test draws (the uncapped formula
-    grows with the square of the center count); capping is logged.
+    grows with the square of the center count; telemetry says if it bound).
     """
 
     epsilon: float = 0.1
@@ -46,6 +44,10 @@ class WeightConfig:
             raise ValueError("epsilon must lie in (0, 0.2]")
         if self.tau < 30:
             raise ValueError("tau must be at least 30")
+        if (math.log(self.tau) - 2 * math.log(self.epsilon)
+                >= math.log(sys.float_info.max)):
+            raise ValueError(f"epsilon {self.epsilon} is too small for tau "
+                             f"{self.tau}: tau / epsilon^2 overflows a float")
         if self.delta is not None and not 0.0 < self.delta <= self.epsilon / 2:
             raise ValueError("delta must lie in (0, epsilon / 2]")
         if self.max_ring_samples is not None and self.max_ring_samples < 1:
@@ -101,17 +103,22 @@ class WeightedCoreset:
     telemetry: WeighTelemetry
 
 
-def _uncapped_ring_size(cfg: WeightConfig, n_centers: int, n_rows: int) -> int:
-    lg = math.log2(n_rows)
-    return math.ceil(cfg.tau / cfg.epsilon ** 2 * n_centers ** 2 * lg ** 2)
+def _uncapped_ring_size(cfg: WeightConfig, n_centers: int,
+                        n_rows: int) -> int | float:
+    """ceil(tau / eps^2 * k'^2 * log2(N)^2); inf past the float range."""
+    size = cfg.tau / cfg.epsilon ** 2 * n_centers ** 2 * math.log2(n_rows) ** 2
+    return math.ceil(size) if math.isfinite(size) else math.inf
 
 
 def ring_sample_size(cfg: WeightConfig, n_centers: int, n_rows: int) -> int:
-    """ceil(tau / eps^2 * k'^2 * log2(N)^2), subject to the configured cap."""
+    """ceil(tau / eps^2 * k'^2 * log2(N)^2), subject to the configured cap;
+    an uncapped size past the float range is an error."""
     size = _uncapped_ring_size(cfg, n_centers, n_rows)
     if cfg.max_ring_samples is not None and size > cfg.max_ring_samples:
-        log.warning("capping ring sample size %d at %d", size, cfg.max_ring_samples)
         return cfg.max_ring_samples
+    if size == math.inf:
+        raise ValueError(f"the ring sample size tau / epsilon^2 * {n_centers}^2 "
+                         f"* lg^2 {n_rows} overflows a float; cap it (--ring-cap)")
     return size
 
 

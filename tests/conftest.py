@@ -267,7 +267,7 @@ def reference_distance_pass(ev: JoinEvaluator, center: np.ndarray,
     byte below 2**53 join rows."""
     hist = {t.id: (np.arange(t.n_rows), ev._owned_sq_dist(t, center),
                    np.ones(t.n_rows)) for t in ev.tables}
-    for node, par in ev._up:
+    for node, par in ev.tree.rooted_order(0):
         if delta is not None:
             rows, keys, counts = hist[node]
             hist[node] = reference_merge(
@@ -275,7 +275,7 @@ def reference_distance_pass(ev: JoinEvaluator, center: np.ndarray,
         if par is None:
             break
         rows, keys, counts = hist[node]
-        ids_child, ids_par, n = ev.edge_keys(node, par)
+        ids_child, ids_par, n = ev.edge_keys(node)
         msg = reference_merge(ids_child[rows], keys, counts)
         *merged, _, _ = _convolve(hist[par], ids_par, msg, n)
         hist[par] = reference_merge(*merged)

@@ -228,7 +228,7 @@ class TestGroupedDistancePass:
                                                rtol=1e-9, atol=1e-12)
                     continue
                 ids, keys, counts = dists.sent[v]
-                ids_child, _, n = ev.edge_keys(v, par)
+                ids_child, _, n = ev.edge_keys(v)
                 at_v = [t.id for t in sub].index(v)
                 for key in range(n):
                     mine = ids == key
@@ -260,12 +260,12 @@ class TestAgainstUnfusedPass:
                 dists = ev.distance_pass(center, bucketizer)
                 hist = reference_distance_pass(
                     ev, center, delta, bucketizer.v_min if bucketizer else 1.0)
-                for v, par in ev._up:
+                for v, par in ev.tree.rooted_order(0):
                     if par is None:
                         got, want = dists.curve, reference_profile(hist[v])
                     else:
                         rows, keys, counts = hist[v]
-                        ids_child = ev.edge_keys(v, par)[0]
+                        ids_child = ev.edge_keys(v)[0]
                         got = dists.sent[v]
                         want = reference_merge(ids_child[rows], keys, counts)
                     assert len(got) == len(want)

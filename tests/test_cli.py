@@ -114,8 +114,12 @@ class TestDiagnostics:
 
     def test_bad_epsilon_rejected(self, schema_path, capsys):
         # delta must lie in (0, epsilon/2]; every bad knob fails before any
-        # table is read
+        # table is read.  At epsilon 1e-160 tau / epsilon^2 overflows and at
+        # 1e-300 epsilon^2 underflows to 0, so no ring cap helps.
         for bad, named in ((["--epsilon", "0.5"], "epsilon"),
+                           (["--epsilon", "1e-160", "--ring-cap", "4"], "epsilon"),
+                           (["--epsilon", "1e-300", "--ring-cap", "4"], "epsilon"),
+                           (["--guard", "-1"], "guard must be non-negative"),
                            (["--delta", "-0.5"], "epsilon"),
                            (["--delta", "0.9"], "epsilon"),
                            (["--ring-cap", "-1"], "ring cap"),
@@ -177,6 +181,28 @@ class TestDiagnostics:
         code, out, err = run_cli(["--schema", str(tmp_path), "--k", "2"], capsys)
         self.assert_one_error_line(code, out, err)
         assert str(tmp_path) in err
+
+    def test_missing_schema_named_even_with_a_colon(self, tmp_path, capsys):
+        missing = tmp_path / "no:such.txt"
+        code, out, err = run_cli(["--schema", str(missing), "--k", "2"], capsys)
+        self.assert_one_error_line(code, out, err)
+        assert str(missing) in err
+
+    def test_schema_without_tables_exits_1(self, tmp_path, capsys):
+        doc = tmp_path / "s.txt"
+        doc.write_text("# no tables yet\n\n")
+        code, out, err = run_cli(["--schema", str(doc), "--k", "2"], capsys)
+        self.assert_one_error_line(code, out, err)
+        assert f"{doc}: no tables" in err
+
+    def test_ring_size_past_float_range_names_ring_cap(self, schema_path,
+                                                       capsys):
+        # tau / epsilon^2 = 3e307 is a float; times k'^2 lg^2 N = 25 lg^2 5
+        # for the five-row join it is not
+        code, out, err = run_cli(
+            ["--schema", schema_path, "--k", "2", "--epsilon", "1e-153"], capsys)
+        self.assert_one_error_line(code, out, err)
+        assert "overflows a float" in err and "--ring-cap" in err
 
     def test_out_in_missing_directory_exits_1_with_one_line(
             self, schema_path, tmp_path, capsys):
@@ -415,13 +441,14 @@ class TestDeterminism:
 
 class TestColdPath:
     def test_cluster_run_never_imports_numpy_ma(self, schema_path):
-        """A cold ``--mode cluster`` run leaves numpy.ma, numpy.random and
-        OpenSSL's ``_hashlib`` unimported.  numpy.ma costs 15-24 ms and
-        about 1 MB of peak RSS per run, and np.unique without return_index,
-        return_inverse or return_counts imports it.  numpy.random's bit
-        generators import ``secrets``, hence ``hmac`` and ``_hashlib``: about
-        15 ms and 5.7 MB of peak RSS per run, for uniforms that
-        ``sampling.make_rng``'s stream draws without them."""
+        """A cold ``--mode cluster`` run leaves numpy.ma, numpy.random,
+        OpenSSL's ``_hashlib`` and ``logging`` unimported: the document
+        reports run facts, so the library logs nothing.  numpy.ma costs
+        15-24 ms and about 1 MB of peak RSS per run, and np.unique without
+        return_index, return_inverse or return_counts imports it.
+        numpy.random's bit generators import ``secrets``, hence ``hmac`` and
+        ``_hashlib``: about 15 ms and 5.7 MB of peak RSS per run, for
+        uniforms that ``sampling.make_rng``'s stream draws without them."""
         probe = (
             "import runpy, sys\n"
             "sys.argv = ['relkmeans', *sys.argv[1:]]\n"
@@ -429,7 +456,8 @@ class TestColdPath:
             "    runpy.run_module('relkmeans.cli', run_name='__main__')\n"
             "except SystemExit as stop:\n"
             "    assert stop.code == 0, stop.code\n"
-            "print('imported:', [m for m in ('numpy.ma', 'numpy.random', '_hashlib')\n"
+            "print('imported:', [m for m in ('numpy.ma', 'numpy.random', '_hashlib',\n"
+            "                                'logging')\n"
             "                    if m in sys.modules], file=sys.stderr)\n")
         src = str(Path(relkmeans.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -87,6 +87,14 @@ class TestLoadDatabase:
         with pytest.raises(SchemaError, match="header"):
             load_database(str(doc))
 
+    def test_rows_of_the_wrong_width_name_the_table(self):
+        feats = (FeatureId("a", 0), FeatureId("b", 1))
+        with pytest.raises(ValueError, match="table 'T': rows have 3 columns"):
+            Table(0, "T", feats, np.arange(12.0).reshape(4, 3))
+        # flat rows, as a list or 1-D array, still fill the table row-wise
+        assert Table(0, "T", feats, np.arange(4.0)).rows.shape == (2, 2)
+        assert Table(0, "T", feats, np.empty((0, 2))).n_rows == 0
+
     def test_malformed_line(self, tmp_path):
         doc = tmp_path / "schema.txt"
         doc.write_text("just some words\nanother line\n")

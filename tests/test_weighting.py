@@ -71,13 +71,22 @@ class TestConfig:
                 WeightConfig(epsilon=0.1, delta=delta)
         with pytest.raises(ValueError):
             WeightConfig(tau=10)
+        for epsilon in (1e-160, 1e-300):  # tau / eps^2 past the float range
+            with pytest.raises(ValueError, match="overflows a float"):
+                WeightConfig(epsilon=epsilon)
 
-    def test_sample_size_formula_and_cap(self, caplog):
+    def test_sample_size_formula_and_cap(self):
         cfg = WeightConfig(epsilon=0.1, tau=30)
         want = math.ceil(30 / 0.01 * 4 * math.log2(64) ** 2)
         assert ring_sample_size(cfg, 2, 64) == want
         capped = WeightConfig(epsilon=0.1, max_ring_samples=1000)
         assert ring_sample_size(capped, 2, 64) == 1000
+        # 3e307 * 5^2 * lg^2 5 overflows: only a cap gives a size
+        huge = WeightConfig(epsilon=1e-153)
+        with pytest.raises(ValueError, match="ring-cap"):
+            ring_sample_size(huge, 5, 5)
+        capped = WeightConfig(epsilon=1e-153, max_ring_samples=4)
+        assert ring_sample_size(capped, 5, 5) == 4
 
 
 class TestComputeWeights:
@@ -235,7 +244,8 @@ class TestComputeWeights:
         draw = DistancePass.draw
 
         def spy(self, thresholds, rng):
-            calls.append((id(self), np.unique(thresholds).size))
+            # the pass itself, not its id: a freed pass's id can be reused
+            calls.append((self, np.unique(thresholds).size))
             return draw(self, thresholds, rng)
         monkeypatch.setattr(DistancePass, "draw", spy)
         for n, n_rings in ((16, 4), (1024, 10)):
