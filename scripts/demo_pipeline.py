@@ -68,6 +68,9 @@ def main() -> int:
     doc = json.loads(result.read_text())
     print(f"join rows        : {doc['n_join_rows']}")
     print(f"sampled centers  : {doc['k_prime']}")
+    telem = doc["telemetry"]
+    print(f"forests built    : {telem['forests_built']}")
+    print(f"candidates tested: {sum(telem['candidates_per_center'])}")
     print(f"pipeline cost    : {doc['exact_cost']:.2f}")
     print(f"direct-Lloyd cost: {doc['baseline_cost']:.2f}")
     print(f"cost ratio       : {doc['cost_ratio']:.3f}")

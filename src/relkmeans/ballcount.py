@@ -81,17 +81,19 @@ class Bucketizer:
         with np.errstate(divide="ignore"):  # log(0); zero keeps code 0
             steps = np.ceil(np.log(values / self.v_min)
                             / math.log1p(self.delta) - 1e-9)
-        codes = np.where(values > 0.0, np.maximum(steps, 0.0) + 1.0,
-                         0.0).astype(np.int64)
-        if codes.size:
-            top = int(codes.max())
-            if top >= self.grid.size:  # a new array: earlier grids stay valid
-                self.grid = np.append(self.grid, np.zeros(top + 1 - self.grid.size))
-            seen = np.zeros(self.grid.size, dtype=bool)
-            seen[codes] = True
-            seen[0] = False
-            for c in np.flatnonzero(seen & (self.grid == 0.0)).tolist():
-                self.grid[c] = self.v_min * (1.0 + self.delta) ** (c - 1)
+        codes = np.where(values > 0.0, np.maximum(steps, 0.0) + 1.0, 0.0)
+        top = codes.max(initial=0.0)
+        if not top < 2 ** 24:  # a grid past 128 MB, or a code not a finite int64
+            raise ValueError(f"per-table bucket delta {self.delta:.3g} needs "
+                             f"{top:.3g} grid codes, over 2^24; use a larger --delta")
+        codes, top = codes.astype(np.int64), int(top)
+        if top >= self.grid.size:  # a new array: earlier grids stay valid
+            self.grid = np.append(self.grid, np.zeros(top + 1 - self.grid.size))
+        seen = np.zeros(self.grid.size, dtype=bool)
+        seen[codes] = True
+        seen[0] = False
+        for c in np.flatnonzero(seen & (self.grid == 0.0)).tolist():
+            self.grid[c] = self.v_min * (1.0 + self.delta) ** (c - 1)
         return codes, self.grid
 
     def widen(self, sq_radius: float | np.ndarray,

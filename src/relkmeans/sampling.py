@@ -5,6 +5,9 @@ Candidates come from an easy surrogate distribution: probability
 proportional to each join row's squared distance to the representative of
 its smallest laminar box.  Accepting with probability (true nearest-center
 cost) / (surrogate cost) corrects it to the k-means++ target distribution.
+A forest on a prefix of the centers stays exact for later stages (its
+representatives are centers, so the ratio stays <= 1), so a session keeps
+one until a round on it accepts nothing (:func:`rejection_sample_batch`).
 
 Every sampler of a stage runs on the one :class:`JoinEvaluator` its
 :class:`SamplingState` holds, which :func:`run_kmeanspp` takes or builds.
@@ -24,8 +27,7 @@ table), with no further pass, and one inverse-CDF draw per table picks
 every draw's row.  The first center is drawn uniformly from the count
 component of one whole-space term of the same pass
 (:meth:`StageSampler.uniform`), and the surrogate cost of a set of centers
-(:func:`relkmeans.clustering.relational_cost`) is the total mass of their
-surrogate sampler.
+(:func:`relkmeans.clustering.relational_cost`) is their sampler's mass.
 """
 
 from __future__ import annotations
@@ -68,9 +70,9 @@ class CenterTelemetry:
 
 @dataclass
 class ForestTelemetry:
-    """Deterministic counters of the box forests of one sampling session:
-    forests built, their boxes (sum and max), and the 2*|forest|-1
-    cost-pair terms summed over the forests sampled from."""
+    """Deterministic counters of the box forests of one sampling session
+    (a few, not one per center): forests built, their boxes (sum and max),
+    and the 2*|forest|-1 cost-pair terms summed over the forests sampled."""
 
     forests_built: int = 0
     forest_boxes_sum: int = 0
@@ -80,9 +82,10 @@ class ForestTelemetry:
 
 @dataclass
 class SamplingState:
-    """One k-means++ sampling session: centers so far, their box forest
-    (None until a draw needs it), the RNG, the evaluator every sampler of
-    the session runs on, and the surrogate sampler of the forest."""
+    """One k-means++ sampling session: centers so far (only appended to),
+    the box forest of a prefix of them (None until a draw needs it), the
+    RNG, the evaluator every sampler runs on, and, until the forest is
+    rebuilt, its surrogate sampler and its candidates no stage has tested."""
 
     centers: list[np.ndarray]
     forest: LaminarForest | None
@@ -91,26 +94,19 @@ class SamplingState:
     telemetry: list[CenterTelemetry] = field(default_factory=list)
     forest_telemetry: ForestTelemetry = field(default_factory=ForestTelemetry)
     _surrogate: "StageSampler | None" = None
+    _queue: np.ndarray | None = None
 
     def refresh_forest(self) -> None:
-        self.forest = build_boxes(np.asarray(self.centers)) if self.centers else None
-        self._surrogate = None
-        if self.forest is not None:
-            tel = self.forest_telemetry
-            tel.forests_built += 1
-            tel.forest_boxes_sum += self.forest.size
-            tel.forest_boxes_max = max(tel.forest_boxes_max, self.forest.size)
-
-    def add_center(self, center: np.ndarray) -> None:
-        """Append a center; its forest is built when a draw needs it."""
-        self.centers.append(center)
-        self.forest = self._surrogate = None
+        self.forest = build_boxes(np.asarray(self.centers))
+        self._surrogate = self._queue = None
+        tel = self.forest_telemetry
+        tel.forests_built += 1
+        tel.forest_boxes_sum += self.forest.size
+        tel.forest_boxes_max = max(tel.forest_boxes_max, self.forest.size)
 
     def surrogate(self) -> "StageSampler":
-        """The surrogate sampler of the current centers' forest, on the
-        session's evaluator, built at most once per forest."""
-        if not self.centers:
-            raise ValueError("surrogate sampling requires at least one center")
+        """The surrogate sampler of the forest, on the session's evaluator,
+        built at most once per forest, right after the forest in a run."""
         if self.forest is None:
             self.refresh_forest()
         if self._surrogate is None:
@@ -300,47 +296,53 @@ class StageSampler:
 def rejection_sample_batch(state: SamplingState, tree: JoinTree,
                            tables: list[Table], n_accepted: int,
                            ) -> tuple[np.ndarray, CenterTelemetry]:
-    """Draw ``n_accepted`` independent accepted samples from the target
-    distribution.  Accepted candidates are i.i.d., so collecting them from
-    pooled batches matches repeated single-sample rejection runs.  The
-    state's evaluator is built from ``tree`` and ``tables`` when it has
-    none, and kept on it.
-    """
+    """Draw ``n_accepted`` independent samples from the k-means++
+    distribution given ``state.centers``.  The state's evaluator is built
+    from ``tree`` and ``tables`` when it has none, and kept on it.
+
+    A round tests the queued candidates (else a new batch from the forest)
+    in draw order against the current centers, each with a fresh uniform,
+    and takes accepted ones in order; the rest, unseen, stay queued and
+    i.i.d.  A round accepting nothing on a forest built on fewer centers
+    rebuilds it on all; only a current forest's rounds count toward the
+    budget.  The telemetry counts the candidates tested."""
     if state.ev is None:
         state.ev = JoinEvaluator(tree, tables)
-    s = state.surrogate()
     centers = np.asarray(state.centers)
-    i = len(state.centers) + 1
-    d = centers.shape[1]
+    i, d = len(centers) + 1, centers.shape[1]
     budget = BUDGET_FACTOR * i * i * max(d, 1)
 
     out = np.empty((n_accepted, d))
-    got = accepted = candidates = rejections_run = 0
+    got = tested = rejections_run = 0
     batch = max(BATCH_SIZE, min(1024, 4 * n_accepted))
     while got < n_accepted:
-        prov = s.sample_batch(state.rng, batch)
-        pts = s.ev.gather(prov)
+        if state._queue is None or not len(state._queue):
+            # no local holds the sampler: it is freed with its forest
+            state._queue = state.ev.gather(
+                state.surrogate().sample_batch(state.rng, batch))
+        pts = state._queue
         surrogate = assignment_reps_batch(state.forest, pts)[1]
         true_cost = sq_dists(pts, centers).min(axis=1)
         with np.errstate(invalid="ignore", divide="ignore"):
-            accept = state.rng.random(batch) < true_cost / surrogate
-        candidates += batch
-        idx = np.flatnonzero(accept)
-        accepted += idx.size
-        take = idx[: n_accepted - got]
+            accept = state.rng.random(len(pts)) < true_cost / surrogate
+        take = np.flatnonzero(accept)[: n_accepted - got]
+        used = int(take[-1]) + 1 if got + take.size == n_accepted else len(pts)
+        state._queue = pts[used:]
+        tested += used
         out[got: got + take.size] = pts[take]
         got += take.size
-        if idx.size == 0:
-            rejections_run += batch
+        if take.size:
+            rejections_run = used - 1 - int(take[-1])
+        elif len(state.forest.centers) < len(state.centers):
+            state.refresh_forest()
+        else:
+            rejections_run += used
             if rejections_run > budget:
                 raise RejectionBudgetExceeded(
                     f"{rejections_run} consecutive rejections for center {i} "
                     f"(budget {budget}); retry with a new seed")
-        else:
-            rejections_run = int(batch - 1 - idx[-1])
-    telem = CenterTelemetry(i, candidates, candidates - accepted)
-    state.telemetry.append(telem)
-    return out, telem
+    state.telemetry.append(CenterTelemetry(i, tested, tested - n_accepted))
+    return out, state.telemetry[-1]
 
 
 def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
@@ -348,8 +350,8 @@ def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
                  ) -> tuple[list[np.ndarray], SamplingState]:
     """Sample up to ``n_centers`` centers: the first uniformly, the rest from
     the exact k-means++ distribution given their predecessors.  One
-    evaluator (``ev``, else a new one) serves every draw, and each box
-    forest is built just before the draw that needs it.
+    evaluator (``ev``, else a new one) serves every draw, and a forest is
+    rebuilt only when a round on it, stale, accepts nothing.
 
     Stops early if the remaining points all coincide with existing
     centers.  Deterministic given the seed.
@@ -358,11 +360,12 @@ def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
     first = StageSampler.uniform(state.ev)
     if first.total_mass() == 0:
         raise EmptyJoin("join has no rows")
-    state.add_center(state.ev.gather(first.sample_batch(state.rng, 1))[0])
+    state.centers.append(state.ev.gather(first.sample_batch(state.rng, 1))[0])
     while len(state.centers) < n_centers:
         try:
             pts, _ = rejection_sample_batch(state, tree, tables, 1)
         except DegenerateDistribution:
             break
-        state.add_center(pts[0])
+        state.centers.append(pts[0])
+    state._surrogate = state._queue = None  # frees the (terms, rows) arrays
     return state.centers, state

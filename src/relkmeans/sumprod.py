@@ -424,7 +424,6 @@ class JoinEvaluator:
                 (pos, f.index) for pos, f in enumerate(t.features)
                 if self.owner[f.name] == t.id
             ]
-        self._owned_dists: dict[tuple[int, bytes], np.ndarray] = {}
         adj = tree.adjacency()
         self.walk_parent: dict[int, int | None] = {0: None}
         walk = [0]
@@ -454,16 +453,11 @@ class JoinEvaluator:
 
     def _owned_sq_dist(self, t: Table, target: np.ndarray) -> np.ndarray:
         """Per row, the squared distance to ``target`` over the features the
-        table owns, summed from 0.0 in table-feature order.  Memoized per
-        (table, target); the array is read-only."""
-        key = (t.id, np.asarray(target, dtype=np.float64).tobytes())
-        if key not in self._owned_dists:
-            d = np.zeros(t.n_rows)
-            for pos, fidx in self._owned[t.id]:
-                d += (t.rows[:, pos] - target[fidx]) ** 2
-            d.flags.writeable = False
-            self._owned_dists[key] = d
-        return self._owned_dists[key]
+        table owns, summed from 0.0 in table-feature order."""
+        d = np.zeros(t.n_rows)
+        for pos, fidx in self._owned[t.id]:
+            d += (t.rows[:, pos] - target[fidx]) ** 2
+        return d
 
     def count_scalar(self) -> int:
         """Number of join rows, exact at any size: one upward pass of per-row

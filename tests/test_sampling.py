@@ -185,11 +185,26 @@ class TestNextCenter:
                 continue
             k = int(rng.integers(1, min(4, join.n_rows)))
             centers = join.rows[rng.choice(join.n_rows, k, replace=False)]
-            forest = build_boxes(centers)
-            _, surrogate = assignment_reps_batch(forest, join.rows)
             diffs = join.rows[:, None, :] - centers[None, :, :]
             true = np.einsum("ijk,ijk->ij", diffs, diffs).min(axis=1)
-            assert np.all(true <= surrogate + 1e-12)
+            # a forest on a prefix of the centers bounds the cost to all
+            prefix = int(rng.integers(1, k + 1))
+            for forest in (build_boxes(centers), build_boxes(centers[:prefix])):
+                _, surrogate = assignment_reps_batch(forest, join.rows)
+                assert np.all(true <= surrogate + 1e-12)
+
+    def test_stale_forest_draws_match_kmeanspp(self, path_tree, path_tables):
+        """Draws from a forest built on the first of three centers, tested
+        against all three, follow the k-means++ distribution of all three,
+        with no rebuild."""
+        join = materialize(path_tables)
+        state = SamplingState([join.rows[0]], None, make_rng(13))
+        state.refresh_forest()
+        state.centers += [join.rows[3], join.rows[4]]
+        pts, _ = rejection_sample_batch(state, path_tree, path_tables, 100_000)
+        assert state.forest_telemetry.forests_built == 1
+        want = exact_kmeanspp_distribution(join, state.centers)
+        assert empirical_tv(pts, join.rows, want) < 0.02
 
     def test_rejection_budget_exceeded(self, monkeypatch):
         # the only join row sits just outside the far cluster's local boxes,
@@ -222,7 +237,8 @@ class TestRunKmeanspp:
         assert len(evaluators_built) == 1
 
     def test_no_forest_after_the_last_center(self, monkeypatch):
-        """k' centers take k' - 1 surrogate draws, so k' - 1 forests."""
+        """k' centers take at most k' - 1 forests, each on more centers than
+        the one before and none on all k'."""
         tables, tree = hub_star(np.random.default_rng(8))
         forests = []
 
@@ -230,10 +246,11 @@ class TestRunKmeanspp:
             forests.append(len(centers))
             return build_boxes(centers, *args, **kwargs)
         monkeypatch.setattr(sampling, "build_boxes", spy)
-        centers, state = run_kmeanspp(tree, tables, 6, seed=0)
-        assert len(centers) == 6
-        assert forests == [1, 2, 3, 4, 5]
-        assert state.forest_telemetry.forests_built == 5
+        centers, state = run_kmeanspp(tree, tables, 30, seed=0)
+        assert len(centers) == 30
+        assert 1 < len(forests) <= 29 and forests[-1] < 30
+        assert all(a < b for a, b in zip(forests, forests[1:]))
+        assert state.forest_telemetry.forests_built == len(forests)
 
     def test_single_center_is_uniform_row(self, path_tree, path_tables):
         centers, _ = run_kmeanspp(path_tree, path_tables, 1, seed=5)
