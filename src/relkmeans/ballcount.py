@@ -14,12 +14,13 @@ radius search for a target holds at least (1-delta) * target join points,
 at most (1+delta/m)^m times the smallest radius that does; ties, or points
 dense within that factor, can push its count past (1+delta) * target.  The
 root's message is the ball curve (:attr:`DistancePass.curve`): the profile
-(:meth:`DistanceProfile.of`), each radius search and each draw's root pick
-read that one curve.  The pass keeps the provenance of every merge, so
-in-ball draws walk it top-down instead of running more passes, for every
-ball around the center at once, and rejection against exact membership
-makes them exactly uniform over each ball.  Counts are float64, like every
-count of the evaluator.  All radii in this module are squared distances.
+(:class:`DistanceProfile`, built on its arrays), each radius search and
+each draw's root pick read that one curve.  The pass keeps the provenance
+of every merge, so in-ball draws walk it top-down instead of running more
+passes, for every ball around the center at once, and rejection against
+exact membership makes them exactly uniform over each ball.  Counts are
+float64, like every count of the evaluator.  All radii in this module are
+squared distances.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .boxes import sq_dists
 from .relational import JoinTree, SamplingGaveUp, Table
-from .sumprod import DistancePass, JoinEvaluator
+from .sumprod import JoinEvaluator
 
 if TYPE_CHECKING:
     from .sampling import UniformStream
@@ -139,11 +140,6 @@ class DistanceProfile:
     sq_radii: np.ndarray
     cum_counts: np.ndarray
 
-    @classmethod
-    def of(cls, dists: DistancePass) -> "DistanceProfile":
-        """A pass's ball curve: the root's message, merged by key."""
-        return cls(*dists.curve)
-
     @property
     def total(self) -> int:
         return int(self.cum_counts[-1]) if self.cum_counts.size else 0
@@ -213,7 +209,7 @@ class BallSampler:
         self.m = len(ev.tables)
         self.bucketizer = make_bucketizer(ev.tables, self.center, delta)
         self.dists = ev.distance_pass(self.center, self.bucketizer)
-        self.profile = DistanceProfile.of(self.dists)
+        self.profile = DistanceProfile(*self.dists.curve)
         self.candidates = 0
 
     def _threshold(self, sq_radii: np.ndarray) -> np.ndarray:

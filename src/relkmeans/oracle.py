@@ -39,6 +39,8 @@ def materialize(tables: list[Table], guard: int = DEFAULT_GUARD,
     bottom-up along the tree).  The size is checked with a counting query
     before any row is built.
     """
+    if not tables:
+        return MaterializedJoin(np.empty((0, 0)), guard)
     if tree is None:
         verdict = gyo_reduce(tables_to_schema(tables))
         if isinstance(verdict, CyclicVerdict):
@@ -46,7 +48,7 @@ def materialize(tables: list[Table], guard: int = DEFAULT_GUARD,
         tree = verdict
 
     d = len({f.name for t in tables for f in t.features})
-    if not tables or all(t.n_rows == 0 for t in tables):
+    if all(t.n_rows == 0 for t in tables):
         return MaterializedJoin(np.empty((0, d)), guard)
 
     ev = JoinEvaluator(tree, tables)

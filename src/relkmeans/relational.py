@@ -77,13 +77,11 @@ class SchemaGraph:
 class JoinTree:
     """Evaluation tree over tables satisfying the running-intersection property.
 
-    ``parents[i]`` is the parent table id of node i (None for the root) and
-    ``separators[i]`` is the ordered shared-feature set on the edge to the
-    parent.  Nodes are table ids, so ``len(parents) == m``.
+    ``parents[i]`` is the parent table id of node i (None for the root).
+    Nodes are table ids, so ``len(parents) == m``.
     """
 
     parents: tuple[int | None, ...]
-    separators: tuple[tuple[str, ...], ...]
     node_features: tuple[frozenset[str], ...]
     root: int
 
@@ -248,10 +246,6 @@ def gyo_reduce(g: SchemaGraph) -> JoinTree | CyclicVerdict:
     index_of = {f.name: f.index for f in g.vertices}
     current: dict[int, set[str]] = {i: set(e) for i, e in enumerate(g.hyperedges)}
     parents: list[int | None] = [None] * m
-
-    if m == 1:
-        return JoinTree((None,), ((),), tuple(map(frozenset, g.hyperedges)), 0)
-
     alive = set(range(m))
     while len(alive) > 1:
         # Column rule: a feature occurring in exactly one alive table.
@@ -281,10 +275,5 @@ def gyo_reduce(g: SchemaGraph) -> JoinTree | CyclicVerdict:
         alive.discard(tid)
 
     root = alive.pop()
-    node_features = tuple(map(frozenset, g.hyperedges))
-    separators = tuple(
-        tuple(sorted(node_features[i] & node_features[p])) if p is not None else ()
-        for i, p in enumerate(parents)
-    )
-    return JoinTree(tuple(parents), separators, node_features, root)
+    return JoinTree(tuple(parents), tuple(map(frozenset, g.hyperedges)), root)
 

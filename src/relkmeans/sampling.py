@@ -197,20 +197,23 @@ class StageSampler:
 
     clamped at 0, where (a_t, b_t) are v's subtree (cost, count) arrays, I_t
     is 1 when every fixed row lies in term t's box, F_t is the fixed rows'
-    owned squared distance to term t's target, and (PA_t, PC_t) is the
-    cost-pair product of the messages of the unvisited subtrees hanging off
-    fixed tables (other than v's own), each read at its fixed parent row's
-    key.  With ``count_only`` the weight is sum_t s_t I_t b_t(r) PC_t
-    instead.  Each draw keeps its own (I, F, PA, PC) as one row of a
-    (draws, T) array, so a stage's weights are two matrix products against
-    v's (T, rows) arrays.  The walk only reaches prefixes that extend to a
-    join row; elsewhere these weights need not vanish.
+    owned squared distance to term t's target, computed at those rows only
+    from the kept targets (:meth:`JoinEvaluator.owned_sq_dist`), and
+    (PA_t, PC_t) is the cost-pair product of the messages of the unvisited
+    subtrees hanging off fixed tables (other than v's own), each read at
+    its fixed parent row's key.  With ``count_only`` the weight is
+    sum_t s_t I_t b_t(r) PC_t instead.  Each draw keeps its own
+    (I, F, PA, PC) as one row of a (draws, T) array, so a stage's weights
+    are two matrix products against v's (T, rows) arrays.  The walk only
+    reaches prefixes that extend to a join row; elsewhere these weights
+    need not vanish.
     """
 
     def __init__(self, ev: JoinEvaluator, targets: np.ndarray,
                  signs: list[float], masks: list[np.ndarray] | None = None,
                  count_only: bool = False):
         self.ev = ev
+        self.targets = targets
         self.up = ev.costpair_walk(targets, masks)
         self.signs = np.asarray(signs, dtype=np.float64)
         self.count_only = count_only
@@ -254,7 +257,7 @@ class StageSampler:
         p_cost, p_count = np.zeros_like(f_cost), np.ones_like(f_cost)
         for u, r in zip(ev.walk, prefixes.T):
             inside &= up.masks[u][:, r].T
-            f_cost += up.owned[u][:, r].T
+            f_cost += ev.owned_sq_dist(u, self.targets, r).T
             for c in ev.walk_children[u]:
                 if ev.walk_pos[c] > depth:
                     key = ev.edge_keys(c)[1][r]

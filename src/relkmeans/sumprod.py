@@ -321,8 +321,9 @@ class DistancePass:
 
     @cached_property
     def curve(self) -> tuple[np.ndarray, np.ndarray]:
-        """(ascending distinct root keys, running counts): the ball curve
-        (:meth:`relkmeans.ballcount.DistanceProfile.of`); every draw reads
+        """(ascending distinct root keys, running counts): the ball curve,
+        whose arrays make the profile
+        (``relkmeans.ballcount.DistanceProfile(*curve)``); every draw reads
         it."""
         _, keys, counts = self.sent[self.walk[0]]
         return keys, np.cumsum(counts)
@@ -364,16 +365,16 @@ class DistancePass:
 class WalkMessages:
     """What :meth:`JoinEvaluator.costpair_walk` keeps for a stack of T terms.
 
-    Per table v, arrays of shape (T, rows of v): ``owned[v]``, each row's
-    squared distance to the term's target over the features v owns;
-    ``masks[v]``, the term's row mask; ``cost[v]`` and ``count[v]``, the
-    (cost, count) pair of the join rows of v's subtree (the tree rooted at
-    the walk's first table) that extend each row.  Per table other than the
-    first, arrays of shape (T, separator keys): ``msg_cost[v]`` and
-    ``msg_count[v]``, the message v sends its walk parent.
+    Per table v, arrays of shape (T, rows of v): ``masks[v]``, the term's
+    row mask; ``cost[v]`` and ``count[v]``, the (cost, count) pair of the
+    join rows of v's subtree (the tree rooted at the walk's first table)
+    that extend each row.  Per table other than the first, arrays of shape
+    (T, separator keys): ``msg_cost[v]`` and ``msg_count[v]``, the message
+    v sends its walk parent.  Owned squared distances are not kept: a
+    reader computes them at the rows it reads
+    (:meth:`JoinEvaluator.owned_sq_dist`).
     """
 
-    owned: dict[int, np.ndarray]
     masks: dict[int, np.ndarray]
     cost: dict[int, np.ndarray]
     count: dict[int, np.ndarray]
@@ -451,12 +452,18 @@ class JoinEvaluator:
             self._edge_keys[child] = (ids[:cut], ids[cut:], len(uniq))
         return self._edge_keys[child]
 
-    def _owned_sq_dist(self, t: Table, target: np.ndarray) -> np.ndarray:
-        """Per row, the squared distance to ``target`` over the features the
-        table owns, summed from 0.0 in table-feature order."""
-        d = np.zeros(t.n_rows)
-        for pos, fidx in self._owned[t.id]:
-            d += (t.rows[:, pos] - target[fidx]) ** 2
+    def owned_sq_dist(self, v: int, targets: np.ndarray,
+                      rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """(targets, rows) array: the squared distance of each of table v's
+        ``rows`` (every row by default; an index array may repeat rows) to
+        each of ``targets`` (one target, or a (targets, features) stack),
+        over the features v owns, summed from 0.0 in table-feature order.
+        The one owned-distance helper of every pass and stage weight."""
+        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
+        cols = self.tables[v].rows[rows]
+        d = np.zeros((len(targets), len(cols)))
+        for pos, fidx in self._owned[v]:
+            d += (cols[:, pos] - targets[:, fidx, None]) ** 2
         return d
 
     def count_scalar(self) -> int:
@@ -486,17 +493,18 @@ class JoinEvaluator:
 
         Every table's subtree pairs and every edge's messages are kept, so
         the stage weights of any prefix of the walk are read off them
-        without another pass.  Memory: O(T * total rows) floats.
+        without another pass.  Memory: two float (T, rows) arrays and one
+        bool mask per table, plus (T, separator keys) messages; owned
+        squared distances seed ``cost`` and are not kept.
         """
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         n_terms = targets.shape[0]
-        owned, active, cost, count = {}, {}, {}, {}
+        active, cost, count = {}, {}, {}
         for t in self.tables:
-            owned[t.id] = np.stack([self._owned_sq_dist(t, y) for y in targets])
             active[t.id] = (masks[t.id] if masks is not None
                             else np.ones((n_terms, t.n_rows), dtype=bool))
             count[t.id] = active[t.id].astype(np.float64)
-            cost[t.id] = owned[t.id] * count[t.id]
+            cost[t.id] = self.owned_sq_dist(t.id, targets) * count[t.id]
         msg_cost, msg_count = {}, {}
         for v in reversed(self.walk):
             for c in self.walk_children[v]:
@@ -511,7 +519,7 @@ class JoinEvaluator:
                     np.bincount(bins, weights=a[v].ravel(),
                                 minlength=n_terms * n).reshape(n_terms, n)
                     for a in (cost, count))
-        return WalkMessages(owned, active, cost, count, msg_cost, msg_count)
+        return WalkMessages(active, cost, count, msg_cost, msg_count)
 
     def distance_pass(self, center: np.ndarray,
                       bucketizer: Bucketizer | None = None) -> DistancePass:
@@ -535,8 +543,8 @@ class JoinEvaluator:
         sent, message, entries = {}, {}, 0
         for v in reversed(self.walk):
             t = self.tables[v]
-            hist = (np.arange(t.n_rows), self._owned_sq_dist(t, center),
-                     np.ones(t.n_rows))
+            hist = (np.arange(t.n_rows), self.owned_sq_dist(v, center)[0],
+                    np.ones(t.n_rows))
             convolutions[v] = []
             for c in self.walk_children[v]:
                 before = None

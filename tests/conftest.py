@@ -264,9 +264,20 @@ def reference_distance_pass(ev: JoinEvaluator, center: np.ndarray,
     are merged after every child, and with ``delta`` each table's keys are
     then rounded up and merged once more, after its last child.
     :meth:`relkmeans.JoinEvaluator.distance_pass` must match it byte for
-    byte below 2**53 join rows."""
-    hist = {t.id: (np.arange(t.n_rows), ev._owned_sq_dist(t, center),
-                   np.ones(t.n_rows)) for t in ev.tables}
+    byte below 2**53 join rows.  A table starts as its rows at their squared
+    distance to ``center`` over the features it owns (those no lower table
+    id holds), summed from 0.0 in table-feature order."""
+    owner = {}
+    for t in sorted(ev.tables, key=lambda t: t.id):
+        for f in t.features:
+            owner.setdefault(f.name, t.id)
+    hist = {}
+    for t in ev.tables:
+        keys = np.zeros(t.n_rows)
+        for pos, f in enumerate(t.features):
+            if owner[f.name] == t.id:
+                keys += (t.rows[:, pos] - center[f.index]) ** 2
+        hist[t.id] = (np.arange(t.n_rows), keys, np.ones(t.n_rows))
     for node, par in ev.tree.rooted_order(0):
         if delta is not None:
             rows, keys, counts = hist[node]
@@ -285,9 +296,9 @@ def reference_distance_pass(ev: JoinEvaluator, center: np.ndarray,
 def reference_profile(root: tuple[np.ndarray, np.ndarray, np.ndarray],
                       ) -> tuple[np.ndarray, np.ndarray]:
     """The ball curve of a root histogram (rows, keys, counts) by a sort of
-    its keys: (ascending distinct keys, cumulative counts).
-    :meth:`relkmeans.ballcount.DistanceProfile.of` must match it byte for
-    byte below 2**53 join rows."""
+    its keys: (ascending distinct keys, cumulative counts).  The profile
+    built on a pass's curve (``DistanceProfile(*dists.curve)``) must match
+    it byte for byte below 2**53 join rows."""
     _, keys, counts = root
     keys, inv = np.unique(keys, return_inverse=True)
     counts = np.bincount(inv, weights=counts, minlength=keys.size)

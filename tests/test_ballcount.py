@@ -288,7 +288,7 @@ class TestAgainstUnfusedPass:
                 center = np.round(center)
             for delta in (None, 0.05, 0.01):
                 bucketizer = make_bucketizer(tables, center, delta)
-                got = DistanceProfile.of(ev.distance_pass(center, bucketizer))
+                got = DistanceProfile(*ev.distance_pass(center, bucketizer).curve)
                 root = reference_distance_pass(
                     ev, center, delta,
                     bucketizer.v_min if bucketizer else 1.0)[ev.walk[0]]

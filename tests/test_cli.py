@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import relkmeans
-from relkmeans import JoinEvaluator, ballcount, boxes, cli, sampling
+from relkmeans import JoinEvaluator, ballcount, boxes, cli, sampling, sumprod
 from relkmeans.cli import CyclicSchemaError, RunConfig, build_parser, main, run
 from relkmeans.relational import load_database
 
@@ -280,9 +280,8 @@ def _ball_draws_exhausted(monkeypatch):
 
 
 def _empty_profile(monkeypatch):
-    def empty(cls, dists):
-        return cls(np.array([]), np.array([]))
-    monkeypatch.setattr(ballcount.DistanceProfile, "of", classmethod(empty))
+    monkeypatch.setattr(sumprod.DistancePass, "curve",
+                        property(lambda self: (np.array([]), np.array([]))))
 
 
 class TestSamplingGaveUp:

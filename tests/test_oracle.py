@@ -47,6 +47,9 @@ class TestMaterialize:
         t = Table(0, "T", (FeatureId("x", 0),), np.empty((0, 1)))
         assert materialize([t]).n_rows == 0
 
+    def test_no_tables(self):
+        assert materialize([]).rows.shape == (0, 0)
+
     def test_matches_brute_force_randomized(self, rng):
         for _ in range(30):
             tables = random_acyclic_tables(rng)

@@ -128,7 +128,7 @@ class TestGyoReduce:
         assert not isinstance(tree, CyclicVerdict)
         assert tree.n_nodes == 2
         child = 0 if tree.parents[0] is not None else 1
-        assert tree.separators[child] == ("f2",)
+        assert tree.edge_separator(child, tree.parents[child]) == ("f2",)
         assert running_intersection_holds(tree)
 
     def test_triangle_is_cyclic(self):

@@ -1,6 +1,6 @@
 import sys
 from collections import Counter, defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +447,30 @@ class TestPassCount:
                                   for d in range(len(walk))))
         assert n_prefixes[1] > 2 * n_prefixes[0]
         assert seen[0] == seen[1] == {"masks_for_box": 1, "costpair_walk": 1}
+
+
+class TestSamplerMemory:
+    def test_keeps_two_term_row_float_arrays_per_table(self):
+        """A surrogate sampler on a forest of B boxes keeps, per table and
+        besides its messages, exactly two float64 (2B-1, rows) arrays: the
+        subtree cost and count.  Owned squared distances are computed at
+        the rows a draw reads, not kept."""
+        rng = np.random.default_rng(10)
+        tables, tree = hub_star(rng)
+        join = materialize(tables, tree=tree).rows
+        forest = build_boxes(join[rng.choice(len(join), 4, replace=False)])
+        s = StageSampler.surrogate(JoinEvaluator(tree, tables), forest)
+        shapes = {(2 * forest.size - 1, t.n_rows) for t in tables}
+        assert forest.size > 1 and len(shapes) == 1
+        kept = {t.id: [] for t in tables}
+        for f in fields(s.up):
+            if not f.name.startswith("msg_"):
+                for v, a in getattr(s.up, f.name).items():
+                    if a.dtype == np.float64 and a.shape in shapes:
+                        kept[v].append(f.name)
+        assert kept == {t.id: ["cost", "count"] for t in tables}
+        assert not [name for name, a in vars(s).items()
+                    if isinstance(a, np.ndarray) and a.shape in shapes]
 
 
 class TestUniformStream:

@@ -17,6 +17,7 @@ from relkmeans import (
     gyo_reduce,
     tables_to_schema,
 )
+from relkmeans.boxes import sq_dists
 from relkmeans.sumprod import COSTPAIR_ONE, COSTPAIR_ZERO, _merge, default_ownership
 
 from conftest import brute_force_join, random_acyclic_tables
@@ -243,6 +244,42 @@ class TestFeatureOwnership:
                        for nm in names}
             owner = {nm: int(rng.choice(h)) for nm, h in holders.items()}
             assert eval_sumprod(tree, tables, spec, ownership=owner) == base
+
+
+class TestOwnedSqDist:
+    def test_matches_per_target_loop_and_sq_dists(self, rng):
+        """owned_sq_dist over several targets, at every row and at a row
+        selection that repeats rows, is byte-equal to summing each target's
+        squared distances from 0.0 over the owned features (the lowest
+        holding table id owns a feature), in table-feature order; and close
+        to sq_dists over the owned columns."""
+        repeated = 0
+        for _ in range(30):
+            tables = random_acyclic_tables(rng)
+            ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
+            targets = rng.normal(size=(4, ev.n_features))
+            for t in tables:
+                owned = [(pos, f.index) for pos, f in enumerate(t.features)
+                         if min(u.id for u in tables
+                                if f.name in u.feature_names()) == t.id]
+                picks = rng.integers(0, t.n_rows, 2 * t.n_rows)
+                repeated += np.unique(picks).size < picks.size
+                for rows in (slice(None), picks):
+                    pts = t.rows[rows]
+                    want = np.zeros((len(targets), len(pts)))
+                    for i, y in enumerate(targets):
+                        for pos, fidx in owned:
+                            want[i] += (pts[:, pos] - y[fidx]) ** 2
+                    got = ev.owned_sq_dist(t.id, targets, rows)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+                    one = ev.owned_sq_dist(t.id, targets[1], rows)
+                    assert one.tobytes() == want[1:2].tobytes()
+                    cols, idx = [p for p, _ in owned], [i for _, i in owned]
+                    np.testing.assert_allclose(
+                        got, sq_dists(pts[:, cols], targets[:, idx]).T,
+                        rtol=1e-12, atol=1e-12)
+        assert repeated >= 30
 
 
 class TestSemiringAxioms:
