@@ -13,14 +13,14 @@ compounds to at most (1+delta/m)^m <= e^delta on the radius axis, so a
 radius search for a target holds at least (1-delta) * target join points,
 at most (1+delta/m)^m times the smallest radius that does; ties, or points
 dense within that factor, can push its count past (1+delta) * target.  The
-root's message is the ball curve (:attr:`DistancePass.curve`): the profile
-(:class:`DistanceProfile`, built on its arrays), each radius search and
-each draw's root pick read that one curve.  The pass keeps the provenance
-of every merge, so in-ball draws walk it top-down instead of running more
-passes, for every ball around the center at once, and rejection against
-exact membership makes them exactly uniform over each ball.  Counts are
-float64, like every count of the evaluator.  All radii in this module are
-squared distances.
+root's message is the ball curve (:attr:`DistancePass.curve`), which
+:class:`BallSampler` holds as its ``sq_radii`` and ``cum_counts``: the
+profile, each radius search and each draw's root pick read that one curve.
+The pass keeps the provenance of every merge, so in-ball draws walk it
+top-down instead of running more passes, for every ball around the center
+at once, and rejection against exact membership makes them exactly uniform
+over each ball.  Counts are float64, like every count of the evaluator.
+All radii in this module are squared distances.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class Bucketizer:
     grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 0.0 < self.delta <= 0.5:
+            raise ValueError("bucketing delta must lie in (0, 1/2]")
         self.grid = np.zeros(1)  # 0.0 marks a code not seen yet
 
     def codes(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -120,25 +122,60 @@ def bucket_delta(slack: float, m_tables: int) -> float | None:
     return slack / m_tables if slack else None
 
 
-def make_bucketizer(tables: list[Table], center: np.ndarray,
-                    delta: float | None) -> Bucketizer | None:
-    if delta is None or delta == 0.0:
-        return None
-    if not 0.0 < delta <= 0.5:
-        raise ValueError("bucketing delta must lie in (0, 1/2]")
-    return Bucketizer(delta, smallest_positive_deviation(tables, center))
+def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
+                     delta: float | None = None) -> BallSampler:
+    """The sampler whose profile (``sq_radii``, ``cum_counts``) holds the
+    squared distances from all join points to the center, off one distance
+    pass.  ``delta`` is the per-table bucketing error; None or 0 keeps
+    exact distances (fine for small joins, linear-size intermediates
+    otherwise)."""
+    return BallSampler(JoinEvaluator(tree, tables), center, delta)
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceProfile:
-    """Cumulative count curve of (rounded) squared distances to a center.
+def radius_for_count(tree: JoinTree, tables: list[Table], center: np.ndarray,
+                     target: float | np.ndarray, delta: float,
+                     ) -> float | np.ndarray:
+    """:meth:`BallSampler.radius_for` at ball slack ``delta``, on a
+    profile bucketed by :func:`bucket_delta`.  The radius holds at least
+    (1-delta) * target join points and is at most (1+delta/m)^m times the
+    smallest radius that does.  Its count stays under (1+delta) * target
+    unless ties, or points dense within that factor, pile up at it."""
+    return distance_profile(tree, tables, center, bucket_delta(
+        delta, len(tables))).radius_for(target, delta)
 
-    ``sq_radii`` is ascending; ``cum_counts[i]`` join points lie at rounded
-    squared distance <= sq_radii[i].
+
+class BallSampler:
+    """Uniform sampling of join points inside balls around one center.
+
+    One distance pass (:meth:`JoinEvaluator.distance_pass`) serves every
+    radius and every draw.  Its root curve is the profile of (rounded)
+    squared distances to the center: ``sq_radii`` ascending, and
+    ``cum_counts[i]`` join points at rounded squared distance at most
+    ``sq_radii[i]``.  Each draw is a join row whose root key lies under a
+    widened threshold, drawn top-down with probability proportional to its
+    count.  A root key is at most (1+delta)^m times the true squared
+    distance (per-table ``delta``), so the threshold R * (1+delta)^m keeps
+    every ball member drawable.  Draws outside the requested ball are
+    rejected against exact membership, which leaves the accepted ones
+    exactly uniform.
+
+    One :meth:`sample_batch` call serves any number of balls: each
+    rejection round is one top-down draw (:meth:`DistancePass.draw`) for
+    every ball still short of draws, each draw under its own ball's
+    threshold.  ``candidates`` counts the top-down draws made, rejected
+    ones included.
     """
 
-    sq_radii: np.ndarray
-    cum_counts: np.ndarray
+    def __init__(self, ev: JoinEvaluator, center: np.ndarray,
+                 delta: float | None = None):
+        self.ev = ev
+        self.center = np.asarray(center, dtype=np.float64)
+        self.m = len(ev.tables)
+        self.bucketizer = (Bucketizer(delta, smallest_positive_deviation(
+            ev.tables, self.center)) if delta else None)
+        self.dists = ev.distance_pass(self.center, self.bucketizer)
+        self.sq_radii, self.cum_counts = self.dists.curve
+        self.candidates = 0
 
     @property
     def total(self) -> int:
@@ -161,57 +198,6 @@ class DistanceProfile:
         need = np.maximum(1.0, np.ceil((1.0 - delta) * target))
         return self.sq_radii[np.searchsorted(self.cum_counts, need, side="left")]
 
-
-def distance_profile(tree: JoinTree, tables: list[Table], center: np.ndarray,
-                     delta: float | None = None) -> DistanceProfile:
-    """Profile of squared distances from all join points to the center, off
-    one distance pass.  ``delta`` is the per-table bucketing error; None or
-    0 keeps exact distances (fine for small joins, linear-size
-    intermediates otherwise)."""
-    return BallSampler(JoinEvaluator(tree, tables), center, delta).profile
-
-
-def radius_for_count(tree: JoinTree, tables: list[Table], center: np.ndarray,
-                     target: float | np.ndarray, delta: float,
-                     ) -> float | np.ndarray:
-    """:meth:`DistanceProfile.radius_for` at ball slack ``delta``, on a
-    profile bucketed by :func:`bucket_delta`.  The radius holds at least
-    (1-delta) * target join points and is at most (1+delta/m)^m times the
-    smallest radius that does.  Its count stays under (1+delta) * target
-    unless ties, or points dense within that factor, pile up at it."""
-    return distance_profile(tree, tables, center, bucket_delta(
-        delta, len(tables))).radius_for(target, delta)
-
-
-class BallSampler:
-    """Uniform sampling of join points inside balls around one center.
-
-    One distance pass (:meth:`JoinEvaluator.distance_pass`) serves every
-    radius and every draw: ``profile`` is its root curve, and each draw is
-    a join row whose root key lies under a widened threshold, drawn
-    top-down with probability proportional to its count.  A root key is
-    at most (1+delta)^m times the true squared distance (per-table
-    ``delta``), so the threshold R * (1+delta)^m keeps every ball member
-    drawable.  Draws outside the requested ball are rejected against
-    exact membership, which leaves the accepted ones exactly uniform.
-
-    One :meth:`sample_batch` call serves any number of balls: each
-    rejection round is one top-down draw (:meth:`DistancePass.draw`) for
-    every ball still short of draws, each draw under its own ball's
-    threshold.  ``candidates`` counts the top-down draws made, rejected
-    ones included.
-    """
-
-    def __init__(self, ev: JoinEvaluator, center: np.ndarray,
-                 delta: float | None = None):
-        self.ev = ev
-        self.center = np.asarray(center, dtype=np.float64)
-        self.m = len(ev.tables)
-        self.bucketizer = make_bucketizer(ev.tables, self.center, delta)
-        self.dists = ev.distance_pass(self.center, self.bucketizer)
-        self.profile = DistanceProfile(*self.dists.curve)
-        self.candidates = 0
-
     def _threshold(self, sq_radii: np.ndarray) -> np.ndarray:
         """Root-key bounds admitting every join point within ``sq_radii``.
 
@@ -228,8 +214,7 @@ class BallSampler:
         squared radius ``sq_radii[b]``: a (balls, size, features) array."""
         sq_radii = np.atleast_1d(np.asarray(sq_radii, dtype=np.float64))
         thresholds = self._threshold(sq_radii)
-        radii = self.profile.sq_radii
-        if radii.size == 0 or np.any(thresholds < radii[0]):
+        if self.sq_radii.size == 0 or np.any(thresholds < self.sq_radii[0]):
             raise EmptyBall("no join points within squared radius "
                             f"{sq_radii[np.argmin(thresholds)]}")
         n_balls = sq_radii.size

@@ -6,7 +6,7 @@ import numpy as np
 
 from dataclasses import dataclass
 
-from .boxes import build_boxes, sq_dists
+from .boxes import build_boxes, distinct_centers, sq_dists
 from .sampling import StageSampler, UniformStream, make_rng
 from .sumprod import JoinEvaluator
 
@@ -53,11 +53,7 @@ def inverse_cdf(mass: np.ndarray, u: np.ndarray) -> np.ndarray:
 def weighted_kmeanspp_seed(ps: WeightedPointSet, k: int,
                            rng: UniformStream) -> np.ndarray:
     """k initial centers by squared-distance sampling with point masses."""
-    # distinct rows by one lexsort and an adjacent-row compare, which treat
-    # -0.0 as 0.0, as np.unique does; np.unique without return_inverse
-    # would import numpy.ma, a cost the CLI would pay on every run
-    pts = ps.points[np.lexsort(ps.points.T)]
-    distinct = len(pts) and 1 + int((pts[1:] != pts[:-1]).any(axis=1).sum())
+    distinct = len(distinct_centers(ps.points)[1])
     if k > distinct:
         raise InsufficientDistinctPoints(
             f"need {k} centers from {distinct} distinct points")

@@ -111,7 +111,11 @@ class SamplingState:
             self.refresh_forest()
         if self._surrogate is None:
             s = StageSampler.surrogate(self.ev, self.forest)
-            if s.total_mass() <= 0.0:
+            mass = s.total_mass()
+            if not np.isfinite(mass):
+                raise ValueError("squared distances overflow float64 on this "
+                                 "join; rescale the features")
+            if mass <= 0.0:
                 raise DegenerateDistribution("total assignment cost is zero")
             self._surrogate = s
             self.forest_telemetry.costpair_terms += s.signs.size
@@ -196,9 +200,10 @@ class StageSampler:
                                              + b_t(r) PA_t)
 
     clamped at 0, where (a_t, b_t) are v's subtree (cost, count) arrays, I_t
-    is 1 when every fixed row lies in term t's box, F_t is the fixed rows'
-    owned squared distance to term t's target, computed at those rows only
-    from the kept targets (:meth:`JoinEvaluator.owned_sq_dist`), and
+    is 1 when every fixed row has a positive subtree count for term t, F_t
+    is the fixed rows' owned squared distance to term t's target, computed
+    at those rows only from the kept targets
+    (:meth:`JoinEvaluator.owned_sq_dist`), and
     (PA_t, PC_t) is the cost-pair product of the messages of the unvisited
     subtrees hanging off fixed tables (other than v's own), each read at
     its fixed parent row's key.  With ``count_only`` the weight is
@@ -207,6 +212,12 @@ class StageSampler:
     are two matrix products against v's (T, rows) arrays.  The walk only
     reaches prefixes that extend to a join row; elsewhere these weights
     need not vanish.
+
+    I_t read off the subtree counts is exact on those prefixes, so no box
+    mask is kept.  A fixed row outside term t's box has count 0.  A fixed row
+    inside it with count 0 has no in-box extension below it, so a pending
+    message (PC_t and PA_t) or v's own (a_t, b_t) at the matching key is
+    0, and term t's weight is 0 for every row of v either way.
     """
 
     def __init__(self, ev: JoinEvaluator, targets: np.ndarray,
@@ -256,7 +267,7 @@ class StageSampler:
         f_cost = np.zeros((n, self.signs.size))
         p_cost, p_count = np.zeros_like(f_cost), np.ones_like(f_cost)
         for u, r in zip(ev.walk, prefixes.T):
-            inside &= up.masks[u][:, r].T
+            inside &= up.count[u][:, r].T > 0.0
             f_cost += ev.owned_sq_dist(u, self.targets, r).T
             for c in ev.walk_children[u]:
                 if ev.walk_pos[c] > depth:

@@ -322,9 +322,8 @@ class DistancePass:
     @cached_property
     def curve(self) -> tuple[np.ndarray, np.ndarray]:
         """(ascending distinct root keys, running counts): the ball curve,
-        whose arrays make the profile
-        (``relkmeans.ballcount.DistanceProfile(*curve)``); every draw reads
-        it."""
+        the profile its :class:`relkmeans.ballcount.BallSampler` holds as
+        ``sq_radii`` and ``cum_counts``; every draw reads it."""
         _, keys, counts = self.sent[self.walk[0]]
         return keys, np.cumsum(counts)
 
@@ -365,17 +364,16 @@ class DistancePass:
 class WalkMessages:
     """What :meth:`JoinEvaluator.costpair_walk` keeps for a stack of T terms.
 
-    Per table v, arrays of shape (T, rows of v): ``masks[v]``, the term's
-    row mask; ``cost[v]`` and ``count[v]``, the (cost, count) pair of the
-    join rows of v's subtree (the tree rooted at the walk's first table)
-    that extend each row.  Per table other than the first, arrays of shape
-    (T, separator keys): ``msg_cost[v]`` and ``msg_count[v]``, the message
-    v sends its walk parent.  Owned squared distances are not kept: a
-    reader computes them at the rows it reads
-    (:meth:`JoinEvaluator.owned_sq_dist`).
+    Per table v, arrays of shape (T, rows of v): ``cost[v]`` and
+    ``count[v]``, the (cost, count) pair of the term's join rows of v's
+    subtree (the tree rooted at the walk's first table) that extend each
+    row; a row outside the term's mask has count 0.  Per table other than
+    the first, arrays of shape (T, separator keys): ``msg_cost[v]`` and
+    ``msg_count[v]``, the message v sends its walk parent.  Neither the
+    masks nor owned squared distances are kept: a reader computes the
+    distances at the rows it reads (:meth:`JoinEvaluator.owned_sq_dist`).
     """
 
-    masks: dict[int, np.ndarray]
     cost: dict[int, np.ndarray]
     count: dict[int, np.ndarray]
     msg_cost: dict[int, np.ndarray]
@@ -493,17 +491,16 @@ class JoinEvaluator:
 
         Every table's subtree pairs and every edge's messages are kept, so
         the stage weights of any prefix of the walk are read off them
-        without another pass.  Memory: two float (T, rows) arrays and one
-        bool mask per table, plus (T, separator keys) messages; owned
-        squared distances seed ``cost`` and are not kept.
+        without another pass.  Memory: two float (T, rows) arrays per
+        table, plus (T, separator keys) messages; the masks seed ``count``
+        and owned squared distances seed ``cost``, and neither is kept.
         """
         targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
         n_terms = targets.shape[0]
-        active, cost, count = {}, {}, {}
+        cost, count = {}, {}
         for t in self.tables:
-            active[t.id] = (masks[t.id] if masks is not None
-                            else np.ones((n_terms, t.n_rows), dtype=bool))
-            count[t.id] = active[t.id].astype(np.float64)
+            count[t.id] = (masks[t.id].astype(np.float64) if masks is not None
+                           else np.ones((n_terms, t.n_rows)))
             cost[t.id] = self.owned_sq_dist(t.id, targets) * count[t.id]
         msg_cost, msg_count = {}, {}
         for v in reversed(self.walk):
@@ -519,7 +516,7 @@ class JoinEvaluator:
                     np.bincount(bins, weights=a[v].ravel(),
                                 minlength=n_terms * n).reshape(n_terms, n)
                     for a in (cost, count))
-        return WalkMessages(active, cost, count, msg_cost, msg_count)
+        return WalkMessages(cost, count, msg_cost, msg_count)
 
     def distance_pass(self, center: np.ndarray,
                       bucketizer: Bucketizer | None = None) -> DistancePass:

@@ -131,9 +131,9 @@ def compute_weights(tree: JoinTree, tables: list[Table],
 
     Each distinct center costs one distance pass, on one evaluator (``ev``,
     else a new one) shared by all centers, which also counts the join: its
-    profile (``BallSampler.profile``), every ring's radius (one search of
-    the profile) and every ring's draws (one ``sample_batch`` call) read
-    the pass's one ball curve, bucketed as in ``radius_for_count``, whose
+    :class:`BallSampler` reads every ring's radius (one ``radius_for``
+    search) and every ring's draws (one ``sample_batch`` call) off the
+    pass's one ball curve, bucketed as in ``radius_for_count``, whose
     radius bound every ring obeys.  Only one pass is alive at a time.
     Deterministic given ``cfg.seed``: center i's draws come from one stream
     split from the master seed by spawn key (i, 0), which no other stage uses.
@@ -167,13 +167,12 @@ def compute_weights(tree: JoinTree, tables: list[Table],
         sampler = BallSampler(ev, center, bucket_delta(cfg.ball_slack, len(tables)))
         passes += 1
         entries += sampler.dists.merge_entries
-        profile = sampler.profile
-        if profile.total < 1:
+        if sampler.total < 1:
             raise SamplingGaveUp(f"the distance profile of center {i} is empty")
         # a ring whose 2^j points exceed the join covers the whole space
         radii = np.full(n_rings, math.inf)
-        inner = targets <= profile.cum_counts[-1]
-        radii[inner] = profile.radius_for(targets[inner], cfg.ball_slack)
+        inner = targets <= sampler.cum_counts[-1]
+        radii[inner] = sampler.radius_for(targets[inner], cfg.ball_slack)
         # radii never shrink, so each donut starts at the radius before it;
         # the first donut is [0, r_1], so join rows at the center count, and
         # a ring no wider than the one before holds no new points

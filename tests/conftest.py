@@ -296,9 +296,9 @@ def reference_distance_pass(ev: JoinEvaluator, center: np.ndarray,
 def reference_profile(root: tuple[np.ndarray, np.ndarray, np.ndarray],
                       ) -> tuple[np.ndarray, np.ndarray]:
     """The ball curve of a root histogram (rows, keys, counts) by a sort of
-    its keys: (ascending distinct keys, cumulative counts).  The profile
-    built on a pass's curve (``DistanceProfile(*dists.curve)``) must match
-    it byte for byte below 2**53 join rows."""
+    its keys: (ascending distinct keys, cumulative counts).  A pass's curve
+    (``dists.curve``, a ball sampler's ``sq_radii`` and ``cum_counts``)
+    must match it byte for byte below 2**53 join rows."""
     _, keys, counts = root
     keys, inv = np.unique(keys, return_inverse=True)
     counts = np.bincount(inv, weights=counts, minlength=keys.size)

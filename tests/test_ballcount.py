@@ -8,11 +8,9 @@ from relkmeans import (FeatureId, JoinEvaluator, Table, gyo_reduce, sumprod,
 from relkmeans.ballcount import (
     BallSampler,
     Bucketizer,
-    DistanceProfile,
     EmptyBall,
     TargetExceedsN,
     distance_profile,
-    make_bucketizer,
     radius_for_count,
     sample_in_ball,
 )
@@ -256,8 +254,8 @@ class TestAgainstUnfusedPass:
             if attempt % 2:
                 center = np.round(center)
             for delta in (None, 0.05, 0.01):
-                bucketizer = make_bucketizer(tables, center, delta)
-                dists = ev.distance_pass(center, bucketizer)
+                sampler = BallSampler(ev, center, delta)
+                bucketizer, dists = sampler.bucketizer, sampler.dists
                 hist = reference_distance_pass(
                     ev, center, delta, bucketizer.v_min if bucketizer else 1.0)
                 for v, par in ev.tree.rooted_order(0):
@@ -287,15 +285,15 @@ class TestAgainstUnfusedPass:
             if attempt % 2:
                 center = np.round(center)
             for delta in (None, 0.05, 0.01):
-                bucketizer = make_bucketizer(tables, center, delta)
-                got = DistanceProfile(*ev.distance_pass(center, bucketizer).curve)
+                sampler = BallSampler(ev, center, delta)
+                bucketizer, got = sampler.bucketizer, sampler.dists.curve
                 root = reference_distance_pass(
                     ev, center, delta,
                     bucketizer.v_min if bucketizer else 1.0)[ev.walk[0]]
                 want = reference_profile(root)
-                for a, b in zip((got.sq_radii, got.cum_counts), want):
+                for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-                tied += got.sq_radii.size < root[1].size
+                tied += got[0].size < root[1].size
         assert tied >= 25  # runs of equal root keys are common
 
 
@@ -341,7 +339,7 @@ class TestOneMergePerTable:
             m = len(tables)
             for delta in (None, 0.05):
                 calls.clear()
-                ev.distance_pass(center, make_bucketizer(tables, center, delta))
+                BallSampler(ev, center, delta)
                 assert len(calls) == m
             done += 1
             deep += m >= 3

@@ -104,14 +104,14 @@ class TestRingRadiusBound:
 class TestOnePolicy:
     @pytest.fixture
     def bucket_deltas(self, monkeypatch) -> list:
-        """Gains the per-table delta of every bucketizer made."""
+        """Gains the per-table delta of every ball sampler built."""
         seen = []
-        make = ballcount.make_bucketizer
+        init = ballcount.BallSampler.__init__
 
-        def spy(tables, center, delta):
+        def spy(self, ev, center, delta=None):
             seen.append(delta)
-            return make(tables, center, delta)
-        monkeypatch.setattr(ballcount, "make_bucketizer", spy)
+            init(self, ev, center, delta)
+        monkeypatch.setattr(ballcount.BallSampler, "__init__", spy)
         return seen
 
     @pytest.mark.parametrize("epsilon,delta", [(0.1, None), (0.2, 0.02)])

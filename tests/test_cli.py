@@ -204,6 +204,21 @@ class TestDiagnostics:
         self.assert_one_error_line(code, out, err)
         assert "overflows a float" in err and "--ring-cap" in err
 
+    @pytest.mark.parametrize("values", [
+        ["0", "1e200", "-1e200", "5"], ["1e153"] * 50 + ["-1e153"] * 50])
+    def test_overflowing_distances_exit_1_naming_rescale(self, tmp_path,
+                                                         capsys, values):
+        # the first overflows a squared difference; in the second each
+        # squared difference, 4e306, is finite, but their sum is not
+        (tmp_path / "t.csv").write_text("\n".join(["x", *values]) + "\n")
+        doc = tmp_path / "s.txt"
+        doc.write_text("T: x @ t.csv\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run_cli(["--schema", str(doc), "--k", "2",
+                                      "--mode", "cluster"], capsys)
+        self.assert_one_error_line(code, out, err)
+        assert "overflow float64" in err and "rescale" in err
+
     @pytest.mark.parametrize("delta", ["1e-30", "1e-12"])
     def test_too_fine_delta_names_delta(self, schema_path, capsys, delta):
         # at 1e-30 a bucket code overflows int64; at 1e-12 the grid would
@@ -267,7 +282,7 @@ def _empty_ball(monkeypatch):
 def _target_past_join(monkeypatch):
     def short(self, target, delta=0.0):
         raise ballcount.TargetExceedsN(f"needed {target} points")
-    monkeypatch.setattr(ballcount.DistanceProfile, "radius_for", short)
+    monkeypatch.setattr(ballcount.BallSampler, "radius_for", short)
 
 
 def _boxes_never_meld(monkeypatch):
@@ -478,3 +493,18 @@ class TestColdPath:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["final_centers"]
         assert done.stderr.splitlines()[-1] == "imported: []"
+
+
+class TestDocDigests:
+    def test_tiny_seed_0_prints_one_digest_per_workload(self):
+        script = Path(__file__).resolve().parents[1] / "scripts/doc_digests.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--tiny", "--seeds", "0"],
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert [ln.split()[:2] for ln in lines] == [
+            ["star-centers", "0"], ["snowflake-wide", "0"], ["path-coded", "0"]]
+        for ln in lines:
+            digest = ln.split()[2]
+            assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
