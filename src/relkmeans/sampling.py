@@ -18,14 +18,12 @@ to a visited one, so each table's tree parent is fixed before it).  The
 surrogate cost is the one laminar inclusion-exclusion of the package
 (:meth:`StageSampler.surrogate`): a stack of 2*|forest|-1 signed (box,
 target) terms.  One upward cost-pair pass per forest
-(:meth:`JoinEvaluator.costpair_walk`), rooted at table 0, keeps every
-table's subtree (cost, count) arrays and every edge's messages for all
-terms, with every box's masks built in one call.  A batch of draws is then
-extended one table at a time, all draws together: the next table's weights
-for every draw are read off those arrays in O(draws * terms * rows of the
-table), with no further pass, and one inverse-CDF draw per table picks
-every draw's row.  The first center is drawn uniformly from the count
-component of one whole-space term of the same pass
+(:meth:`JoinEvaluator.costpair_walk`), rooted at table 0, keeps only every
+edge's messages, so a sampler's memory is set by join keys, not rows.  A
+batch of draws is extended one table at a time, all draws together: each
+stage folds its table out of the messages (:meth:`JoinEvaluator.fold`),
+and one inverse-CDF draw picks every draw's row.  The first center is
+drawn uniformly from the count of one whole-space term
 (:meth:`StageSampler.uniform`), and the surrogate cost of a set of centers
 (:func:`relkmeans.clustering.relational_cost`) is their sampler's mass.
 """
@@ -189,9 +187,9 @@ def make_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> UniformStream:
 
 
 class StageSampler:
-    """Stage weights of the walk, read off one upward pass
-    (:meth:`JoinEvaluator.costpair_walk`) over a stack of signed terms (box
-    mask, target, sign s_t), for a whole batch of draws at once.
+    """Stage weights of the walk over a stack of signed terms (box, target,
+    sign s_t), for a whole batch of draws at once, read off the messages of
+    one upward pass (:meth:`JoinEvaluator.costpair_walk`).
 
     Let v be the next table in the walk and p its walk parent, fixed to row
     r_p.  The weight of row r of v is
@@ -199,40 +197,43 @@ class StageSampler:
         [key(r) = key(r_p)] * sum_t s_t I_t ((F_t b_t(r) + a_t(r)) PC_t
                                              + b_t(r) PA_t)
 
-    clamped at 0, where (a_t, b_t) are v's subtree (cost, count) arrays, I_t
-    is 1 when every fixed row has a positive subtree count for term t, F_t
-    is the fixed rows' owned squared distance to term t's target, computed
-    at those rows only from the kept targets
-    (:meth:`JoinEvaluator.owned_sq_dist`), and
+    clamped at 0, where (a_t, b_t) are v's subtree (cost, count) arrays,
+    folded (:meth:`JoinEvaluator.fold`) only at v's rows under some draw's
+    parent key, I_t is 1 when every fixed row lies in term t's box, F_t is
+    the fixed rows' owned squared distance to term t's target, and
     (PA_t, PC_t) is the cost-pair product of the messages of the unvisited
     subtrees hanging off fixed tables (other than v's own), each read at
     its fixed parent row's key.  With ``count_only`` the weight is
     sum_t s_t I_t b_t(r) PC_t instead.  Each draw keeps its own
     (I, F, PA, PC) as one row of a (draws, T) array, so a stage's weights
-    are two matrix products against v's (T, rows) arrays.  The walk only
-    reaches prefixes that extend to a join row; elsewhere these weights
-    need not vanish.
+    are two matrix products against v's (T, rows) arrays; the first
+    table's, the same for every draw, are kept as one vector, ``first``.
 
-    I_t read off the subtree counts is exact on those prefixes, so no box
-    mask is kept.  A fixed row outside term t's box has count 0.  A fixed row
-    inside it with count 0 has no in-box extension below it, so a pending
-    message (PC_t and PA_t) or v's own (a_t, b_t) at the matching key is
-    0, and term t's weight is 0 for every row of v either way.
+    I_t and F_t are read at the fixed rows only.  The walk reaches only
+    prefixes that extend to a join row, and there I_t is exact: a fixed row
+    in term t's box with no in-box extension below it leaves a pending
+    message or v's (a_t, b_t) at the matching key 0.  numpy's overflow
+    warnings are silenced here; :meth:`SamplingState.surrogate` refuses a
+    non-finite mass.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, ev: JoinEvaluator, targets: np.ndarray,
-                 signs: list[float], masks: list[np.ndarray] | None = None,
+                 signs: list[float], low: np.ndarray, high: np.ndarray,
                  count_only: bool = False):
-        self.ev = ev
-        self.targets = targets
-        self.up = ev.costpair_walk(targets, masks)
+        self.ev, self.targets, self.low, self.high = ev, targets, low, high
+        self.up = ev.costpair_walk(targets, low, high)
         self.signs = np.asarray(signs, dtype=np.float64)
         self.count_only = count_only
+        cost, count = ev.fold(ev.walk[0], targets, low, high, self.up)
+        self.first = np.maximum(self.signs @ (count if count_only else cost), 0.0)
 
     @classmethod
     def uniform(cls, ev: JoinEvaluator) -> "StageSampler":
         """Join rows uniformly: the count of one whole-space term."""
-        return cls(ev, np.zeros((1, ev.n_features)), [1.0], count_only=True)
+        whole = np.full((1, ev.n_features), np.inf)
+        return cls(ev, np.zeros((1, ev.n_features)), [1.0], -whole, whole,
+                   count_only=True)
 
     @classmethod
     def surrogate(cls, ev: JoinEvaluator,
@@ -241,7 +242,7 @@ class StageSampler:
         representative of the smallest box holding the row.  It is the
         laminar difference as 2*|forest|-1 terms: every box's cost to its
         own representative, minus, for a non-root box, its cost to its
-        parent's representative.  One masks_for_box call masks every box."""
+        parent's representative."""
         boxes, targets, signs = [], [], []
         for idx, parent in enumerate(forest.parents):
             boxes.append(idx)
@@ -251,9 +252,10 @@ class StageSampler:
                 boxes.append(idx)
                 targets.append(forest.rep[parent])
                 signs.append(-1.0)
-        masks = ev.masks_for_box(forest.low, forest.high)
-        return cls(ev, forest.centers[targets], signs, [m[boxes] for m in masks])
+        return cls(ev, forest.centers[targets], signs, forest.low[boxes],
+                   forest.high[boxes])
 
+    @np.errstate(over="ignore", invalid="ignore")
     def stage_weights(self, prefixes: np.ndarray) -> np.ndarray:
         """Per draw, the weight of each row of table ``walk[depth]``, where
         ``prefixes`` is (draws, depth): each draw's rows of the walk's first
@@ -262,33 +264,39 @@ class StageSampler:
         ev, up = self.ev, self.up
         prefixes = np.asarray(prefixes, dtype=np.int64)
         n, depth = prefixes.shape
+        if not depth:
+            return np.broadcast_to(self.first, (n, self.first.size))
         v = ev.walk[depth]
         inside = np.ones((n, self.signs.size), dtype=bool)
         f_cost = np.zeros((n, self.signs.size))
         p_cost, p_count = np.zeros_like(f_cost), np.ones_like(f_cost)
         for u, r in zip(ev.walk, prefixes.T):
-            inside &= up.count[u][:, r].T > 0.0
+            inside &= ev.box_mask(u, self.low, self.high, r).T
             f_cost += ev.owned_sq_dist(u, self.targets, r).T
             for c in ev.walk_children[u]:
                 if ev.walk_pos[c] > depth:
                     key = ev.edge_keys(c)[1][r]
                     ma, mb = up.msg_cost[c][:, key].T, up.msg_count[c][:, key].T
                     p_cost, p_count = p_cost * mb + ma * p_count, p_count * mb
+        ids_v, ids_par, _ = ev.edge_keys(v)
+        parent_key = ids_par[prefixes[:, ev.walk_pos[ev.walk_parent[v]]]]
+        rows = np.flatnonzero(np.isin(ids_v, parent_key))
+        cost, count = ev.fold(v, self.targets, self.low, self.high, up, rows)
         signed = self.signs * inside
         if self.count_only:
-            w = (signed * p_count) @ up.count[v]
+            w = (signed * p_count) @ count
         else:
-            w = ((signed * (f_cost * p_count + p_cost)) @ up.count[v]
-                 + (signed * p_count) @ up.cost[v])
-        if depth:
-            par = ev.walk_parent[v]
-            ids_v, ids_par, _ = ev.edge_keys(v)
-            w[ids_v != ids_par[prefixes[:, ev.walk_pos[par]]][:, None]] = 0.0
+            w = ((signed * (f_cost * p_count + p_cost)) @ count
+                 + (signed * p_count) @ cost)
+        w[ids_v[rows] != parent_key[:, None]] = 0.0
+        out = np.zeros((n, ids_v.size))
         # inclusion-exclusion may leave -0-size noise
-        return np.maximum(w, 0.0)
+        out[:, rows] = np.maximum(w, 0.0)
+        return out
 
+    @np.errstate(over="ignore", invalid="ignore")
     def total_mass(self) -> float:
-        return float(self.stage_weights(np.empty((1, 0), dtype=np.int64)).sum())
+        return float(self.first.sum())
 
     def sample_batch(self, rng: UniformStream, size: int) -> np.ndarray:
         """Draw ``size`` independent join rows, one table at a time in walk
@@ -381,5 +389,5 @@ def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
         except DegenerateDistribution:
             break
         state.centers.append(pts[0])
-    state._surrogate = state._queue = None  # frees the (terms, rows) arrays
+    state._surrogate = state._queue = None  # frees the kept messages
     return state.centers, state

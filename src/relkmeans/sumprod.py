@@ -13,10 +13,10 @@ and sparse squared-distance histograms as numpy arrays, and it fixes the
 one table order (``walk``): samplers draw join rows along it, and every
 pass runs it backwards, so each table folds in its children's messages
 before it sends its own.
-:meth:`JoinEvaluator.costpair_walk` is the one cost/count pass: the
-surrogate cost and every k-means++ stage weight are read off it, and
-k-means++ candidates are drawn from those weights one table at a
-time, every draw of a batch at once
+:meth:`JoinEvaluator.costpair_walk` is the one cost/count pass, over
+terms that each keep the join rows in one box, and it keeps only messages:
+the surrogate cost and every k-means++ stage weight fold the table they
+read with its fold (:meth:`JoinEvaluator.fold`), and candidates are drawn
 (:meth:`relkmeans.sampling.StageSampler.sample_batch`).
 :meth:`JoinEvaluator.distance_pass` is the one distance pass: ball counts
 are read off it, and in-ball draws walk its merges top-down
@@ -362,20 +362,11 @@ class DistancePass:
 
 @dataclass(frozen=True, eq=False)
 class WalkMessages:
-    """What :meth:`JoinEvaluator.costpair_walk` keeps for a stack of T terms.
+    """What :meth:`JoinEvaluator.costpair_walk` keeps for T terms: per table
+    v but the walk's first, the (T, separator keys) message v sends its walk
+    parent, the (cost, count) pair of each term's in-box join rows of v's
+    subtree (rooted at the walk's first table) under each key."""
 
-    Per table v, arrays of shape (T, rows of v): ``cost[v]`` and
-    ``count[v]``, the (cost, count) pair of the term's join rows of v's
-    subtree (the tree rooted at the walk's first table) that extend each
-    row; a row outside the term's mask has count 0.  Per table other than
-    the first, arrays of shape (T, separator keys): ``msg_cost[v]`` and
-    ``msg_count[v]``, the message v sends its walk parent.  Neither the
-    masks nor owned squared distances are kept: a reader computes the
-    distances at the rows it reads (:meth:`JoinEvaluator.owned_sq_dist`).
-    """
-
-    cost: dict[int, np.ndarray]
-    count: dict[int, np.ndarray]
     msg_cost: dict[int, np.ndarray]
     msg_count: dict[int, np.ndarray]
 
@@ -481,42 +472,53 @@ class JoinEvaluator:
             self._n_rows = int(count.sum())
         return self._n_rows
 
-    def costpair_walk(self, targets: np.ndarray,
-                      masks: list[np.ndarray] | None = None) -> WalkMessages:
-        """One upward cost-pair pass, rooted at the walk's first table, for a
-        stack of T terms at once.  Term t sums squared distances to
-        ``targets[t]`` over the join rows whose row in every table v has
-        ``masks[v][t]`` set (``masks[v]`` has shape (T, rows of v); None
-        keeps every row).
+    def box_mask(self, v: int, low: np.ndarray, high: np.ndarray,
+                 rows: slice | np.ndarray = slice(None)) -> np.ndarray:
+        """(T, rows) bool: v's ``rows`` in each term's box (:func:`in_boxes`)."""
+        idx = [f.index for f in self.tables[v].features]
+        return in_boxes(self.tables[v].rows[rows], low[:, idx], high[:, idx]).T
 
-        Every table's subtree pairs and every edge's messages are kept, so
-        the stage weights of any prefix of the walk are read off them
-        without another pass.  Memory: two float (T, rows) arrays per
-        table, plus (T, separator keys) messages; the masks seed ``count``
-        and owned squared distances seed ``cost``, and neither is kept.
-        """
-        targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-        n_terms = targets.shape[0]
-        cost, count = {}, {}
-        for t in self.tables:
-            count[t.id] = (masks[t.id].astype(np.float64) if masks is not None
-                           else np.ones((n_terms, t.n_rows)))
-            cost[t.id] = self.owned_sq_dist(t.id, targets) * count[t.id]
-        msg_cost, msg_count = {}, {}
-        for v in reversed(self.walk):
-            for c in self.walk_children[v]:
-                ids_v = self.edge_keys(c)[1]
-                ma, mb = msg_cost[c][:, ids_v], msg_count[c][:, ids_v]
-                cost[v], count[v] = cost[v] * mb + ma * count[v], count[v] * mb
-            if self.walk_parent[v] is not None:
-                ids, _, n = self.edge_keys(v)
-                # one bincount over (term, key) bins: bin t*n + key
-                bins = (np.arange(n_terms)[:, None] * n + ids).ravel()
-                msg_cost[v], msg_count[v] = (
-                    np.bincount(bins, weights=a[v].ravel(),
-                                minlength=n_terms * n).reshape(n_terms, n)
-                    for a in (cost, count))
-        return WalkMessages(cost, count, msg_cost, msg_count)
+    def fold(self, v: int, targets: np.ndarray, low: np.ndarray,
+             high: np.ndarray, up: WalkMessages,
+             rows: slice | np.ndarray = slice(None),
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """(cost, count), (T, rows): per term t and each of v's ``rows`` (as
+        in :meth:`owned_sq_dist`), the squared distance to ``targets[t]`` of,
+        and the number of, the join rows of v's subtree in term t's box that
+        extend the row.  v's box mask (``low[t] <= x < high[t]``) and owned
+        distances seed them, then its children's messages are folded in."""
+        count = self.box_mask(v, low, high, rows).astype(np.float64, order="C")
+        cost = self.owned_sq_dist(v, targets, rows)
+        cost *= count
+        for c in self.walk_children[v]:
+            ids_v = self.edge_keys(c)[1][rows]
+            ma = up.msg_cost[c][:, ids_v] * count
+            mb = up.msg_count[c][:, ids_v]
+            cost *= mb
+            cost += ma
+            count *= mb
+            del ma, mb  # at most four (T, rows) arrays are alive
+        return cost, count
+
+    def costpair_walk(self, targets: np.ndarray, low: np.ndarray,
+                      high: np.ndarray) -> WalkMessages:
+        """One upward cost-pair pass, rooted at the walk's first table: term t
+        sums squared distances to ``targets[t]`` over the join rows in its
+        box (``low``, ``high``: (T, features)), every table but the first
+        folded in turn, its message kept and its arrays dropped."""
+        n_terms = len(low)
+        up = WalkMessages({}, {})
+        for v in reversed(self.walk[1:]):
+            cost, count = self.fold(v, targets, low, high, up)
+            ids, _, n = self.edge_keys(v)
+            # one bincount over (term, key) bins: bin t*n + key
+            bins = (np.arange(n_terms)[:, None] * n + ids).ravel()
+            up.msg_cost[v], up.msg_count[v] = (
+                np.bincount(bins, weights=a.ravel(),
+                            minlength=n_terms * n).reshape(n_terms, n)
+                for a in (cost, count))
+            del cost, count, bins  # freed before the next table's fold
+        return up
 
     def distance_pass(self, center: np.ndarray,
                       bucketizer: Bucketizer | None = None) -> DistancePass:
@@ -565,17 +567,6 @@ class JoinEvaluator:
             (ids, codes, counts), message[v] = _merge(ids, codes, counts)
             sent[v] = (ids, grid[codes], counts)
         return DistancePass(self.walk, sent, convolutions, message, entries)
-
-    def masks_for_box(self, low: np.ndarray, high: np.ndarray) -> list[np.ndarray]:
-        """Per table, the (boxes, rows) mask of the rows inside each box of
-        the (boxes, features) ``low``/``high`` arrays on the features the
-        table holds (:func:`relkmeans.boxes.in_boxes`).  The join of the
-        tables masked by box b is exactly the set of join rows in box b."""
-        masks = []
-        for t in self.tables:
-            idx = [f.index for f in t.features]
-            masks.append(in_boxes(t.rows, low[:, idx], high[:, idx]).T)
-        return masks
 
     def gather(self, prov: np.ndarray) -> np.ndarray:
         """Join points, positional by feature index, of the rows chosen per

@@ -144,7 +144,8 @@ class TestMembershipOnFaces:
 
             ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
             got = np.ones_like(want)
-            for t, mask in zip(tables, ev.masks_for_box(forest.low, forest.high)):
+            for t in tables:
+                mask = ev.box_mask(t.id, forest.low, forest.high)
                 got &= mask[:, prov[:, t.id]].T
             assert np.array_equal(got, want)
 

@@ -219,6 +219,29 @@ class TestDiagnostics:
         self.assert_one_error_line(code, out, err)
         assert "overflow float64" in err and "rescale" in err
 
+    @pytest.mark.parametrize("values", [
+        ["0", "1e200", "-1e200", "5"], ["1e153"] * 50 + ["-1e153"] * 50])
+    def test_overflowing_distances_print_no_numpy_warning(self, tmp_path,
+                                                          values):
+        """The same two databases in a fresh interpreter, with numpy's
+        default error handling: stderr holds the one error line and no
+        RuntimeWarning with its source line."""
+        (tmp_path / "t.csv").write_text("\n".join(["x", *values]) + "\n")
+        doc = tmp_path / "s.txt"
+        doc.write_text("T: x @ t.csv\n")
+        src = str(Path(relkmeans.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "relkmeans.cli", "--schema", str(doc),
+             "--k", "2", "--mode", "cluster"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1 and done.stdout == ""
+        errors = [ln for ln in done.stderr.splitlines()
+                  if ln.startswith("error:")]
+        assert len(errors) == 1 and "rescale" in errors[0]
+        assert "Warning" not in done.stderr, done.stderr
+
     @pytest.mark.parametrize("delta", ["1e-30", "1e-12"])
     def test_too_fine_delta_names_delta(self, schema_path, capsys, delta):
         # at 1e-30 a bucket code overflows int64; at 1e-12 the grid would
@@ -508,3 +531,23 @@ class TestDocDigests:
         for ln in lines:
             digest = ln.split()[2]
             assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+
+class TestScaleProbe:
+    def test_one_line_per_size(self):
+        """At one hub per cluster: 27 rows per table, 3 * 9**5 join rows,
+        and the k' of ``--k 3``."""
+        script = Path(__file__).resolve().parents[1] / "scripts/scale_probe.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--hubs", "1"],
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        header, line = done.stdout.splitlines()
+        assert header.split() == ["hubs", "rows_per_table", "N", "k_prime",
+                                  "forests", "sample_s", "peak_mb",
+                                  "centers_sha256"]
+        hubs, rows, n, k_prime, forests, sample_s, peak_mb, digest = line.split()
+        assert (hubs, rows, float(n)) == ("1", "27", float(f"{3 * 9 ** 5:.3g}"))
+        assert int(k_prime) == cli.coreset_size(RunConfig("s", 3), 3 * 9 ** 5)
+        assert int(forests) >= 1 and float(sample_s) > 0 and float(peak_mb) > 0
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")

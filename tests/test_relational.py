@@ -162,11 +162,12 @@ class TestGyoReduce:
 
 
 def apply_box_masks(tables, low, high):
-    """The tables restricted to the rows the masks of the one box
-    ``low <= x < high`` keep."""
+    """The tables restricted to their rows inside the one box
+    ``low <= x < high``, each table's mask built on its own rows."""
     ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
-    masks = ev.masks_for_box(np.array([low], dtype=float), np.array([high], dtype=float))
-    return [replace(t, rows=t.rows[m[0]]) for t, m in zip(tables, masks)]
+    low, high = np.array([low], dtype=float), np.array([high], dtype=float)
+    return [replace(t, rows=t.rows[ev.box_mask(t.id, low, high)[0]])
+            for t in tables]
 
 
 class TestFilterByBox:

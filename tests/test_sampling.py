@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relkmeans import (FeatureId, JoinEvaluator, Table, gyo_reduce,
-                       load_database, sampling, tables_to_schema)
+from relkmeans import (FeatureId, JoinEvaluator, Table, costpair_semiring,
+                       counting_semiring, eval_sumprod, eval_sumprod_grouped,
+                       gyo_reduce, load_database, sampling, tables_to_schema)
 from relkmeans.ballcount import BallSampler
-from relkmeans.boxes import build_boxes
+from relkmeans.boxes import build_boxes, in_boxes
 from relkmeans.oracle import materialize, exact_cost, exact_kmeanspp_distribution
 from relkmeans.sampling import (
     DegenerateDistribution,
@@ -416,17 +417,95 @@ class TestWalkOrder:
             assert ev.walk == tuple(range(len(tables))), name
 
 
+def uneven_star(rng: np.random.Generator) -> tuple[list[Table], object]:
+    """Thirteen 40-row tables (k, x_i) joined on one hub key k in {0, 1},
+    with 20 + d_i rows of table i on key 0 and 20 - d_i on key 1: each key
+    extends to the product of its fan-outs, about 1e17 join rows in all."""
+    d = [4, -3, 2, 1, -2, 3, 0, 1, -1, 2, 4, -3, 1]
+    k = FeatureId("k", 0)
+    tables = []
+    for i, di in enumerate(d):
+        keys = rng.permutation(np.repeat([0.0, 1.0], [20 + di, 20 - di]))
+        x = np.round(rng.normal(0, 3, 40), 3)
+        tables.append(Table(i, f"T{i}", (k, FeatureId(f"x{i}", i + 1)),
+                            np.column_stack([keys, x])))
+    return tables, gyo_reduce(tables_to_schema(tables))
+
+
+def chi_square(drawn: np.ndarray, probs: np.ndarray) -> float:
+    """Pearson's statistic of the drawn row indices against ``probs``."""
+    expected = drawn.size * probs
+    observed = np.bincount(drawn, minlength=probs.size)
+    return float(((observed - expected) ** 2 / expected).sum())
+
+
+class TestMarginalsPastMaterialization:
+    """Per-table row marginals of 1e5 draws on a join of about 1e17 rows,
+    past 2**53, against exact marginals from the generic engine grouped by
+    each table in turn.  40 rows give 39 degrees of freedom, and
+    P(chi2 > 88.6) is about 1e-5 there, for each of the 13 tables."""
+
+    CRITICAL = 88.6
+
+    def test_uniform_draws(self):
+        tables, tree = uneven_star(np.random.default_rng(13))
+        names = sorted({f.name for t in tables for f in t.features})
+        n = eval_sumprod(tree, tables, counting_semiring(names))
+        assert n > 2 ** 53
+        ev = JoinEvaluator(tree, tables)
+        prov = StageSampler.uniform(ev).sample_batch(make_rng(14), 100_000)
+        for t in tables:
+            counts = eval_sumprod_grouped(tree, tables,
+                                          counting_semiring(names), t.id)
+            assert sum(counts.values) == n  # exact Python ints
+            probs = np.array([c / n for c in counts.values])
+            assert chi_square(prov[:, t.id], probs) < self.CRITICAL, t.id
+
+    def test_surrogate_draws(self):
+        """Candidates before rejection.  A row's exact surrogate mass is
+        the laminar difference, one cost-pair query per signed (box,
+        target) term, on the tables cut to their rows inside the box."""
+        tables, tree = uneven_star(np.random.default_rng(15))
+        names = sorted({f.name for t in tables for f in t.features})
+        ev = JoinEvaluator(tree, tables)
+        centers = ev.gather(StageSampler.uniform(ev).sample_batch(
+            make_rng(16), 3))
+        forest = build_boxes(centers)
+        terms = [(b, forest.rep[b], 1.0) for b in range(forest.size)]
+        terms += [(b, forest.rep[p], -1.0)
+                  for b, p in enumerate(forest.parents) if p is not None]
+        assert forest.size > 1
+        prov = StageSampler.surrogate(ev, forest).sample_batch(make_rng(17),
+                                                               100_000)
+        for t in tables:
+            mass = np.zeros(t.n_rows)
+            for box, rep, sign in terms:
+                kept = [np.flatnonzero(in_boxes(
+                    u.rows, forest.low[[box]][:, [f.index for f in u.features]],
+                    forest.high[[box]][:, [f.index for f in u.features]])[:, 0])
+                    for u in tables]
+                cut = [replace(u, rows=u.rows[r]) for u, r in zip(tables, kept)]
+                target = {f.name: forest.centers[rep, f.index]
+                          for u in tables for f in u.features}
+                got = eval_sumprod_grouped(tree, cut,
+                                           costpair_semiring(names, target), t.id)
+                mass[kept[t.id]] += sign * np.array([v.a for v in got.values])
+            probs = np.maximum(mass, 0.0) / np.maximum(mass, 0.0).sum()
+            assert chi_square(prov[:, t.id], probs) < self.CRITICAL, t.id
+
+
 class TestPassCount:
     def test_passes_do_not_grow_with_prefixes(self, monkeypatch):
-        """Drawing 64 or 4,096 candidates from one forest builds the box
-        masks in one call and runs one cost-pair pass, not one per drawn
-        prefix."""
+        """Drawing 64 or 4,096 candidates from one forest runs one cost-pair
+        pass, not one per drawn prefix, and folds the same tables: each
+        table but the first once in the walk, the first once more for its
+        kept weights, and one per stage of the batch."""
         rng = np.random.default_rng(8)
         tables, tree = hub_star(rng)
         join = materialize(tables, tree=tree).rows
         centers = list(join[rng.choice(len(join), 3, replace=False)])
         calls: Counter = Counter()
-        for name in ("masks_for_box", "costpair_walk"):
+        for name in ("fold", "costpair_walk"):
             original = getattr(JoinEvaluator, name)
 
             def spy(self, *args, _fn=original, _name=name, **kwargs):
@@ -446,31 +525,44 @@ class TestPassCount:
             n_prefixes.append(sum(len({tuple(r) for r in prov[:, walk[:d]]})
                                   for d in range(len(walk))))
         assert n_prefixes[1] > 2 * n_prefixes[0]
-        assert seen[0] == seen[1] == {"masks_for_box": 1, "costpair_walk": 1}
+        assert seen[0] == seen[1] == {"costpair_walk": 1,
+                                      "fold": 2 * len(tables) - 1}
 
 
 class TestSamplerMemory:
-    def test_keeps_two_term_row_float_arrays_per_table(self):
-        """A surrogate sampler on a forest of B boxes keeps, per table and
-        besides its messages, exactly two float64 (2B-1, rows) arrays: the
-        subtree cost and count.  Owned squared distances are computed at
-        the rows a draw reads, not kept."""
+    def test_keeps_messages_and_the_first_tables_weights(self):
+        """A surrogate sampler on a forest of B boxes keeps the walk's
+        per-edge messages and, of arrays with a rows axis, only the first
+        table's weight vector.  Each stage folds its table's (2B-1, rows)
+        arrays and drops them; box masks and owned squared distances are
+        computed at the rows a draw reads."""
         rng = np.random.default_rng(10)
         tables, tree = hub_star(rng)
         join = materialize(tables, tree=tree).rows
         forest = build_boxes(join[rng.choice(len(join), 4, replace=False)])
-        s = StageSampler.surrogate(JoinEvaluator(tree, tables), forest)
-        shapes = {(2 * forest.size - 1, t.n_rows) for t in tables}
-        assert forest.size > 1 and len(shapes) == 1
-        kept = {t.id: [] for t in tables}
+        ev = JoinEvaluator(tree, tables)
+        s = StageSampler.surrogate(ev, forest)
+        s.sample_batch(make_rng(0), 64)
+        n_rows = {t.n_rows for t in tables}
+        # no message, bound or target is as long as a table
+        assert forest.size > 1 and 2 * forest.size - 1 not in n_rows
+        assert not n_rows & {ev.edge_keys(v)[2] for v in ev.walk[1:]}
+        assert [f.name for f in fields(s.up)] == ["msg_cost", "msg_count"]
+        kept = []
+
+        def visit(name, a):
+            if isinstance(a, dict):
+                for key, b in a.items():
+                    visit(f"{name}[{key}]", b)
+            elif isinstance(a, np.ndarray) and a.dtype == np.float64 \
+                    and n_rows & set(a.shape):
+                kept.append(name)
+        for name, a in vars(s).items():
+            visit(name, a)
         for f in fields(s.up):
-            if not f.name.startswith("msg_"):
-                for v, a in getattr(s.up, f.name).items():
-                    if a.dtype == np.float64 and a.shape in shapes:
-                        kept[v].append(f.name)
-        assert kept == {t.id: ["cost", "count"] for t in tables}
-        assert not [name for name, a in vars(s).items()
-                    if isinstance(a, np.ndarray) and a.shape in shapes]
+            visit(f"up.{f.name}", getattr(s.up, f.name))
+        assert kept == ["first"]
+        assert s.first.shape == (tables[ev.walk[0]].n_rows,)
 
 
 class TestUniformStream:

@@ -80,10 +80,12 @@ class TestGroupedQueries:
 def boxed_cost(tree, tables, low, high, target):
     """Per row of the walk's first table, the squared distance to ``target``
     summed over the join rows extending the row that lie inside the box
-    ``low <= x < high``: one costpair_walk term with the box's masks."""
+    ``low <= x < high``: one costpair_walk term with the box, then the
+    first table folded out of its messages."""
     ev = JoinEvaluator(tree, tables)
-    masks = ev.masks_for_box(np.array([low], dtype=float), np.array([high], dtype=float))
-    return ev.costpair_walk(target[None, :], masks).cost[ev.walk[0]][0]
+    low, high = np.array([low], dtype=float), np.array([high], dtype=float)
+    up = ev.costpair_walk(target[None, :], low, high)
+    return ev.fold(ev.walk[0], target[None, :], low, high, up)[0][0]
 
 
 class TestBoxedCostGrouped:
@@ -140,9 +142,9 @@ class TestOracleEquivalence:
             assert got.b == count
 
     def test_fast_evaluator_matches_generic(self, rng):
-        """count_scalar and a multi-term costpair_walk with random per-term
-        row masks, read at the walk's first table, match the generic engine
-        on the masked tables."""
+        """count_scalar and a multi-term costpair_walk with a random box per
+        term, folded at the walk's first table, match the generic engine on
+        the tables restricted to each term's box."""
         # -0.0 and 0.0 are one join key, for the dict keys and np.unique alike
         signed_zero = [
             Table(0, "A", (FeatureId("k", 0), FeatureId("x", 1)),
@@ -157,22 +159,32 @@ class TestOracleEquivalence:
             ev = JoinEvaluator(tree, tables)
             assert ev.count_scalar() == eval_sumprod(
                 tree, tables, counting_semiring(names))
-            n_terms = 3
-            targets = rng.normal(size=(n_terms, len(names)))
-            masks = [rng.random((n_terms, t.n_rows)) < 0.7 for t in tables]
-            up = ev.costpair_walk(targets, masks)
+            n_terms, d = 3, len(names)
+            targets = rng.normal(size=(n_terms, d))
+            low = np.where(rng.random((n_terms, d)) < 0.3, -np.inf,
+                           rng.uniform(-5.0, 1.0, (n_terms, d)))
+            high = np.where(rng.random((n_terms, d)) < 0.3, np.inf,
+                            rng.uniform(1.0, 5.0, (n_terms, d)))
+            masks = [np.all([(low[:, f.index, None] <= t.rows[:, pos])
+                             & (t.rows[:, pos] < high[:, f.index, None])
+                             for pos, f in enumerate(t.features)], axis=0)
+                     for t in tables]
             first = ev.walk[0]
+            cost, cnt = ev.fold(first, targets, low, high,
+                                ev.costpair_walk(targets, low, high))
             for term in range(n_terms):
                 keep = masks[first][term]
                 masked = [replace(t, rows=t.rows[m[term]])
                           for t, m in zip(tables, masks)]
                 spec = costpair_semiring(names, dict(zip(names, targets[term])))
                 gcp = eval_sumprod_grouped(tree, masked, spec, first)
-                cost, cnt = up.cost[first][term], up.count[first][term]
-                np.testing.assert_allclose(cost[keep], [v.a for v in gcp.values],
+                np.testing.assert_allclose(cost[term][keep],
+                                           [v.a for v in gcp.values],
                                            rtol=1e-9, atol=1e-9)
-                np.testing.assert_array_equal(cnt[keep], [v.b for v in gcp.values])
-                assert not cost[~keep].any() and not cnt[~keep].any()
+                np.testing.assert_array_equal(cnt[term][keep],
+                                              [v.b for v in gcp.values])
+                assert not cost[term][~keep].any()
+                assert not cnt[term][~keep].any()
 
 
 class TestMerge:
