@@ -6,14 +6,16 @@ pass per center (:meth:`JoinEvaluator.distance_pass`): a row's key is its
 own squared deviation plus one key from each child's message, and a message
 is the union of its rows' histograms per separator key.  Keeping every
 exact distance would make intermediate results as large as the join, so
-each table's one merge into its message also rounds keys up, by integer
-codes (:class:`Bucketizer`), onto a (1+delta/m) geometric grid, the one
-policy (:func:`bucket_delta`) for a ball slack delta.  The rounding
-compounds to at most (1+delta/m)^m <= e^delta on the radius axis, so a
-radius search for a target holds at least (1-delta) * target join points,
-at most (1+delta/m)^m times the smallest radius that does; ties, or points
-dense within that factor, can push its count past (1+delta) * target.  The
-root's message is the ball curve (:attr:`DistancePass.curve`), which
+every merge rounds keys up, by integer codes (:class:`Bucketizer`), onto
+a (1+delta/m) geometric grid, the one policy (:func:`bucket_delta`) for a
+ball slack delta: each table's one merge into its message, and, at a
+table with two or more children, each merge that combines their messages
+once per tuple of their separator keys.  A root-to-leaf path meets at
+most m roundings, so they compound to at most (1+delta/m)^m <= e^delta
+on the radius axis, and a radius search for a target holds at least
+(1-delta) * target join points, at most (1+delta/m)^m times the smallest
+radius that does; ties, or points dense within that factor, can push its
+count past (1+delta) * target.  The root's message is the ball curve (:attr:`DistancePass.curve`), which
 :class:`BallSampler` holds as its ``sq_radii`` and ``cum_counts``: the
 profile, each radius search and each draw's root pick read that one curve.
 The pass keeps the provenance of every merge, so in-ball draws walk it

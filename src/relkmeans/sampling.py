@@ -121,19 +121,22 @@ class SamplingState:
 
 
 # SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the stream's increment
-# and the constants of its output function
-_GOLDEN = 0x9E3779B97F4A7C15
+# and the constants of its output function, as numpy scalars so that no
+# call converts a Python int
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S11, _S27, _S30, _S31 = (np.uint64(b) for b in (11, 27, 30, 31))
 _WORD = (1 << 64) - 1
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64's output function, in place on a uint64 array (the
     multiplications wrap modulo 2^64)."""
-    z ^= z >> 30
-    z *= 0xBF58476D1CE4E5B9
-    z ^= z >> 27
-    z *= 0x94D049BB133111EB
-    z ^= z >> 31
+    z ^= z >> _S30
+    z *= _MUL1
+    z ^= z >> _S27
+    z *= _MUL2
+    z ^= z >> _S31
     return z
 
 
@@ -149,7 +152,7 @@ class UniformStream:
     __slots__ = ("key", "drawn")
 
     def __init__(self, key: int):
-        self.key = key
+        self.key = np.uint64(key)
         self.drawn = 0
 
     def random(self, size: int) -> np.ndarray:
@@ -158,7 +161,7 @@ class UniformStream:
         self.drawn += size
         z *= _GOLDEN
         z += self.key
-        z = _mix(z) >> 11
+        z = _mix(z) >> _S11
         return z * 2.0 ** -53
 
 

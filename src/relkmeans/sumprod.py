@@ -20,7 +20,10 @@ read with its fold (:meth:`JoinEvaluator.fold`), and candidates are drawn
 (:meth:`relkmeans.sampling.StageSampler.sample_batch`).
 :meth:`JoinEvaluator.distance_pass` is the one distance pass: ball counts
 are read off it, and in-ball draws walk its merges top-down
-(:meth:`DistancePass.draw`).  The generic dict engine
+(:meth:`DistancePass.draw`).  A table with two or more children combines
+their messages once per tuple of child separator keys, so a pass grows
+with keys and the codes it keeps, not with rows times the product of its
+children's messages.  The generic dict engine
 (:func:`eval_sumprod`, :func:`eval_sumprod_grouped`) takes any carrier one
 row at a time; it is the reference the evaluator is tested against, not a
 pipeline path.
@@ -290,8 +293,8 @@ class _Convolution:
     """One child's message convolved into its parent's entries: per entry
     of the convolution, the parent entry it extends (``src``) and the
     child's message entry (``msg``).  ``before``, for a third or later
-    child, merges the parent's equal (row, key) entries first, so ``src``
-    names merged entries; None when nothing was merged."""
+    child of a combine, merges the combine's equal (tuple, code) entries
+    first, so ``src`` names merged entries; None when nothing was merged."""
 
     child: int
     src: np.ndarray
@@ -303,17 +306,24 @@ class _Convolution:
 class DistancePass:
     """What :meth:`JoinEvaluator.distance_pass` keeps for one center.
 
-    ``sent[v]`` is the message table v sends its parent, (separator key
+    Its nodes are the tables, plus, for each table v with two or more walk
+    children, a combine node ``~v``: its entries start as one per tuple of
+    v's child separator-key ids (``JoinEvaluator.edge_keys(~v)``), its
+    children are v's, and v's one child is ``~v``.  ``order`` lists the
+    nodes top-down: the walk, each combine node right after its table.
+
+    ``sent[v]`` is the message node v sends its parent, (separator key
     ids, keys, counts) sorted by id, then key: ``counts[i]`` join rows of
     v's subtree (the tree rooted at the walk's first table) carry separator
-    key ``ids[i]`` and subtree key ``keys[i]``.  The root's separator key is
-    the empty one, id 0, so its message is the ball curve (:attr:`curve`).
-    ``message[v]`` is the provenance of v's merge into ``sent[v]``,
-    ``convolutions[v]`` lists v's child convolutions oldest first, and
+    key ``ids[i]`` and subtree key ``keys[i]``.  A combine node's separator
+    key is its tuple id, and the root's is the empty one, id 0, so its
+    message is the ball curve (:attr:`curve`).  ``message[v]`` is the
+    provenance of v's merge into ``sent[v]``, ``convolutions[v]`` lists v's
+    child convolutions oldest first (at most one for a table), and
     ``merge_entries`` counts the entries that entered the merges.
     """
 
-    walk: tuple[int, ...]
+    order: tuple[int, ...]
     sent: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
     convolutions: dict[int, list[_Convolution]]
     message: dict[int, _Constituents]
@@ -324,7 +334,7 @@ class DistancePass:
         """(ascending distinct root keys, running counts): the ball curve,
         the profile its :class:`relkmeans.ballcount.BallSampler` holds as
         ``sq_radii`` and ``cum_counts``; every draw reads it."""
-        _, keys, counts = self.sent[self.walk[0]]
+        _, keys, counts = self.sent[self.order[0]]
         return keys, np.cumsum(counts)
 
     def draw(self, thresholds: np.ndarray,
@@ -337,26 +347,27 @@ class DistancePass:
         over the running counts, scaled per draw by its prefix's count,
         picks every draw's key at once.  Then every merge is undone, one
         constituent per draw in proportion to its count: the root's merge,
-        then, table by table in walk order, each child convolution newest
-        first, whose entry names the child's message entry.  The
-        probabilities telescope, so every join row under a draw's threshold
-        is equally likely.  One ``rng.random`` call per merge.  Returns
-        (draws, m) row indices by table id.
+        then, node by node in ``order``, each child convolution newest
+        first, whose entry names the child's message entry, and the merge
+        before it, if any.  The probabilities telescope, so every join row
+        under a draw's threshold is equally likely.  One ``rng.random`` call
+        per merge.  Returns (draws, tables) row indices by table id.
         """
         keys, cum = self.curve
         last = np.searchsorted(keys, thresholds, side="right") - 1
         pos = np.searchsorted(cum, rng.random(last.size) * cum[last], side="right")
-        root = self.walk[0]
+        root = self.order[0]
         entry = {root: self.message[root].pick(np.minimum(pos, last), rng)}
-        prov = np.empty((last.size, len(self.walk)), dtype=np.int64)
-        for v in self.walk:
+        prov = np.empty((last.size, max(self.order) + 1), dtype=np.int64)
+        for v in self.order:
             e = entry.pop(v)
             for conv in reversed(self.convolutions[v]):
                 entry[conv.child] = self.message[conv.child].pick(conv.msg[e], rng)
                 e = conv.src[e]
                 if conv.before is not None:
                     e = conv.before.pick(e, rng)
-            prov[:, v] = e  # a table's entries before any convolution are its rows
+            if v >= 0:  # a table's entries before any convolution are its rows
+                prov[:, v] = e
         return prov
 
 
@@ -430,7 +441,17 @@ class JoinEvaluator:
 
     def edge_keys(self, child: int) -> tuple[np.ndarray, np.ndarray, int]:
         """(child row key ids, parent row key ids, number of keys) for the
-        edge from ``child`` to its walk parent."""
+        edge from ``child`` to its walk parent.  The combine node ``~v`` of
+        :meth:`distance_pass` keys each row of table v by its tuple of
+        children's separator-key ids, packed child by child in mixed radix,
+        each step factorized by a 1-D ``np.unique``, so ids stay below
+        rows * keys."""
+        if child < 0 and child not in self._edge_keys:
+            ids = 0
+            for c in self.walk_children[~child]:
+                _, ids_v, n = self.edge_keys(c)
+                ids = np.unique(ids * n + ids_v, return_inverse=True)[1]
+            self._edge_keys[child] = (ids, ids, int(ids.max(initial=-1)) + 1)
         if child not in self._edge_keys:
             par = self.walk_parent[child]
             sep = self.tree.edge_separator(child, par)
@@ -528,29 +549,55 @@ class JoinEvaluator:
         serves every ball around the center.
 
         A table's entries start as its rows at their owned squared
-        distances; each child's message is convolved in (keys add, counts
-        multiply) in ``walk_children`` order.  Each table then merges its
-        entries once, straight into its message, by one sort of (separator
-        key, key code) integers; ``bucketizer``, when given, codes keys
-        rounded, else they are coded exactly.  One more merge bounds tied stars: before its
-        third and later children, a table sums equal (row, exact key)
-        entries.  After one child a row's keys are distinct, as a message's
-        are; from the second on, sums can repeat.
+        distances.  With one walk child, the child's message is convolved
+        in (keys add, counts multiply).  With k >= 2, every row under one
+        tuple of child separator keys meets the same messages, so they are
+        combined once per tuple: the combine node ``~v`` starts with one
+        entry per tuple, at key 0, convolves the children in
+        ``walk_children`` order, and merges its equal (tuple, code) entries
+        after every child but the first; then each row is convolved with
+        its tuple's combined message.  Each node then merges its entries
+        once, straight into its message, by one sort of (separator key, key
+        code) integers.  ``bucketizer``, when given, codes keys rounded,
+        else they are coded exactly.
+
+        Rounding budget: every merge rounds a key up by at most a factor
+        (1 + delta) (per-table ``delta``), and a sum of rounded keys is
+        at most the sum's exact value times the largest factor among its
+        parts.  A key therefore exceeds its exact value by at most
+        (1 + delta)^r, with r the most roundings on a root-to-leaf path.
+        A term meets one rounding at its leaf and at most k_v at a table v
+        with k_v children: k_v - 1 combine merges, then v's message merge.
+        So a path P meets at most 1 + sum_{v in P} k_v <= 1 + (m - 1) = m
+        roundings, the m that :func:`relkmeans.ballcount.bucket_delta`
+        divides the ball slack by and :meth:`Bucketizer.widen` raises to.
+        Rounding only goes up, so radius searches keep their
+        (1 - slack) * target floor.
         """
         code = bucketizer.codes if bucketizer is not None else _exact_codes
+        order = []
+        for v in self.walk:
+            order += [v, ~v] if len(self.walk_children[v]) > 1 else [v]
         convolutions: dict[int, list[_Convolution]] = {}
         sent, message, entries = {}, {}, 0
-        for v in reversed(self.walk):
-            t = self.tables[v]
-            hist = (np.arange(t.n_rows), self.owned_sq_dist(v, center)[0],
-                    np.ones(t.n_rows))
+        for v in reversed(order):
+            if v < 0:  # one entry per tuple, at key 0, on a row of the tuple
+                _, ids, n = self.edge_keys(v)
+                rows = np.zeros(n, dtype=np.int64)
+                rows[ids] = np.arange(ids.size)
+                keys, children = np.zeros(n), self.walk_children[~v]
+            else:
+                rows = np.arange(self.tables[v].n_rows)
+                keys = self.owned_sq_dist(v, center)[0]
+                children = [~v] if ~v in sent else self.walk_children[v]
+            hist = (rows, keys, np.ones(rows.size))
             convolutions[v] = []
-            for c in self.walk_children[v]:
+            for c in children:
                 before = None
                 if len(convolutions[v]) >= 2:
                     rows, keys, counts = hist
                     entries += rows.size
-                    codes, grid = _exact_codes(keys)
+                    codes, grid = code(keys)
                     (rows, codes, counts), before = _merge(rows, codes, counts)
                     hist = (rows, grid[codes], counts)
                 _, ids_v, n = self.edge_keys(c)
@@ -558,7 +605,7 @@ class JoinEvaluator:
                 convolutions[v].append(_Convolution(c, src, pick, before))
             rows, keys, counts = hist
             entries += rows.size
-            if self.walk_parent[v] is None:
+            if v == self.walk[0]:
                 ids = np.broadcast_to(np.int64(0), rows.size)
             else:
                 ids = self.edge_keys(v)[0][rows]
@@ -566,7 +613,7 @@ class JoinEvaluator:
             del hist, rows, keys  # freed before the merge's sort
             (ids, codes, counts), message[v] = _merge(ids, codes, counts)
             sent[v] = (ids, grid[codes], counts)
-        return DistancePass(self.walk, sent, convolutions, message, entries)
+        return DistancePass(tuple(order), sent, convolutions, message, entries)
 
     def gather(self, prov: np.ndarray) -> np.ndarray:
         """Join points, positional by feature index, of the rows chosen per

@@ -1,6 +1,7 @@
 """Shared fixtures: the two-table path fixture, an independent brute-force
 join, the loop construction of the box forest, the unfused distance pass,
-and a random acyclic schema generator."""
+a random acyclic schema generator, and two fixed shapes: a star of tied
+codes and the benchmark's depth-2 snowflake."""
 
 from __future__ import annotations
 
@@ -303,6 +304,45 @@ def reference_profile(root: tuple[np.ndarray, np.ndarray, np.ndarray],
     keys, inv = np.unique(keys, return_inverse=True)
     counts = np.bincount(inv, weights=counts, minlength=keys.size)
     return keys, np.cumsum(counts)
+
+
+def tied_star(n_spokes=10, hub_rows=8, spoke_rows=6, noise=0.0, seed=0):
+    """Hub(k1..kn, x0) with n spokes Si(ki, xi) over integer codes: under
+    each key a spoke's message holds the keys 0, 1 and 4, so a hub row's
+    sums repeat from its second spoke on.  ``noise`` > 0 jitters the
+    spokes' values, which unties them."""
+    rng = np.random.default_rng(seed)
+    keys = [FeatureId(f"k{i}", i) for i in range(n_spokes)]
+    hub = np.column_stack([rng.integers(0, 2, size=(hub_rows, n_spokes)),
+                           np.zeros(hub_rows)]).astype(float)
+    return [Table(0, "Hub", (*keys, FeatureId("x0", n_spokes)), hub)] + [
+        Table(i + 1, f"S{i}", (keys[i], FeatureId(f"x{i + 1}", n_spokes + 1 + i)),
+              np.column_stack([np.arange(spoke_rows) % 2,
+                               np.arange(spoke_rows) // 2
+                               + noise * rng.normal(size=spoke_rows)]))
+        for i in range(n_spokes)]
+
+
+def snowflake_tables(rows_per_key: list[int], seed: int = 0) -> list[Table]:
+    """The depth-2 snowflake of the snowflake-wide workload,
+    T0(h,x0) - T1(h,g,x1) - T2(g,x2) and T0 - T3(h,u,x3) - T4(u,x4): hub key
+    i has one g and one u value and ``rows_per_key[i]`` rows in every
+    table, so it extends to rows_per_key[i]^5 join rows.  Hub key i lies in
+    cluster i % 3, its keys and features drawn around 60 * (i % 3), as in
+    ``perfbench/workloads.snowflake_wide``."""
+    rng = np.random.default_rng(seed)
+    h, x0, g, x1, x2, u, x3, x4 = (FeatureId(n, i) for i, n in enumerate(
+        ("h", "x0", "g", "x1", "x2", "u", "x3", "x4")))
+    cols = [[] for _ in range(5)]
+    for i, n in enumerate(rows_per_key):
+        mu = 60.0 * (i % 3)
+        hv, gv, uv = mu + rng.normal(size=3)
+        x = mu + rng.normal(size=(5, n))
+        for t, keys in enumerate(((hv,), (hv, gv), (gv,), (hv, uv), (uv,))):
+            cols[t].append(np.column_stack([np.full((n, len(keys)), keys), x[t]]))
+    schema = ((h, x0), (h, g, x1), (g, x2), (h, u, x3), (u, x4))
+    return [Table(t, f"T{t}", feats, np.vstack(cols[t]))
+            for t, feats in enumerate(schema)]
 
 
 def random_acyclic_tables(rng: np.random.Generator, max_tables: int = 5,

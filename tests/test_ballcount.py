@@ -13,6 +13,7 @@ from relkmeans.ballcount import (
     distance_profile,
     radius_for_count,
     sample_in_ball,
+    smallest_positive_deviation,
 )
 from relkmeans.boxes import sq_dists
 from relkmeans.sampling import make_rng
@@ -26,6 +27,8 @@ from conftest import (
     reference_merge,
     reference_profile,
     reference_round_up,
+    snowflake_tables,
+    tied_star,
 )
 
 ORIGIN3 = np.zeros(3)
@@ -297,27 +300,13 @@ class TestAgainstUnfusedPass:
         assert tied >= 25  # runs of equal root keys are common
 
 
-def tied_star(n_spokes=10, hub_rows=8, spoke_rows=6, noise=0.0, seed=0):
-    """Hub(k1..kn, x0) with n spokes Si(ki, xi) over integer codes: under
-    each key a spoke's message holds the keys 0, 1 and 4, so a hub row's
-    sums repeat from its second spoke on.  ``noise`` > 0 jitters the
-    spokes' values, which unties them."""
-    rng = np.random.default_rng(seed)
-    keys = [FeatureId(f"k{i}", i) for i in range(n_spokes)]
-    hub = np.column_stack([rng.integers(0, 2, size=(hub_rows, n_spokes)),
-                           np.zeros(hub_rows)]).astype(float)
-    return [Table(0, "Hub", (*keys, FeatureId("x0", n_spokes)), hub)] + [
-        Table(i + 1, f"S{i}", (keys[i], FeatureId(f"x{i + 1}", n_spokes + 1 + i)),
-              np.column_stack([np.arange(spoke_rows) % 2,
-                               np.arange(spoke_rows) // 2
-                               + noise * rng.normal(size=spoke_rows)]))
-        for i in range(n_spokes)]
-
-
 class TestOneMergePerTable:
-    def test_one_merge_per_table_up_to_two_children(self, rng, monkeypatch):
-        """A table with at most two children merges its entries once, into
-        its message, exact and bucketed, on random schemas."""
+    def test_one_merge_per_table_and_child_past_the_first(self, rng,
+                                                          monkeypatch):
+        """A table with k walk children makes max(1, k) merges: its message
+        merge, plus k - 1 merges combining its children's messages once per
+        tuple of their separator keys, exact and bucketed, on random
+        schemas, some with tables of three or more children."""
         calls = []
         merge = sumprod._merge
 
@@ -325,25 +314,23 @@ class TestOneMergePerTable:
             calls.append(args[0].size)
             return merge(*args)
         monkeypatch.setattr(sumprod, "_merge", spy)
-        done = deep = 0
-        for _ in range(200):
-            if done >= 40 and deep >= 15:
+        done = deep = wide = 0
+        for _ in range(400):
+            if done >= 40 and deep >= 15 and wide >= 8:
                 break
             tables = random_acyclic_tables(rng, max_tables=6)
             tree = gyo_reduce(tables_to_schema(tables))
             ev = JoinEvaluator(tree, tables)
-            children = list(ev.walk_parent.values())
-            if max(children.count(v) for v in range(len(tables))) > 2:
-                continue
+            fan_out = [len(ev.walk_children[v]) for v in ev.walk]
             center = rng.normal(size=ev.n_features)
-            m = len(tables)
             for delta in (None, 0.05):
                 calls.clear()
                 BallSampler(ev, center, delta)
-                assert len(calls) == m
+                assert len(calls) == sum(max(1, k) for k in fan_out)
             done += 1
-            deep += m >= 3
-        assert done >= 40 and deep >= 15
+            deep += len(tables) >= 3
+            wide += max(fan_out) >= 3
+        assert done >= 40 and deep >= 15 and wide >= 8
 
     def test_tied_star_stays_bounded(self):
         """Merging a hub's equal (row, key) entries before its third and
@@ -357,11 +344,13 @@ class TestOneMergePerTable:
         assert dists.curve[1][-1] == ev.count_scalar()
 
     def test_draws_uniform_through_merges_before_children(self, rng):
-        """Draws undo the merges before a hub's third and later spokes:
-        after rejection they are uniform over the ball, on tied and on
-        untied four-spoke stars, exact and bucketed."""
+        """Draws undo the merges that combine a hub's spokes' messages,
+        after its second and later spokes: after rejection they are uniform
+        over the ball, on tied and on untied four-spoke stars, exact and
+        bucketed."""
         n_draws = 20_000
         worst = 0.0
+        exercised = 0
         for attempt in range(8):
             tables = tied_star(n_spokes=4, hub_rows=4, noise=attempt % 2,
                                seed=attempt)
@@ -372,8 +361,11 @@ class TestOneMergePerTable:
             sq_radius = float(np.median(d2))
             for delta in (None, 0.05):
                 sampler = BallSampler(ev, center, delta)
-                assert any(conv.before is not None
-                           for conv in sampler.dists.convolutions[0])
+                combine = sampler.dists.message[~0], *(
+                    conv.before for conv in sampler.dists.convolutions[~0]
+                    if conv.before is not None)
+                assert len(combine) == 3  # merges after spokes 2, 3 and 4
+                exercised += any(m.source.size > m.last.size for m in combine)
                 members, mult = np.unique(join[d2 <= sq_radius], axis=0,
                                           return_counts=True)
                 pts = sampler.sample_batch([sq_radius], n_draws,
@@ -386,7 +378,27 @@ class TestOneMergePerTable:
                 n_members = int(mult.sum())
                 tv = 0.5 * np.abs(got / n_draws - mult / n_members).sum()
                 worst = max(worst, tv / math.sqrt(n_members / n_draws))
+        print(f"{exercised} of 16 passes merged equal combine entries")
+        assert exercised >= 8  # every tied star, exact and bucketed
         assert worst <= 2.0
+
+
+class TestHeavyKey:
+    def test_heavy_hub_key_pass_stays_small(self):
+        """One heavy hub key of 50 rows per table on the 5-table snowflake
+        (59 more keys at 9 rows, N about 3.2e8): a bucketed pass at
+        per-table delta 0.01 around a join point of that key combines T1's
+        two children's messages once per key tuple and merges about 207,000
+        entries.  Convolving every row with both whole messages merges
+        1,394,384."""
+        tables = snowflake_tables([50] + [9] * 59)
+        ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
+        assert ev.count_scalar() == 50 ** 5 + 59 * 9 ** 5
+        center = ev.gather(np.zeros((1, len(tables)), dtype=np.int64))[0]
+        bucketizer = Bucketizer(0.01, smallest_positive_deviation(tables, center))
+        dists = ev.distance_pass(center, bucketizer)
+        assert dists.merge_entries < 300_000
+        assert dists.curve[1][-1] == ev.count_scalar()
 
 
 def tied_path():

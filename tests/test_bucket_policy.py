@@ -18,7 +18,8 @@ from relkmeans.ballcount import bucket_delta, radius_for_count, sample_in_ball
 from relkmeans.sampling import make_rng
 from relkmeans.weighting import WeightConfig, compute_weights
 
-from conftest import brute_force_join, random_acyclic_tables
+from conftest import (brute_force_join, random_acyclic_tables,
+                      snowflake_tables, tied_star)
 
 RTOL = 1e-9
 BAD_SLACKS = (-0.1, math.nan, 0.6, math.inf)
@@ -98,6 +99,22 @@ class TestRingRadiusBound:
             assert len(joined) == 3 * 12 * 4 ** 2
             pick = np.random.default_rng(seed).integers(len(joined), size=4)
             checked += check_ring_radii(tables, joined[pick], cfg)
+        assert checked >= 40
+
+    @pytest.mark.parametrize("epsilon,delta", [(0.1, None), (0.2, 0.02)])
+    def test_tables_with_combined_children(self, epsilon, delta):
+        """Where a table's children's messages are combined and rounded
+        once per key tuple: a four-spoke star of tied codes, whose hub has
+        four children, and the smallest snowflake-wide shape, whose T1 has
+        two."""
+        cfg = WeightConfig(epsilon=epsilon, delta=delta, max_ring_samples=2)
+        checked = 0
+        for tables in (tied_star(n_spokes=4, hub_rows=4),
+                       snowflake_tables([2, 2, 2])):
+            joined = brute_force_join(tables)
+            pick = np.random.default_rng(0).integers(len(joined), size=3)
+            centers = np.vstack([joined[pick], np.full(joined.shape[1], 0.5)])
+            checked += check_ring_radii(tables, centers, cfg)
         assert checked >= 40
 
 

@@ -536,18 +536,24 @@ class TestDocDigests:
 class TestScaleProbe:
     def test_one_line_per_size(self):
         """At one hub per cluster: 27 rows per table, 3 * 9**5 join rows,
-        and the k' of ``--k 3``."""
+        and the k' of ``--k 3``, sampled and then weighed; ``1x2`` names 2
+        rows per key: 6 rows per table, 3 * 2**5 join rows."""
         script = Path(__file__).resolve().parents[1] / "scripts/scale_probe.py"
         done = subprocess.run(
-            [sys.executable, str(script), "--hubs", "1"],
+            [sys.executable, str(script), "--hubs", "1,1x2"],
             capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        header, line = done.stdout.splitlines()
+        header, line, small = done.stdout.splitlines()
         assert header.split() == ["hubs", "rows_per_table", "N", "k_prime",
                                   "forests", "sample_s", "peak_mb",
-                                  "centers_sha256"]
-        hubs, rows, n, k_prime, forests, sample_s, peak_mb, digest = line.split()
+                                  "centers_sha256", "weigh_s", "pass_entries",
+                                  "weigh_peak_mb"]
+        (hubs, rows, n, k_prime, forests, sample_s, peak_mb, digest,
+         weigh_s, entries, weigh_peak_mb) = line.split()
         assert (hubs, rows, float(n)) == ("1", "27", float(f"{3 * 9 ** 5:.3g}"))
         assert int(k_prime) == cli.coreset_size(RunConfig("s", 3), 3 * 9 ** 5)
         assert int(forests) >= 1 and float(sample_s) > 0 and float(peak_mb) > 0
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+        assert float(weigh_s) > 0 and int(entries) > 0
+        assert float(weigh_peak_mb) >= float(peak_mb)
+        assert small.split()[:3] == ["1x2", "6", "96"]
