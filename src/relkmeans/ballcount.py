@@ -8,10 +8,10 @@ is the union of its rows' histograms per separator key.  Keeping every
 exact distance would make intermediate results as large as the join, so
 every merge rounds keys up, by integer codes (:class:`Bucketizer`), onto
 a (1+delta/m) geometric grid, the one policy (:func:`bucket_delta`) for a
-ball slack delta: each table's one merge into its message, and, at a
-table with two or more children, each merge that combines their messages
-once per tuple of their separator keys.  A root-to-leaf path meets at
-most m roundings, so they compound to at most (1+delta/m)^m <= e^delta
+ball slack delta.  Every node of the pass merges once, into its message:
+each table, and, at a table with two or more children, each combine node,
+which combines their messages two at a time, once per tuple of their
+separator keys.  A root-to-leaf path meets at most m roundings, so they compound to at most (1+delta/m)^m <= e^delta
 on the radius axis, and a radius search for a target holds at least
 (1-delta) * target join points, at most (1+delta/m)^m times the smallest
 radius that does; ties, or points dense within that factor, can push its

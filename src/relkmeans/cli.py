@@ -84,7 +84,9 @@ def run(cfg: RunConfig) -> dict:
     InsufficientDistinctPoints with diagnostics; cyclic schemas raise
     CyclicSchemaError naming the residual; randomized stages that give up
     raise SamplingGaveUp).  The accuracy knobs are checked before any table
-    is read."""
+    is read; a ``k`` above the join's row count, and in baseline and
+    verify modes a join over the guard, fail right after the join is
+    counted, before sampling."""
     wcfg = WeightConfig(epsilon=cfg.epsilon, delta=cfg.delta, tau=cfg.tau,
                         seed=cfg.seed, max_ring_samples=cfg.ring_cap)
     clock = _StageClock()
@@ -99,6 +101,10 @@ def run(cfg: RunConfig) -> dict:
     n_rows = ev.count_scalar()
     if n_rows == 0:
         raise ValueError("empty join: nothing to cluster")
+    if cfg.k > n_rows:
+        raise ValueError(f"need {cfg.k} clusters from a join of {n_rows} rows")
+    if cfg.mode in ("baseline", "verify") and n_rows > cfg.guard:
+        raise MaterializationGuard(f"join has {n_rows} rows, guard is {cfg.guard}")
     k_prime = coreset_size(cfg, n_rows)
 
     centers, state = run_kmeanspp(tree, tables, k_prime, seed=cfg.seed, ev=ev)

@@ -21,9 +21,10 @@ read with its fold (:meth:`JoinEvaluator.fold`), and candidates are drawn
 :meth:`JoinEvaluator.distance_pass` is the one distance pass: ball counts
 are read off it, and in-ball draws walk its merges top-down
 (:meth:`DistancePass.draw`).  A table with two or more children combines
-their messages once per tuple of child separator keys, so a pass grows
-with keys and the codes it keeps, not with rows times the product of its
-children's messages.  The generic dict engine
+their messages two at a time, once per tuple of child separator keys, so
+a pass grows with keys and the codes it keeps, not with rows times the
+product of its children's messages; every node of the pass merges once,
+into its message.  The generic dict engine
 (:func:`eval_sumprod`, :func:`eval_sumprod_grouped`) takes any carrier one
 row at a time; it is the reference the evaluator is tested against, not a
 pipeline path.
@@ -292,25 +293,24 @@ def _convolve(hist: tuple[np.ndarray, np.ndarray, np.ndarray],
 class _Convolution:
     """One child's message convolved into its parent's entries: per entry
     of the convolution, the parent entry it extends (``src``) and the
-    child's message entry (``msg``).  ``before``, for a third or later
-    child of a combine, merges the combine's equal (tuple, code) entries
-    first, so ``src`` names merged entries; None when nothing was merged."""
+    child's message entry (``msg``)."""
 
     child: int
     src: np.ndarray
     msg: np.ndarray
-    before: _Constituents | None
 
 
 @dataclass(frozen=True, eq=False)
 class DistancePass:
     """What :meth:`JoinEvaluator.distance_pass` keeps for one center.
 
-    Its nodes are the tables, plus, for each table v with two or more walk
-    children, a combine node ``~v``: its entries start as one per tuple of
-    v's child separator-key ids (``JoinEvaluator.edge_keys(~v)``), its
-    children are v's, and v's one child is ``~v``.  ``order`` lists the
-    nodes top-down: the walk, each combine node right after its table.
+    Its nodes are the tables, plus, for each table p with walk children
+    c1..ck, k >= 2, a combine node ``~cj`` per child cj past the first:
+    its entries start as one per tuple of p's separator-key ids toward
+    c1..cj (``JoinEvaluator.edge_keys(~cj)``), at key 0, on a row of p,
+    and its two children are ``~c(j-1)`` (c1 when j = 2), then cj.  p's
+    one child is ``~ck``.  ``order`` lists the nodes top-down: the walk,
+    each table followed by its combine nodes, ``~ck`` first.
 
     ``sent[v]`` is the message node v sends its parent, (separator key
     ids, keys, counts) sorted by id, then key: ``counts[i]`` join rows of
@@ -318,9 +318,10 @@ class DistancePass:
     key ``ids[i]`` and subtree key ``keys[i]``.  A combine node's separator
     key is its tuple id, and the root's is the empty one, id 0, so its
     message is the ball curve (:attr:`curve`).  ``message[v]`` is the
-    provenance of v's merge into ``sent[v]``, ``convolutions[v]`` lists v's
-    child convolutions oldest first (at most one for a table), and
-    ``merge_entries`` counts the entries that entered the merges.
+    provenance of v's one merge, into ``sent[v]``, ``convolutions[v]``
+    lists v's child convolutions oldest first (at most one for a table,
+    two for a combine node), and ``merge_entries`` counts the entries that
+    entered the merges.
     """
 
     order: tuple[int, ...]
@@ -348,8 +349,8 @@ class DistancePass:
         picks every draw's key at once.  Then every merge is undone, one
         constituent per draw in proportion to its count: the root's merge,
         then, node by node in ``order``, each child convolution newest
-        first, whose entry names the child's message entry, and the merge
-        before it, if any.  The probabilities telescope, so every join row
+        first, whose entry names the child's message entry, whose merge is
+        undone in turn.  The probabilities telescope, so every join row
         under a draw's threshold is equally likely.  One ``rng.random`` call
         per merge.  Returns (draws, tables) row indices by table id.
         """
@@ -364,8 +365,6 @@ class DistancePass:
             for conv in reversed(self.convolutions[v]):
                 entry[conv.child] = self.message[conv.child].pick(conv.msg[e], rng)
                 e = conv.src[e]
-                if conv.before is not None:
-                    e = conv.before.pick(e, rng)
             if v >= 0:  # a table's entries before any convolution are its rows
                 prov[:, v] = e
         return prov
@@ -441,16 +440,17 @@ class JoinEvaluator:
 
     def edge_keys(self, child: int) -> tuple[np.ndarray, np.ndarray, int]:
         """(child row key ids, parent row key ids, number of keys) for the
-        edge from ``child`` to its walk parent.  The combine node ``~v`` of
-        :meth:`distance_pass` keys each row of table v by its tuple of
-        children's separator-key ids, packed child by child in mixed radix,
-        each step factorized by a 1-D ``np.unique``, so ids stay below
+        edge from ``child`` to its walk parent.  A combine node ``~c`` of
+        :meth:`distance_pass` keys each row of c's walk parent by its tuple
+        of separator-key ids toward c and the siblings before it: the row's
+        id under the node's first child times c's key count, plus its key
+        id toward c, factorized by one 1-D ``np.unique``, so ids stay below
         rows * keys."""
         if child < 0 and child not in self._edge_keys:
-            ids = 0
-            for c in self.walk_children[~child]:
-                _, ids_v, n = self.edge_keys(c)
-                ids = np.unique(ids * n + ids_v, return_inverse=True)[1]
+            prev, c = self._pass_children(child)
+            _, ids, n = self.edge_keys(c)
+            ids = np.unique(self.edge_keys(prev)[1] * n + ids,
+                            return_inverse=True)[1]
             self._edge_keys[child] = (ids, ids, int(ids.max(initial=-1)) + 1)
         if child not in self._edge_keys:
             par = self.walk_parent[child]
@@ -461,6 +461,20 @@ class JoinEvaluator:
             ids, cut = ids.reshape(-1), self.tables[child].n_rows
             self._edge_keys[child] = (ids[:cut], ids[cut:], len(uniq))
         return self._edge_keys[child]
+
+    def _pass_children(self, node: int) -> list[int]:
+        """The nodes whose messages ``node`` convolves in
+        :meth:`distance_pass`, in order.  For a table: none, its one walk
+        child, or, with k >= 2, the combine node of its last.  For the
+        combine node ``~c`` of a table's j-th walk child c (j >= 2): the
+        node holding the j - 1 children before c (the first child itself,
+        or the combine node of the (j-1)-th), then c."""
+        if node < 0:
+            kids = self.walk_children[self.walk_parent[~node]]
+            j = kids.index(~node)
+            return [~kids[j - 1] if j > 1 else kids[0], ~node]
+        kids = self.walk_children[node]
+        return [~kids[-1]] if len(kids) > 1 else kids
 
     def owned_sq_dist(self, v: int, targets: np.ndarray,
                       rows: slice | np.ndarray = slice(None)) -> np.ndarray:
@@ -552,32 +566,34 @@ class JoinEvaluator:
         distances.  With one walk child, the child's message is convolved
         in (keys add, counts multiply).  With k >= 2, every row under one
         tuple of child separator keys meets the same messages, so they are
-        combined once per tuple: the combine node ``~v`` starts with one
-        entry per tuple, at key 0, convolves the children in
-        ``walk_children`` order, and merges its equal (tuple, code) entries
-        after every child but the first; then each row is convolved with
-        its tuple's combined message.  Each node then merges its entries
-        once, straight into its message, by one sort of (separator key, key
-        code) integers.  ``bucketizer``, when given, codes keys rounded,
-        else they are coded exactly.
+        combined two at a time, once per tuple: the combine node ``~cj``
+        starts with one entry per tuple toward c1..cj, at key 0, and
+        convolves the combine before it (c1 for j = 2), then cj; each row
+        is then convolved with its tuple's message from ``~ck``.  Every
+        node convolves at most two messages and merges its entries once,
+        straight into its message, by one sort of (separator key, key code)
+        integers.  ``bucketizer``, when given, codes keys rounded, else
+        they are coded exactly.
 
         Rounding budget: every merge rounds a key up by at most a factor
         (1 + delta) (per-table ``delta``), and a sum of rounded keys is
         at most the sum's exact value times the largest factor among its
         parts.  A key therefore exceeds its exact value by at most
-        (1 + delta)^r, with r the most roundings on a root-to-leaf path.
-        A term meets one rounding at its leaf and at most k_v at a table v
-        with k_v children: k_v - 1 combine merges, then v's message merge.
-        So a path P meets at most 1 + sum_{v in P} k_v <= 1 + (m - 1) = m
-        roundings, the m that :func:`relkmeans.ballcount.bucket_delta`
-        divides the ball slack by and :meth:`Bucketizer.widen` raises to.
+        (1 + delta)^r, with r the most nodes on a root-to-leaf path of the
+        pass: one rounding per node on the path.  At an internal table v
+        with k_v children, a path meets v and at most k_v - 1 of its
+        combine nodes, so at most k_v roundings, and it meets one more at
+        its leaf table.  So a path P of internal tables meets at most
+        1 + sum_{v in P} k_v <= 1 + (m - 1) = m roundings, the m that
+        :func:`relkmeans.ballcount.bucket_delta` divides the ball slack by
+        and :meth:`Bucketizer.widen` raises to.
         Rounding only goes up, so radius searches keep their
         (1 - slack) * target floor.
         """
         code = bucketizer.codes if bucketizer is not None else _exact_codes
         order = []
         for v in self.walk:
-            order += [v, ~v] if len(self.walk_children[v]) > 1 else [v]
+            order += [v, *(~c for c in reversed(self.walk_children[v][1:]))]
         convolutions: dict[int, list[_Convolution]] = {}
         sent, message, entries = {}, {}, 0
         for v in reversed(order):
@@ -585,24 +601,16 @@ class JoinEvaluator:
                 _, ids, n = self.edge_keys(v)
                 rows = np.zeros(n, dtype=np.int64)
                 rows[ids] = np.arange(ids.size)
-                keys, children = np.zeros(n), self.walk_children[~v]
+                keys = np.zeros(n)
             else:
                 rows = np.arange(self.tables[v].n_rows)
                 keys = self.owned_sq_dist(v, center)[0]
-                children = [~v] if ~v in sent else self.walk_children[v]
             hist = (rows, keys, np.ones(rows.size))
             convolutions[v] = []
-            for c in children:
-                before = None
-                if len(convolutions[v]) >= 2:
-                    rows, keys, counts = hist
-                    entries += rows.size
-                    codes, grid = code(keys)
-                    (rows, codes, counts), before = _merge(rows, codes, counts)
-                    hist = (rows, grid[codes], counts)
+            for c in self._pass_children(v):
                 _, ids_v, n = self.edge_keys(c)
                 *hist, src, pick = _convolve(hist, ids_v, sent[c], n)
-                convolutions[v].append(_Convolution(c, src, pick, before))
+                convolutions[v].append(_Convolution(c, src, pick))
             rows, keys, counts = hist
             entries += rows.size
             if v == self.walk[0]:

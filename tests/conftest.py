@@ -1,5 +1,5 @@
 """Shared fixtures: the two-table path fixture, an independent brute-force
-join, the loop construction of the box forest, the unfused distance pass,
+join, the loop construction of the box forest, the reference distance pass,
 a random acyclic schema generator, and two fixed shapes: a star of tied
 codes and the benchmark's depth-2 snowflake."""
 
@@ -261,36 +261,60 @@ def reference_round_up(delta: float, v_min: float, values: np.ndarray) -> np.nda
 def reference_distance_pass(ev: JoinEvaluator, center: np.ndarray,
                             delta: float | None = None, v_min: float = 1.0,
                             ) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The unfused distance pass, histograms only: equal (row, key) pairs
-    are merged after every child, and with ``delta`` each table's keys are
-    then rounded up and merged once more, after its last child.
-    :meth:`relkmeans.JoinEvaluator.distance_pass` must match it byte for
-    byte below 2**53 join rows.  A table starts as its rows at their squared
+    """The distance pass without integer codes, histograms only, tables in
+    reversed walk order.  A table starts as its rows at their squared
     distance to ``center`` over the features it owns (those no lower table
-    id holds), summed from 0.0 in table-feature order."""
+    id holds), summed from 0.0 in table-feature order.  A table with one
+    walk child convolves its rows with the child's message.  One with
+    walk children c1..ck, k >= 2, combines them two at a time: for each
+    j >= 2, one entry per distinct tuple of its rows' separator values
+    toward c1..cj, at key 0, is convolved with the combine through c(j-1)
+    (c1's message for j = 2), then with cj's message, and every
+    combine's keys are rounded up (with ``delta``) and merged by (tuple,
+    key); each row is then convolved with its tuple's combine through ck.
+    Last, a table's keys are rounded up (with ``delta``) and its equal
+    (row, key) pairs merged, and its message merges them by separator key.
+    Returns each table's merged (rows, keys, counts).
+    :meth:`relkmeans.JoinEvaluator.distance_pass` must match it byte for
+    byte below 2**53 join rows."""
     owner = {}
     for t in sorted(ev.tables, key=lambda t: t.id):
         for f in t.features:
             owner.setdefault(f.name, t.id)
-    hist = {}
-    for t in ev.tables:
+
+    def rounded_merge(ids, keys, counts):
+        if delta is not None:
+            keys = reference_round_up(delta, v_min, keys)
+        return reference_merge(ids, keys, counts)
+
+    hist, msg = {}, {}
+    for v in reversed(ev.walk):
+        t = ev.tables[v]
         keys = np.zeros(t.n_rows)
         for pos, f in enumerate(t.features):
             if owner[f.name] == t.id:
                 keys += (t.rows[:, pos] - center[f.index]) ** 2
-        hist[t.id] = (np.arange(t.n_rows), keys, np.ones(t.n_rows))
-    for node, par in ev.tree.rooted_order(0):
-        if delta is not None:
-            rows, keys, counts = hist[node]
-            hist[node] = reference_merge(
-                rows, reference_round_up(delta, v_min, keys), counts)
-        if par is None:
-            break
-        rows, keys, counts = hist[node]
-        ids_child, ids_par, n = ev.edge_keys(node)
-        msg = reference_merge(ids_child[rows], keys, counts)
-        *merged, _, _ = _convolve(hist[par], ids_par, msg, n)
-        hist[par] = reference_merge(*merged)
+        entries = (np.arange(t.n_rows), keys, np.ones(t.n_rows))
+        kids = ev.walk_children[v]
+        if kids:
+            combined, (_, ids, n) = msg[kids[0]], ev.edge_keys(kids[0])
+            names = t.feature_names()
+            for j in range(1, len(kids)):
+                cols = [names.index(s) for c in kids[:j + 1]
+                        for s in ev.tree.edge_separator(c, v)]
+                _, first, tuples = np.unique(t.rows[:, cols], axis=0,
+                                             return_index=True,
+                                             return_inverse=True)
+                size = first.size
+                tup = (np.arange(size), np.zeros(size), np.ones(size))
+                *tup, _, _ = _convolve(tup, ids[first], combined, n)
+                _, ids_c, n_c = ev.edge_keys(kids[j])
+                *tup, _, _ = _convolve(tup, ids_c[first], msg[kids[j]], n_c)
+                combined, ids, n = rounded_merge(*tup), tuples.reshape(-1), size
+            *entries, _, _ = _convolve(entries, ids, combined, n)
+        hist[v] = rows, keys, counts = rounded_merge(*entries)
+        if ev.walk_parent[v] is not None:
+            msg[v] = reference_merge(ev.edge_keys(v)[0][rows], keys, counts)
     return hist
 
 

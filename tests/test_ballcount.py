@@ -241,18 +241,28 @@ class TestGroupedDistancePass:
 
 class TestAgainstUnfusedPass:
     def test_histograms_byte_identical(self, rng):
-        """Merging each table once, straight into its message, with
+        """Merging each node once, straight into its message, with
         integer codes, rounding folded in and the per-center grid, leaves
-        every table's message byte for byte the unfused pass's histogram
+        every table's message byte for byte the reference pass's histogram
         merged by separator key: exact and bucketed at two deltas, on
-        random schemas, half of them with heavily tied values.  The root's
-        message, the curve, is checked against the unfused root histogram
-        the same way."""
-        for attempt in range(50):
-            tables = random_acyclic_tables(rng, max_tables=5, max_rows=10,
-                                           integer_values=attempt % 2 == 1)
+        random schemas, half of them with heavily tied values, then on four
+        four-spoke stars, tied and untied; at least eight have a non-empty
+        join and a table whose children are combined.  Every bucketed pass
+        over the stars rounds combined keys that a merge by exact key would
+        leave unrounded.  The root's message, the curve, is checked against
+        the reference root histogram the same way."""
+        bushy = 0
+        for attempt in range(54):
+            if attempt < 50:
+                tables = random_acyclic_tables(rng, max_tables=5, max_rows=10,
+                                               integer_values=attempt % 2 == 1)
+            else:
+                tables = tied_star(n_spokes=4, hub_rows=4, noise=attempt % 2,
+                                   seed=attempt)
             tree = gyo_reduce(tables_to_schema(tables))
             ev = JoinEvaluator(tree, tables)
+            bushy += ev.count_scalar() > 0 and max(
+                len(ev.walk_children[v]) for v in ev.walk) >= 2
             center = rng.normal(size=ev.n_features)
             if attempt % 2:
                 center = np.round(center)
@@ -272,10 +282,12 @@ class TestAgainstUnfusedPass:
                     assert len(got) == len(want)
                     for a, b in zip(got, want):
                         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        print(f"{bushy} of 54 schemas join non-empty and combine children")
+        assert bushy >= 8
 
     def test_profiles_byte_identical(self, rng):
         """The profile read off the root's message is, byte for byte, the
-        one a sort of the unfused pass's root keys builds: exact and
+        one a sort of the reference pass's root keys builds: exact and
         bucketed at two deltas, on random schemas, half of them with
         heavily tied values."""
         tied = 0
@@ -304,9 +316,12 @@ class TestOneMergePerTable:
     def test_one_merge_per_table_and_child_past_the_first(self, rng,
                                                           monkeypatch):
         """A table with k walk children makes max(1, k) merges: its message
-        merge, plus k - 1 merges combining its children's messages once per
-        tuple of their separator keys, exact and bucketed, on random
-        schemas, some with tables of three or more children."""
+        merge, plus, for k >= 2, the message merge of each of its k - 1
+        combine nodes, which combine its children's messages two at a time
+        once per tuple of their separator keys.  Every merge is a message
+        merge, so the pass's merged entries are its messages' constituents:
+        exact and bucketed, on random schemas, some with tables of three or
+        more children."""
         calls = []
         merge = sumprod._merge
 
@@ -325,17 +340,20 @@ class TestOneMergePerTable:
             center = rng.normal(size=ev.n_features)
             for delta in (None, 0.05):
                 calls.clear()
-                BallSampler(ev, center, delta)
+                dists = BallSampler(ev, center, delta).dists
                 assert len(calls) == sum(max(1, k) for k in fan_out)
+                assert dists.merge_entries == sum(
+                    m.source.size for m in dists.message.values())
             done += 1
             deep += len(tables) >= 3
             wide += max(fan_out) >= 3
         assert done >= 40 and deep >= 15 and wide >= 8
 
     def test_tied_star_stays_bounded(self):
-        """Merging a hub's equal (row, key) entries before its third and
-        later spokes keeps a ten-spoke star of tied codes small: without
-        that merge its pass merges about 470,000 entries."""
+        """Combining a hub's spokes two at a time, each combine node merging
+        its equal (tuple, code) entries into its message, keeps a ten-spoke
+        star of tied codes small: convolving every hub row with all ten
+        spokes' messages before one merge merges about 470,000 entries."""
         tables = tied_star()
         ev = JoinEvaluator(gyo_reduce(tables_to_schema(tables)), tables)
         assert list(ev.walk_parent.values()).count(0) == 10
@@ -345,9 +363,9 @@ class TestOneMergePerTable:
 
     def test_draws_uniform_through_merges_before_children(self, rng):
         """Draws undo the merges that combine a hub's spokes' messages,
-        after its second and later spokes: after rejection they are uniform
-        over the ball, on tied and on untied four-spoke stars, exact and
-        bucketed."""
+        one per combine node of its second and later spokes: after
+        rejection they are uniform over the ball, on tied and on untied
+        four-spoke stars, exact and bucketed."""
         n_draws = 20_000
         worst = 0.0
         exercised = 0
@@ -361,10 +379,9 @@ class TestOneMergePerTable:
             sq_radius = float(np.median(d2))
             for delta in (None, 0.05):
                 sampler = BallSampler(ev, center, delta)
-                combine = sampler.dists.message[~0], *(
-                    conv.before for conv in sampler.dists.convolutions[~0]
-                    if conv.before is not None)
-                assert len(combine) == 3  # merges after spokes 2, 3 and 4
+                combine = [sampler.dists.message[~c]
+                           for c in ev.walk_children[0][1:]]
+                assert len(combine) == 3  # merges of spokes 2, 3 and 4
                 exercised += any(m.source.size > m.last.size for m in combine)
                 members, mult = np.unique(join[d2 <= sq_radius], axis=0,
                                           return_counts=True)

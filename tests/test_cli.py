@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -111,6 +112,18 @@ class TestDiagnostics:
              "--guard", "3"], capsys)
         assert code == 3
         assert "guard" in err
+        assert "[sample]" not in err  # checked right after the count
+
+    def test_k_above_join_rows_exits_1_before_sampling(self, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text(CODED)
+        doc = tmp_path / "s.txt"
+        doc.write_text("T: x @ t.csv\n")
+        code, out, err = run_cli(
+            ["--schema", str(doc), "--k", "9", "--ring-cap", "400"], capsys)
+        assert code == 1 and out == ""
+        assert err.count("error:") == 1
+        assert "need 9 clusters from a join of 8 rows" in err
+        assert "[sample]" not in err
 
     def test_bad_epsilon_rejected(self, schema_path, capsys):
         # delta must lie in (0, epsilon/2]; every bad knob fails before any
@@ -419,8 +432,7 @@ class TestDeterminism:
 
     def test_pass_entries_repeat(self, schema_path, capsys, monkeypatch):
         """``pass_entries`` is the same on every run, and it is the entries
-        of every message merge and every merge before a child of the weigh
-        stage's distance passes."""
+        of every message merge of the weigh stage's distance passes."""
         passes = []
         distance_pass = JoinEvaluator.distance_pass
 
@@ -437,9 +449,6 @@ class TestDeterminism:
             assert code == 0
             counts.append(json.loads(out)["telemetry"]["pass_entries"])
             merged = sum(m.source.size for p in passes for m in p.message.values())
-            merged += sum(conv.before.source.size for p in passes
-                          for convs in p.convolutions.values() for conv in convs
-                          if conv.before is not None)
             assert counts[-1] == merged > 0
         assert counts[0] == counts[1]
 
@@ -531,6 +540,27 @@ class TestDocDigests:
         for ln in lines:
             digest = ln.split()[2]
             assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+
+class TestPassDigests:
+    def test_three_lines_per_seed(self):
+        """One line per seed and delta: exact, then per-table delta 0.05
+        and 0.01, each with the schema's fan-out, the pass's merged entries
+        and a curve digest; a seed's schema has a non-empty join."""
+        script = Path(__file__).resolve().parents[1] / "scripts/pass_digests.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--seeds", "0-1"],
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        lines = [ln.split() for ln in done.stdout.splitlines()]
+        assert [ln[:2] for ln in lines] == [
+            [seed, delta] for seed in ("0", "1")
+            for delta in ("exact", "0.05", "0.01")]
+        empty = hashlib.sha256(b"").hexdigest()
+        for _, _, fan_out, entries, digest in lines:
+            assert int(fan_out) <= 5 and int(entries) > 0
+            assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+            assert digest != empty
 
 
 class TestScaleProbe:
