@@ -53,7 +53,7 @@ class TargetExceedsN(SamplingGaveUp):
     """A count target larger than the join itself has no radius."""
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, repr=False)
 class Bucketizer:
     """Rounds squared distances up to a (1+delta) geometric grid, by
     integer code.
@@ -72,7 +72,7 @@ class Bucketizer:
 
     delta: float
     v_min: float
-    grid: np.ndarray = field(init=False, repr=False)
+    grid: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.5:

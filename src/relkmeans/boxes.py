@@ -30,7 +30,7 @@ import numpy as np
 from .relational import SamplingGaveUp
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class LaminarForest:
     """Output boxes with representatives, tree-structured by inclusion.
 

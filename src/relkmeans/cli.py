@@ -21,9 +21,8 @@ import numpy as np
 
 from .clustering import (InsufficientDistinctPoints, WeightedPointSet,
                          relational_cost, solve_weighted_kmeans)
-from .oracle import DEFAULT_GUARD, MaterializationGuard, materialize, exact_cost
-from .relational import (CyclicVerdict, SamplingGaveUp, SchemaError, gyo_reduce,
-                         load_database)
+from .relational import (DEFAULT_GUARD, CyclicVerdict, MaterializationGuard,
+                         SamplingGaveUp, SchemaError, gyo_reduce, load_database)
 from .sampling import run_kmeanspp
 from .sumprod import JoinEvaluator
 from .weighting import WeightConfig, compute_weights
@@ -36,7 +35,7 @@ class CyclicSchemaError(Exception):
     residual hypergraph GYO reduction got stuck on."""
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class RunConfig:
     schema: str
     k: int
@@ -158,6 +157,8 @@ def run(cfg: RunConfig) -> dict:
     if cfg.mode == "cluster":
         return doc
 
+    # imported here, so that a cluster or coreset run never loads the oracle
+    from .oracle import exact_cost, materialize
     join = materialize(tables, guard=cfg.guard, tree=tree)
     doc["exact_cost"] = exact_cost(join, final)
     clock.lap("materialize")

@@ -15,7 +15,7 @@ class InsufficientDistinctPoints(Exception):
     """Fewer distinct points than requested centers."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class WeightedPointSet:
     """Points with strictly positive weights (zero-weight entries dropped)."""
 
@@ -30,8 +30,7 @@ class WeightedPointSet:
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         keep = w > 0
-        object.__setattr__(self, "points", pts[keep])
-        object.__setattr__(self, "weights", w[keep])
+        self.points, self.weights = pts[keep], w[keep]
 
     @property
     def size(self) -> int:

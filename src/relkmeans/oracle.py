@@ -1,27 +1,146 @@
 """Brute-force ground truth: materialize small joins, exact distributions,
 exact nearest-center counts and costs.  Guarded so tests cannot accidentally
 explode; everything here is reference-quality, not performance code.
+
+The generic dict engine (:func:`eval_sumprod`, :func:`eval_sumprod_grouped`)
+evaluates a SumProd query over any semiring carrier (:class:`SemiringSpec`)
+one row at a time, with dicts keyed by separator values; it is the reference
+:class:`relkmeans.sumprod.JoinEvaluator` is tested against, not a pipeline
+path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .boxes import sq_dists
-from .relational import CyclicVerdict, JoinTree, Table, gyo_reduce, tables_to_schema
-from .sumprod import JoinEvaluator
+from .relational import (DEFAULT_GUARD, CyclicVerdict, JoinTree,
+                         MaterializationGuard, Table, gyo_reduce,
+                         tables_to_schema)
+from .sumprod import (COSTPAIR_ONE, COSTPAIR_ZERO, CostPair, JoinEvaluator,
+                      default_ownership)
 
 
-class MaterializationGuard(Exception):
-    """Join size exceeds the configured row cap."""
+@dataclass(eq=False, repr=False)
+class SemiringSpec:
+    """A commutative semiring plus the per-feature embedding q_f.
+
+    ``feature_map`` maps feature name to a function from the real feature
+    value into the carrier.
+    """
+
+    zero: Any
+    one: Any
+    plus: Callable[[Any, Any], Any]
+    times: Callable[[Any, Any], Any]
+    feature_map: Mapping[str, Callable[[float], Any]]
 
 
-DEFAULT_GUARD = 100_000
+@dataclass(eq=False, repr=False)
+class GroupedResult:
+    """Per-row query values for one table, aligned with its row order."""
+
+    table_id: int
+    values: tuple
+
+    def __len__(self) -> int:
+        return len(self.values)
 
 
-@dataclass(frozen=True, eq=False)
+def counting_semiring(features: list[str]) -> SemiringSpec:
+    """q_f = 1 everywhere; the query value is the number of join rows."""
+    return SemiringSpec(
+        zero=0, one=1,
+        plus=lambda x, y: x + y,
+        times=lambda x, y: x * y,
+        feature_map={f: (lambda v: 1) for f in features},
+    )
+
+
+def costpair_semiring(features: list[str], target: Mapping[str, float]) -> SemiringSpec:
+    """q_f(v) = ((v - y_f)^2, 1); the a-component sums squared distances to y."""
+    def q(name: str) -> Callable[[float], CostPair]:
+        yf = float(target[name])
+        return lambda v: CostPair((v - yf) ** 2, 1.0)
+
+    return SemiringSpec(
+        zero=COSTPAIR_ZERO, one=COSTPAIR_ONE,
+        plus=lambda x, y: x + y,
+        times=lambda x, y: x * y,
+        feature_map={f: q(f) for f in features},
+    )
+
+
+def _node_value(table: Table, row: int, spec: SemiringSpec,
+                owner: Mapping[str, int]) -> Any:
+    val = spec.one
+    for pos, f in enumerate(table.features):
+        if owner[f.name] == table.id:
+            val = spec.times(val, spec.feature_map[f.name](table.rows[row, pos]))
+    return val
+
+
+def _sep_key(table: Table, row: int, separator: tuple[str, ...]) -> tuple:
+    names = table.feature_names()
+    return tuple(table.rows[row, names.index(s)] for s in separator)
+
+
+def eval_sumprod_grouped(tree: JoinTree, tables: list[Table], spec: SemiringSpec,
+                         group: int,
+                         ownership: Mapping[str, int] | None = None) -> GroupedResult:
+    """Grouped SumProd: entry r is the query value with the group table
+    pinned to its single row r.  One upward pass rooted at the group table.
+    """
+    owner = dict(ownership) if ownership is not None else default_ownership(tree, tables)
+    order = tree.rooted_order(group)
+
+    # messages[node] = dict: separator key -> carrier, sent to its parent
+    messages: dict[int, dict[tuple, Any]] = {}
+    sep_of: dict[int, tuple[str, ...]] = {}
+    children: dict[int, list[int]] = {i: [] for i in range(tree.n_nodes)}
+    for node, par in order:
+        if par is not None:
+            children[par].append(node)
+            sep_of[node] = tree.edge_separator(node, par)
+
+    values_at: dict[int, list[Any]] = {}
+    for node, par in order:
+        table = tables[node]
+        vals = []
+        for row in range(table.n_rows):
+            v = _node_value(table, row, spec, owner)
+            for c in children[node]:
+                incoming = messages[c].get(_sep_key(table, row, sep_of[c]))
+                if incoming is None:
+                    v = spec.zero
+                    break
+                v = spec.times(v, incoming)
+            vals.append(v)
+        values_at[node] = vals
+        if par is not None:
+            msg: dict[tuple, Any] = {}
+            for row, v in enumerate(vals):
+                key = _sep_key(table, row, sep_of[node])
+                msg[key] = spec.plus(msg[key], v) if key in msg else v
+            messages[node] = msg
+
+    return GroupedResult(group, tuple(values_at[group]))
+
+
+def eval_sumprod(tree: JoinTree, tables: list[Table], spec: SemiringSpec,
+                 ownership: Mapping[str, int] | None = None) -> Any:
+    """Scalar SumProd over all join rows; zero for an empty join."""
+    grouped = eval_sumprod_grouped(tree, tables, spec, tree.root, ownership)
+    total = spec.zero
+    for v in grouped.values:
+        total = spec.plus(total, v)
+    return total
+
+
+@dataclass(eq=False, repr=False)
 class MaterializedJoin:
     """The design matrix as an explicit (N, d) array, feature-index order."""
 

@@ -27,7 +27,14 @@ class SamplingGaveUp(RuntimeError):
     succeed."""
 
 
-@dataclass(frozen=True)
+class MaterializationGuard(Exception):
+    """Join size exceeds the configured row cap."""
+
+
+DEFAULT_GUARD = 100_000
+
+
+@dataclass(frozen=True, repr=False)
 class FeatureId:
     """A named column of the design matrix and its ordinal position."""
 
@@ -35,7 +42,7 @@ class FeatureId:
     index: int
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class Table:
     """One relation: an ordered feature list plus a float64 row matrix."""
 
@@ -51,7 +58,7 @@ class Table:
         elif rows.shape[1] != len(self.features):
             raise ValueError(f"table {self.name!r}: rows have {rows.shape[1]} "
                              f"columns, expected {len(self.features)}")
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows
 
     @property
     def n_rows(self) -> int:
@@ -61,7 +68,7 @@ class Table:
         return tuple(f.name for f in self.features)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class SchemaGraph:
     """Join hypergraph: one vertex per feature, one hyperedge per table."""
 
@@ -73,7 +80,7 @@ class SchemaGraph:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class JoinTree:
     """Evaluation tree over tables satisfying the running-intersection property.
 
@@ -120,7 +127,7 @@ class JoinTree:
         return list(reversed(pre))
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class CyclicVerdict:
     """GYO reduction got stuck; holds the residual hypergraph for diagnostics."""
 

@@ -59,14 +59,14 @@ class RejectionBudgetExceeded(SamplingGaveUp):
     rejection budget."""
 
 
-@dataclass
+@dataclass(repr=False)
 class CenterTelemetry:
     center_index: int
     candidates: int
     rejections: int
 
 
-@dataclass
+@dataclass(repr=False)
 class ForestTelemetry:
     """Deterministic counters of the box forests of one sampling session
     (a few, not one per center): forests built, their boxes (sum and max),
@@ -78,7 +78,7 @@ class ForestTelemetry:
     costpair_terms: int = 0
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class SamplingState:
     """One k-means++ sampling session: centers so far (only appended to),
     the box forest of a prefix of them (None until a draw needs it), the

@@ -24,17 +24,15 @@ are read off it, and in-ball draws walk its merges top-down
 their messages two at a time, once per tuple of child separator keys, so
 a pass grows with keys and the codes it keeps, not with rows times the
 product of its children's messages; every node of the pass merges once,
-into its message.  The generic dict engine
-(:func:`eval_sumprod`, :func:`eval_sumprod_grouped`) takes any carrier one
-row at a time; it is the reference the evaluator is tested against, not a
-pipeline path.
+into its message.  The generic dict engine that the evaluator is tested
+against lives in :mod:`relkmeans.oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,22 +44,7 @@ if TYPE_CHECKING:
     from .sampling import UniformStream
 
 
-@dataclass(frozen=True)
-class SemiringSpec:
-    """A commutative semiring plus the per-feature embedding q_f.
-
-    ``feature_map`` maps feature name to a function from the real feature
-    value into the carrier.
-    """
-
-    zero: Any
-    one: Any
-    plus: Callable[[Any, Any], Any]
-    times: Callable[[Any, Any], Any]
-    feature_map: Mapping[str, Callable[[float], Any]]
-
-
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class CostPair:
     """Carrier tracking (aggregate cost, count) through a SumProd query."""
 
@@ -79,41 +62,6 @@ COSTPAIR_ZERO = CostPair(0.0, 0.0)
 COSTPAIR_ONE = CostPair(0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class GroupedResult:
-    """Per-row query values for one table, aligned with its row order."""
-
-    table_id: int
-    values: tuple
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def counting_semiring(features: list[str]) -> SemiringSpec:
-    """q_f = 1 everywhere; the query value is the number of join rows."""
-    return SemiringSpec(
-        zero=0, one=1,
-        plus=lambda x, y: x + y,
-        times=lambda x, y: x * y,
-        feature_map={f: (lambda v: 1) for f in features},
-    )
-
-
-def costpair_semiring(features: list[str], target: Mapping[str, float]) -> SemiringSpec:
-    """q_f(v) = ((v - y_f)^2, 1); the a-component sums squared distances to y."""
-    def q(name: str) -> Callable[[float], CostPair]:
-        yf = float(target[name])
-        return lambda v: CostPair((v - yf) ** 2, 1.0)
-
-    return SemiringSpec(
-        zero=COSTPAIR_ZERO, one=COSTPAIR_ONE,
-        plus=lambda x, y: x + y,
-        times=lambda x, y: x * y,
-        feature_map={f: q(f) for f in features},
-    )
-
-
 def default_ownership(tree: JoinTree, tables: list[Table]) -> dict[str, int]:
     """Assign each feature to the lowest table id containing it."""
     owner: dict[str, int] = {}
@@ -121,72 +69,6 @@ def default_ownership(tree: JoinTree, tables: list[Table]) -> dict[str, int]:
         for f in t.features:
             owner.setdefault(f.name, t.id)
     return owner
-
-
-def _node_value(table: Table, row: int, spec: SemiringSpec,
-                owner: Mapping[str, int]) -> Any:
-    val = spec.one
-    for pos, f in enumerate(table.features):
-        if owner[f.name] == table.id:
-            val = spec.times(val, spec.feature_map[f.name](table.rows[row, pos]))
-    return val
-
-
-def _sep_key(table: Table, row: int, separator: tuple[str, ...]) -> tuple:
-    names = table.feature_names()
-    return tuple(table.rows[row, names.index(s)] for s in separator)
-
-
-def eval_sumprod_grouped(tree: JoinTree, tables: list[Table], spec: SemiringSpec,
-                         group: int,
-                         ownership: Mapping[str, int] | None = None) -> GroupedResult:
-    """Grouped SumProd: entry r is the query value with the group table
-    pinned to its single row r.  One upward pass rooted at the group table.
-    """
-    owner = dict(ownership) if ownership is not None else default_ownership(tree, tables)
-    order = tree.rooted_order(group)
-
-    # messages[node] = dict: separator key -> carrier, sent to its parent
-    messages: dict[int, dict[tuple, Any]] = {}
-    sep_of: dict[int, tuple[str, ...]] = {}
-    children: dict[int, list[int]] = {i: [] for i in range(tree.n_nodes)}
-    for node, par in order:
-        if par is not None:
-            children[par].append(node)
-            sep_of[node] = tree.edge_separator(node, par)
-
-    values_at: dict[int, list[Any]] = {}
-    for node, par in order:
-        table = tables[node]
-        vals = []
-        for row in range(table.n_rows):
-            v = _node_value(table, row, spec, owner)
-            for c in children[node]:
-                incoming = messages[c].get(_sep_key(table, row, sep_of[c]))
-                if incoming is None:
-                    v = spec.zero
-                    break
-                v = spec.times(v, incoming)
-            vals.append(v)
-        values_at[node] = vals
-        if par is not None:
-            msg: dict[tuple, Any] = {}
-            for row, v in enumerate(vals):
-                key = _sep_key(table, row, sep_of[node])
-                msg[key] = spec.plus(msg[key], v) if key in msg else v
-            messages[node] = msg
-
-    return GroupedResult(group, tuple(values_at[group]))
-
-
-def eval_sumprod(tree: JoinTree, tables: list[Table], spec: SemiringSpec,
-                 ownership: Mapping[str, int] | None = None) -> Any:
-    """Scalar SumProd over all join rows; zero for an empty join."""
-    grouped = eval_sumprod_grouped(tree, tables, spec, tree.root, ownership)
-    total = spec.zero
-    for v in grouped.values:
-        total = spec.plus(total, v)
-    return total
 
 
 def _exact_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +110,7 @@ def _merge(ids: np.ndarray, codes: np.ndarray, counts: np.ndarray,
             _Constituents.of(order, into, counts, merged, first))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class _Constituents:
     """The entries one merge summed into each merged entry, for drawing one
     constituent per merged entry in proportion to its count.
@@ -289,7 +171,7 @@ def _convolve(hist: tuple[np.ndarray, np.ndarray, np.ndarray],
             src, pick)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class _Convolution:
     """One child's message convolved into its parent's entries: per entry
     of the convolution, the parent entry it extends (``src``) and the
@@ -300,7 +182,7 @@ class _Convolution:
     msg: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class DistancePass:
     """What :meth:`JoinEvaluator.distance_pass` keeps for one center.
 
@@ -370,7 +252,7 @@ class DistancePass:
         return prov
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class WalkMessages:
     """What :meth:`JoinEvaluator.costpair_walk` keeps for T terms: per table
     v but the walk's first, the (T, separator keys) message v sends its walk

@@ -25,7 +25,7 @@ from .sampling import make_rng
 from .sumprod import JoinEvaluator
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class WeightConfig:
     """Accuracy knobs; ``delta`` defaults to ``epsilon / 2``.
 
@@ -58,7 +58,7 @@ class WeightConfig:
         return self.delta if self.delta is not None else self.epsilon / 2
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class RingStats:
     """Per (center, ring) telemetry: radius, donut sample count, wins, ratio."""
 
@@ -70,7 +70,7 @@ class RingStats:
     ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(repr=False)
 class WeighTelemetry:
     """Deterministic counters of one :func:`compute_weights` call.
 
@@ -92,7 +92,7 @@ class WeighTelemetry:
     ring_cap_bound: bool
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, repr=False)
 class WeightedCoreset:
     """Sampled centers with their accumulated weights; duplicate centers
     share one weight, assigned to the lowest original index."""

@@ -203,13 +203,18 @@ class TestGroupedDistancePass:
     def test_rows_match_brute_force(self, rng):
         """Every table's message holds, per separator key, the squared
         distances of its subtree's join rows through its rows under that
-        key; the root's message, the curve, holds the whole join's."""
-        for _ in range(20):
+        key; the root's message, the curve, holds the whole join's.  On
+        random schemas until 20 of them join non-empty."""
+        joined = 0
+        for _ in range(60):
+            if joined >= 20:
+                break
             tables = random_acyclic_tables(rng, max_tables=4)
             tree = gyo_reduce(tables_to_schema(tables))
             center = rng.normal(size=len({f.name for t in tables
                                           for f in t.features}))
             ev = JoinEvaluator(tree, tables)
+            joined += ev.count_scalar() > 0
             dists = ev.distance_pass(center)
             for v in range(len(tables)):
                 sub = [tables[u] for u in subtree_tables(ev, v)]
@@ -237,6 +242,7 @@ class TestGroupedDistancePass:
                     under = ids_child[prov[:, at_v]] == key
                     np.testing.assert_allclose(
                         got, np.sort(want[under]), rtol=1e-9, atol=1e-12)
+        assert joined >= 20
 
 
 class TestAgainstUnfusedPass:
@@ -289,13 +295,16 @@ class TestAgainstUnfusedPass:
         """The profile read off the root's message is, byte for byte, the
         one a sort of the reference pass's root keys builds: exact and
         bucketed at two deltas, on random schemas, half of them with
-        heavily tied values."""
-        tied = 0
-        for attempt in range(50):
+        heavily tied values, until 50 of them join non-empty."""
+        tied = joined = 0
+        for attempt in range(150):
+            if joined >= 50:
+                break
             tables = random_acyclic_tables(rng, max_tables=5, max_rows=10,
                                            integer_values=attempt % 2 == 1)
             tree = gyo_reduce(tables_to_schema(tables))
             ev = JoinEvaluator(tree, tables)
+            joined += ev.count_scalar() > 0
             center = rng.normal(size=ev.n_features)
             if attempt % 2:
                 center = np.round(center)
@@ -309,6 +318,7 @@ class TestAgainstUnfusedPass:
                 for a, b in zip(got, want):
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
                 tied += got[0].size < root[1].size
+        assert joined >= 50
         assert tied >= 25  # runs of equal root keys are common
 
 
@@ -321,7 +331,8 @@ class TestOneMergePerTable:
         once per tuple of their separator keys.  Every merge is a message
         merge, so the pass's merged entries are its messages' constituents:
         exact and bucketed, on random schemas, some with tables of three or
-        more children."""
+        more children.  Only schemas whose join is non-empty count toward
+        the minimums."""
         calls = []
         merge = sumprod._merge
 
@@ -330,7 +341,7 @@ class TestOneMergePerTable:
             return merge(*args)
         monkeypatch.setattr(sumprod, "_merge", spy)
         done = deep = wide = 0
-        for _ in range(400):
+        for _ in range(1000):
             if done >= 40 and deep >= 15 and wide >= 8:
                 break
             tables = random_acyclic_tables(rng, max_tables=6)
@@ -344,9 +355,10 @@ class TestOneMergePerTable:
                 assert len(calls) == sum(max(1, k) for k in fan_out)
                 assert dists.merge_entries == sum(
                     m.source.size for m in dists.message.values())
-            done += 1
-            deep += len(tables) >= 3
-            wide += max(fan_out) >= 3
+            if ev.count_scalar() > 0:
+                done += 1
+                deep += len(tables) >= 3
+                wide += max(fan_out) >= 3
         assert done >= 40 and deep >= 15 and wide >= 8
 
     def test_tied_star_stays_bounded(self):

@@ -526,6 +526,44 @@ class TestColdPath:
         assert json.loads(done.stdout)["final_centers"]
         assert done.stderr.splitlines()[-1] == "imported: []"
 
+    def test_cli_loads_only_the_modules_it_runs(self):
+        """In a fresh interpreter, ``import relkmeans`` loads no submodule,
+        and ``import relkmeans.cli`` loads the pipeline's modules and never
+        the oracle, which only the materializing modes import.  Every public
+        name still resolves through the package and is listed by ``dir``;
+        an unknown name raises AttributeError."""
+        probe = (
+            "import json, sys\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('relkmeans'))\n"
+            "import relkmeans\n"
+            "bare = loaded()\n"
+            "import relkmeans.cli\n"
+            "cli = loaded()\n"
+            "unresolved = [n for n in relkmeans.__all__\n"
+            "              if getattr(relkmeans, n).__name__ != n\n"
+            "              or n not in dir(relkmeans)]\n"
+            "try:\n"
+            "    relkmeans.no_such_name\n"
+            "    missing = 'resolved'\n"
+            "except AttributeError:\n"
+            "    missing = 'AttributeError'\n"
+            "print(json.dumps([bare, cli, unresolved, missing]))\n")
+        src = str(Path(relkmeans.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        bare, loaded, unresolved, missing = json.loads(done.stdout)
+        assert bare == ["relkmeans"]
+        assert loaded == sorted(["relkmeans"] + [
+            f"relkmeans.{m}" for m in ("relational", "sumprod", "boxes",
+                                       "sampling", "ballcount", "weighting",
+                                       "clustering", "cli")])
+        assert unresolved == [] and missing == "AttributeError"
+        assert len(relkmeans.__all__) == len(set(relkmeans.__all__)) == 28
+
 
 class TestDocDigests:
     def test_tiny_seed_0_prints_one_digest_per_workload(self):
@@ -587,3 +625,26 @@ class TestScaleProbe:
         assert float(weigh_s) > 0 and int(entries) > 0
         assert float(weigh_peak_mb) >= float(peak_mb)
         assert small.split()[:3] == ["1x2", "6", "96"]
+
+
+class TestChildProbe:
+    def test_checkout_against_itself(self):
+        """Two pairs on path-coded, this checkout on both sides: per side a
+        median inside its quartiles, for wall time and ru_maxrss; the win
+        counts; identical documents."""
+        script = Path(__file__).resolve().parents[1] / "scripts/child_probe.py"
+        done = subprocess.run(
+            [sys.executable, str(script), str(script.parents[1]), "--runs", "2",
+             "--workload", "path-coded"],
+            capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        head, *sides, wall, rss, same = done.stdout.splitlines()
+        assert head == "== path-coded: 2 pairs" and len(sides) == 2
+        for line in sides:
+            stats = line.split("): ")[1].replace("[", "").replace("]", "")
+            for metric in stats.split(", ru_maxrss_mb "):
+                med, q1, q3 = (float(x.strip(",")) for x in metric.split()[-3:])
+                assert 0 < q1 <= med <= q3
+        assert wall.startswith("   side 1 lower wall: ")
+        assert rss.startswith("   side 1 lower ru_maxrss: ")
+        assert same == "   identical documents: 2 of 2"
