@@ -194,28 +194,21 @@ class StageSampler:
     sign s_t), for a whole batch of draws at once, read off the messages of
     one upward pass (:meth:`JoinEvaluator.costpair_walk`).
 
-    Let v be the next table in the walk and p its walk parent, fixed to row
-    r_p.  The weight of row r of v is
+    Let v be the table at walk position d and p its walk parent, fixed to
+    row r_p.  Each fixed table, at its drawn row, is folded with only its
+    children past position d (:meth:`JoinEvaluator.fold` with ``depth=d``),
+    and (PA_t, PC_t) is the cost-pair product of those folds: the cost and
+    count, in term t's box, of the fixed rows with the subtrees not yet
+    visited.  The weight of row r of v is
 
-        [key(r) = key(r_p)] * sum_t s_t I_t ((F_t b_t(r) + a_t(r)) PC_t
-                                             + b_t(r) PA_t)
+        [key(r) = key(r_p)] * sum_t s_t (PA_t b_t(r) + PC_t a_t(r))
 
-    clamped at 0, where (a_t, b_t) are v's subtree (cost, count) arrays,
-    folded (:meth:`JoinEvaluator.fold`) only at v's rows under some draw's
-    parent key, I_t is 1 when every fixed row lies in term t's box, F_t is
-    the fixed rows' owned squared distance to term t's target, and
-    (PA_t, PC_t) is the cost-pair product of the messages of the unvisited
-    subtrees hanging off fixed tables (other than v's own), each read at
-    its fixed parent row's key.  With ``count_only`` the weight is
-    sum_t s_t I_t b_t(r) PC_t instead.  Each draw keeps its own
-    (I, F, PA, PC) as one row of a (draws, T) array, so a stage's weights
-    are two matrix products against v's (T, rows) arrays; the first
-    table's, the same for every draw, are kept as one vector, ``first``.
-
-    I_t and F_t are read at the fixed rows only.  The walk reaches only
-    prefixes that extend to a join row, and there I_t is exact: a fixed row
-    in term t's box with no in-box extension below it leaves a pending
-    message or v's (a_t, b_t) at the matching key 0.  numpy's overflow
+    clamped at 0, where (a_t, b_t) is v's own fold, computed only at v's
+    rows under some draw's parent key.  With ``count_only`` the weight is
+    sum_t s_t PC_t b_t(r) instead.  Each draw keeps its own (PA, PC) as one
+    column of a (T, draws) array, so a stage's weights are two matrix
+    products against v's (T, rows) arrays; the first table's, the same for
+    every draw, are kept as one vector, ``first``.  numpy's overflow
     warnings are silenced here; :meth:`SamplingState.surrogate` refuses a
     non-finite mass.
     """
@@ -270,27 +263,20 @@ class StageSampler:
         if not depth:
             return np.broadcast_to(self.first, (n, self.first.size))
         v = ev.walk[depth]
-        inside = np.ones((n, self.signs.size), dtype=bool)
-        f_cost = np.zeros((n, self.signs.size))
-        p_cost, p_count = np.zeros_like(f_cost), np.ones_like(f_cost)
+        # the fixed rows' folds past v, multiplied as cost pairs: (T, draws)
+        p_cost, p_count = 0.0, 1.0
         for u, r in zip(ev.walk, prefixes.T):
-            inside &= ev.box_mask(u, self.low, self.high, r).T
-            f_cost += ev.owned_sq_dist(u, self.targets, r).T
-            for c in ev.walk_children[u]:
-                if ev.walk_pos[c] > depth:
-                    key = ev.edge_keys(c)[1][r]
-                    ma, mb = up.msg_cost[c][:, key].T, up.msg_count[c][:, key].T
-                    p_cost, p_count = p_cost * mb + ma * p_count, p_count * mb
+            cost, count = ev.fold(u, self.targets, self.low, self.high, up, r,
+                                  depth)
+            p_cost, p_count = p_cost * count + cost * p_count, p_count * count
         ids_v, ids_par, _ = ev.edge_keys(v)
         parent_key = ids_par[prefixes[:, ev.walk_pos[ev.walk_parent[v]]]]
         rows = np.flatnonzero(np.isin(ids_v, parent_key))
         cost, count = ev.fold(v, self.targets, self.low, self.high, up, rows)
-        signed = self.signs * inside
         if self.count_only:
-            w = (signed * p_count) @ count
+            w = (self.signs * p_count.T) @ count
         else:
-            w = ((signed * (f_cost * p_count + p_cost)) @ count
-                 + (signed * p_count) @ cost)
+            w = (self.signs * p_cost.T) @ count + (self.signs * p_count.T) @ cost
         w[ids_v[rows] != parent_key[:, None]] = 0.0
         out = np.zeros((n, ids_v.size))
         # inclusion-exclusion may leave -0-size noise

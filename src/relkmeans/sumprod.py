@@ -14,10 +14,12 @@ one table order (``walk``): samplers draw join rows along it, and every
 pass runs it backwards, so each table folds in its children's messages
 before it sends its own.
 :meth:`JoinEvaluator.costpair_walk` is the one cost/count pass, over
-terms that each keep the join rows in one box, and it keeps only messages:
-the surrogate cost and every k-means++ stage weight fold the table they
-read with its fold (:meth:`JoinEvaluator.fold`), and candidates are drawn
-(:meth:`relkmeans.sampling.StageSampler.sample_batch`).
+terms that each keep the join rows in one box, and it keeps only messages.
+The surrogate cost folds the walk's first table with them
+(:meth:`JoinEvaluator.fold`), and a k-means++ stage weight is the
+cost-pair product of the drawn prefix's folds, each cut to the subtrees
+not yet drawn, times the drawn table's fold
+(:meth:`relkmeans.sampling.StageSampler.stage_weights`).
 :meth:`JoinEvaluator.distance_pass` is the one distance pass: ball counts
 are read off it, and in-ball draws walk its merges top-down
 (:meth:`DistancePass.draw`).  A table with two or more children combines
@@ -397,17 +399,21 @@ class JoinEvaluator:
 
     def fold(self, v: int, targets: np.ndarray, low: np.ndarray,
              high: np.ndarray, up: WalkMessages,
-             rows: slice | np.ndarray = slice(None),
+             rows: slice | np.ndarray = slice(None), depth: int = 0,
              ) -> tuple[np.ndarray, np.ndarray]:
         """(cost, count), (T, rows): per term t and each of v's ``rows`` (as
         in :meth:`owned_sq_dist`), the squared distance to ``targets[t]`` of,
         and the number of, the join rows of v's subtree in term t's box that
         extend the row.  v's box mask (``low[t] <= x < high[t]``) and owned
-        distances seed them, then its children's messages are folded in."""
+        distances seed them, then the messages of its children past walk
+        position ``depth`` are folded in: by default all of them, since a
+        child comes after its parent in the walk."""
         count = self.box_mask(v, low, high, rows).astype(np.float64, order="C")
         cost = self.owned_sq_dist(v, targets, rows)
         cost *= count
         for c in self.walk_children[v]:
+            if self.walk_pos[c] <= depth:
+                continue
             ids_v = self.edge_keys(c)[1][rows]
             ma = up.msg_cost[c][:, ids_v] * count
             mb = up.msg_count[c][:, ids_v]

@@ -499,7 +499,8 @@ class TestPassCount:
         """Drawing 64 or 4,096 candidates from one forest runs one cost-pair
         pass, not one per drawn prefix, and folds the same tables: each
         table but the first once in the walk, the first once more for its
-        kept weights, and one per stage of the batch."""
+        kept weights, and at stage d the d fixed tables and the drawn one,
+        m(m+3)/2 - 1 folds over m tables."""
         rng = np.random.default_rng(8)
         tables, tree = hub_star(rng)
         join = materialize(tables, tree=tree).rows
@@ -525,8 +526,9 @@ class TestPassCount:
             n_prefixes.append(sum(len({tuple(r) for r in prov[:, walk[:d]]})
                                   for d in range(len(walk))))
         assert n_prefixes[1] > 2 * n_prefixes[0]
+        m = len(tables)
         assert seen[0] == seen[1] == {"costpair_walk": 1,
-                                      "fold": 2 * len(tables) - 1}
+                                      "fold": m * (m + 3) // 2 - 1}
 
 
 class TestSamplerMemory:
