@@ -21,10 +21,12 @@ target) terms.  One upward cost-pair pass per forest
 (:meth:`JoinEvaluator.costpair_walk`), rooted at table 0, keeps only every
 edge's messages, so a sampler's memory is set by join keys, not rows.  A
 batch of draws is extended one table at a time, all draws together: each
-stage folds its table out of the messages (:meth:`JoinEvaluator.fold`),
-and one inverse-CDF draw picks every draw's row.  The first center is
-drawn uniformly from the count of one whole-space term
-(:meth:`StageSampler.uniform`), and the surrogate cost of a set of centers
+stage weighs its table by the cost-pair product of the drawn prefix's
+folds and its own (:meth:`JoinEvaluator.fold`), and one inverse-CDF draw
+picks every draw's row.  The first center is one top-down draw of a
+center-less distance pass (``JoinEvaluator.distance_pass(None)``), which
+counts the join per key, so it is uniform over the join rows.  The
+surrogate cost of a set of centers
 (:func:`relkmeans.clustering.relational_cost`) is their sampler's mass.
 """
 
@@ -204,9 +206,8 @@ class StageSampler:
         [key(r) = key(r_p)] * sum_t s_t (PA_t b_t(r) + PC_t a_t(r))
 
     clamped at 0, where (a_t, b_t) is v's own fold, computed only at v's
-    rows under some draw's parent key.  With ``count_only`` the weight is
-    sum_t s_t PC_t b_t(r) instead.  Each draw keeps its own (PA, PC) as one
-    column of a (T, draws) array, so a stage's weights are two matrix
+    rows under some draw's parent key.  Each draw keeps its own (PA, PC) as
+    one column of a (T, draws) array, so a stage's weights are two matrix
     products against v's (T, rows) arrays; the first table's, the same for
     every draw, are kept as one vector, ``first``.  numpy's overflow
     warnings are silenced here; :meth:`SamplingState.surrogate` refuses a
@@ -215,21 +216,12 @@ class StageSampler:
 
     @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, ev: JoinEvaluator, targets: np.ndarray,
-                 signs: list[float], low: np.ndarray, high: np.ndarray,
-                 count_only: bool = False):
+                 signs: list[float], low: np.ndarray, high: np.ndarray):
         self.ev, self.targets, self.low, self.high = ev, targets, low, high
         self.up = ev.costpair_walk(targets, low, high)
         self.signs = np.asarray(signs, dtype=np.float64)
-        self.count_only = count_only
-        cost, count = ev.fold(ev.walk[0], targets, low, high, self.up)
-        self.first = np.maximum(self.signs @ (count if count_only else cost), 0.0)
-
-    @classmethod
-    def uniform(cls, ev: JoinEvaluator) -> "StageSampler":
-        """Join rows uniformly: the count of one whole-space term."""
-        whole = np.full((1, ev.n_features), np.inf)
-        return cls(ev, np.zeros((1, ev.n_features)), [1.0], -whole, whole,
-                   count_only=True)
+        cost, _ = ev.fold(ev.walk[0], targets, low, high, self.up)
+        self.first = np.maximum(self.signs @ cost, 0.0)
 
     @classmethod
     def surrogate(cls, ev: JoinEvaluator,
@@ -273,10 +265,7 @@ class StageSampler:
         parent_key = ids_par[prefixes[:, ev.walk_pos[ev.walk_parent[v]]]]
         rows = np.flatnonzero(np.isin(ids_v, parent_key))
         cost, count = ev.fold(v, self.targets, self.low, self.high, up, rows)
-        if self.count_only:
-            w = (self.signs * p_count.T) @ count
-        else:
-            w = (self.signs * p_cost.T) @ count + (self.signs * p_count.T) @ cost
+        w = (self.signs * p_cost.T) @ count + (self.signs * p_count.T) @ cost
         w[ids_v[rows] != parent_key[:, None]] = 0.0
         out = np.zeros((n, ids_v.size))
         # inclusion-exclusion may leave -0-size noise
@@ -359,19 +348,20 @@ def rejection_sample_batch(state: SamplingState, tree: JoinTree,
 def run_kmeanspp(tree: JoinTree, tables: list[Table], n_centers: int,
                  seed: int = 0, *, ev: JoinEvaluator | None = None,
                  ) -> tuple[list[np.ndarray], SamplingState]:
-    """Sample up to ``n_centers`` centers: the first uniformly, the rest from
-    the exact k-means++ distribution given their predecessors.  One
-    evaluator (``ev``, else a new one) serves every draw, and a forest is
-    rebuilt only when a round on it, stale, accepts nothing.
+    """Sample up to ``n_centers`` centers: the first uniformly, by one
+    top-down draw of a center-less distance pass, the rest from the exact
+    k-means++ distribution given their predecessors.  One evaluator
+    (``ev``, else a new one) serves every draw, and a forest is rebuilt
+    only when a round on it, stale, accepts nothing.
 
     Stops early if the remaining points all coincide with existing
     centers.  Deterministic given the seed.
     """
     state = SamplingState([], None, make_rng(seed), ev or JoinEvaluator(tree, tables))
-    first = StageSampler.uniform(state.ev)
-    if first.total_mass() == 0:
+    join = state.ev.distance_pass(None)
+    if not join.curve[0].size:
         raise EmptyJoin("join has no rows")
-    state.centers.append(state.ev.gather(first.sample_batch(state.rng, 1))[0])
+    state.centers.append(state.ev.gather(join.draw(np.zeros(1), state.rng))[0])
     while len(state.centers) < n_centers:
         try:
             pts, _ = rejection_sample_batch(state, tree, tables, 1)

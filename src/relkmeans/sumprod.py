@@ -22,7 +22,9 @@ not yet drawn, times the drawn table's fold
 (:meth:`relkmeans.sampling.StageSampler.stage_weights`).
 :meth:`JoinEvaluator.distance_pass` is the one distance pass: ball counts
 are read off it, and in-ball draws walk its merges top-down
-(:meth:`DistancePass.draw`).  A table with two or more children combines
+(:meth:`DistancePass.draw`).  Without a center it counts the join per
+key, and its top-down draws are uniform join rows, the first k-means++
+center among them.  A table with two or more children combines
 their messages two at a time, once per tuple of child separator keys, so
 a pass grows with keys and the codes it keeps, not with rows times the
 product of its children's messages; every node of the pass merges once,
@@ -443,12 +445,16 @@ class JoinEvaluator:
             del cost, count, bins  # freed before the next table's fold
         return up
 
-    def distance_pass(self, center: np.ndarray,
+    def distance_pass(self, center: np.ndarray | None,
                       bucketizer: Bucketizer | None = None) -> DistancePass:
         """One upward pass of sparse squared-distance histograms to
         ``center``, rooted at the walk's first table (see
         :class:`DistancePass`).  The radius does not enter it, so one pass
-        serves every ball around the center.
+        serves every ball around the center.  With no center every key is
+        0, no owned distance is computed and each node merges to one entry
+        per separator key: the pass counts the join per key, its curve is
+        one key 0, and ``draw(np.zeros(size), rng)`` draws join rows
+        uniformly, top-down (Zhao et al., SIGMOD 2018).
 
         A table's entries start as its rows at their owned squared
         distances.  With one walk child, the child's message is convolved
@@ -489,10 +495,10 @@ class JoinEvaluator:
                 _, ids, n = self.edge_keys(v)
                 rows = np.zeros(n, dtype=np.int64)
                 rows[ids] = np.arange(ids.size)
-                keys = np.zeros(n)
             else:
                 rows = np.arange(self.tables[v].n_rows)
-                keys = self.owned_sq_dist(v, center)[0]
+            keys = (np.zeros(rows.size) if v < 0 or center is None
+                    else self.owned_sq_dist(v, center)[0])
             hist = (rows, keys, np.ones(rows.size))
             convolutions[v] = []
             for c in self._pass_children(v):

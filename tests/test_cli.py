@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import relkmeans
-from relkmeans import JoinEvaluator, ballcount, boxes, cli, sampling, sumprod
+from relkmeans import JoinEvaluator, ballcount, boxes, cli, sampling
 from relkmeans.cli import CyclicSchemaError, RunConfig, build_parser, main, run
 from relkmeans.relational import load_database
 
@@ -331,8 +331,8 @@ def _ball_draws_exhausted(monkeypatch):
 
 
 def _empty_profile(monkeypatch):
-    monkeypatch.setattr(sumprod.DistancePass, "curve",
-                        property(lambda self: (np.array([]), np.array([]))))
+    # the weigher's ball samplers only: the first center reads the curve too
+    monkeypatch.setattr(ballcount.BallSampler, "total", property(lambda self: 0))
 
 
 class TestSamplingGaveUp:
@@ -432,13 +432,16 @@ class TestDeterminism:
 
     def test_pass_entries_repeat(self, schema_path, capsys, monkeypatch):
         """``pass_entries`` is the same on every run, and it is the entries
-        of every message merge of the weigh stage's distance passes."""
+        of every message merge of the weigh stage's distance passes, the
+        passes around a center."""
         passes = []
         distance_pass = JoinEvaluator.distance_pass
 
-        def spy(self, *args):
-            passes.append(distance_pass(self, *args))
-            return passes[-1]
+        def spy(self, center, *args):
+            found = distance_pass(self, center, *args)
+            if center is not None:
+                passes.append(found)
+            return found
         monkeypatch.setattr(JoinEvaluator, "distance_pass", spy)
         args = ["--schema", schema_path, "--k", "2", "--mode", "coreset",
                 "--seed", "5", "--ring-cap", "400"]

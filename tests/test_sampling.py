@@ -52,15 +52,34 @@ def empirical_tv(samples: np.ndarray, support: np.ndarray,
     return 0.5 * sum(abs(want.get(k, 0.0) - got.get(k, 0.0)) for k in keys)
 
 
+def uniform_rows(ev: JoinEvaluator, size: int, rng) -> np.ndarray:
+    """``size`` join rows drawn as the first center is: top-down through a
+    center-less distance pass.  (size, m) row indices by table id."""
+    return ev.distance_pass(None).draw(np.zeros(size), rng)
+
+
 class TestUniformRow:
     def test_uniform_on_path_fixture(self, path_tree, path_tables):
-        rng = make_rng(1)
-        sampler = StageSampler.uniform(JoinEvaluator(path_tree, path_tables))
-        prov = sampler.sample_batch(rng, 100_000)
-        pts = sampler.ev.gather(prov)
+        ev = JoinEvaluator(path_tree, path_tables)
+        pts = ev.gather(uniform_rows(ev, 100_000, make_rng(1)))
         join = materialize(path_tables).rows
         tv = empirical_tv(pts, join, np.full(5, 0.2))
         assert tv < 0.02
+
+    def test_first_center_reads_no_distance(self, path_tree, path_tables,
+                                            monkeypatch):
+        """The first center is drawn without a cost-pair pass or an owned
+        squared distance: the uniform draw reads counts only."""
+        calls: Counter = Counter()
+        for name in ("owned_sq_dist", "costpair_walk"):
+            original = getattr(JoinEvaluator, name)
+
+            def spy(self, *args, _fn=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(self, *args, **kwargs)
+            monkeypatch.setattr(JoinEvaluator, name, spy)
+        centers, _ = run_kmeanspp(path_tree, path_tables, 1)
+        assert len(centers) == 1 and not calls
 
     def test_single_row_join(self):
         tables, tree = single_table([[3.0, 4.0]])
@@ -322,9 +341,8 @@ def split_star() -> tuple[list[Table], object]:
 class TestStageWeights:
     def test_match_per_prefix_reference(self, rng):
         """Weights read off the one upward pass equal the brute-force
-        reference (surrogate: summed surrogate costs; uniform: join-row
-        counts) at every join-consistent prefix, with all prefixes of one
-        depth weighed in one call."""
+        reference (summed surrogate costs) at every join-consistent prefix,
+        with all prefixes of one depth weighed in one call."""
         schemas, not_id, prefixes, worst = 0, 0, 0, 0.0
         cases = [split_star()]
         while schemas < 150:
@@ -343,7 +361,6 @@ class TestStageWeights:
             forest = build_boxes(centers)
             ev = JoinEvaluator(tree, tables)
             surrogate = StageSampler.surrogate(ev, forest)
-            uniform = StageSampler.uniform(ev)
             not_id += ev.walk != tuple(range(len(tables)))
             scale = surrogate.total_mass()
             ref_cost, ref_count = brute_stage_weights(tables, forest, ev.walk)
@@ -359,8 +376,6 @@ class TestStageWeights:
                                            atol=1e-12 * scale)
                 err = np.abs(got - want) / np.maximum(np.abs(want), 1e-300)
                 worst = max(worst, float(err[want > 1e-9 * scale].max(initial=0)))
-                assert uniform.stage_weights(batch).tolist() == \
-                    [[float(ref_count[p, r]) for r in rows] for p in group]
                 prefixes += len(group)
         assert not_id >= 10 and prefixes >= 700
         assert worst <= 1e-9
@@ -374,8 +389,8 @@ class TestWalkOrder:
     def test_uniform_draws_on_split_star(self):
         tables, tree = split_star()
         join = materialize(tables, tree=tree).rows
-        sampler = StageSampler.uniform(JoinEvaluator(tree, tables))
-        pts = sampler.ev.gather(sampler.sample_batch(make_rng(5), 100_000))
+        ev = JoinEvaluator(tree, tables)
+        pts = ev.gather(uniform_rows(ev, 100_000, make_rng(5)))
         probs = np.full(len(join), 1.0 / len(join))
         assert empirical_tv(pts, join, probs) < 0.02
 
@@ -453,7 +468,7 @@ class TestMarginalsPastMaterialization:
         n = eval_sumprod(tree, tables, counting_semiring(names))
         assert n > 2 ** 53
         ev = JoinEvaluator(tree, tables)
-        prov = StageSampler.uniform(ev).sample_batch(make_rng(14), 100_000)
+        prov = uniform_rows(ev, 100_000, make_rng(14))
         for t in tables:
             counts = eval_sumprod_grouped(tree, tables,
                                           counting_semiring(names), t.id)
@@ -468,8 +483,7 @@ class TestMarginalsPastMaterialization:
         tables, tree = uneven_star(np.random.default_rng(15))
         names = sorted({f.name for t in tables for f in t.features})
         ev = JoinEvaluator(tree, tables)
-        centers = ev.gather(StageSampler.uniform(ev).sample_batch(
-            make_rng(16), 3))
+        centers = ev.gather(uniform_rows(ev, 3, make_rng(16)))
         forest = build_boxes(centers)
         terms = [(b, forest.rep[b], 1.0) for b in range(forest.size)]
         terms += [(b, forest.rep[p], -1.0)

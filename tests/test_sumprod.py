@@ -144,7 +144,8 @@ class TestOracleEquivalence:
     def test_fast_evaluator_matches_generic(self, rng):
         """count_scalar and a multi-term costpair_walk with a random box per
         term, folded at the walk's first table, match the generic engine on
-        the tables restricted to each term's box."""
+        the tables restricted to each term's box.  A center-less distance
+        pass's curve is one key 0 holding the join count."""
         # -0.0 and 0.0 are one join key, for the dict keys and np.unique alike
         signed_zero = [
             Table(0, "A", (FeatureId("k", 0), FeatureId("x", 1)),
@@ -157,8 +158,11 @@ class TestOracleEquivalence:
             tree = gyo_reduce(tables_to_schema(tables))
             names = sorted({f.name for t in tables for f in t.features})
             ev = JoinEvaluator(tree, tables)
-            assert ev.count_scalar() == eval_sumprod(
-                tree, tables, counting_semiring(names))
+            n = ev.count_scalar()
+            assert n == eval_sumprod(tree, tables, counting_semiring(names))
+            keys, cum = ev.distance_pass(None).curve
+            assert keys.tolist() == [0.0] * (n > 0)
+            assert cum.tolist() == [n] * (n > 0)
             n_terms, d = 3, len(names)
             targets = rng.normal(size=(n_terms, d))
             low = np.where(rng.random((n_terms, d)) < 0.3, -np.inf,
