@@ -13,8 +13,11 @@ which gives its exact wall time (spawn to exit) and its own
 ``ru_maxrss`` starts from the memory of the process that spawned it.
 
 Per workload and side it prints the median and quartiles of wall time and
-``ru_maxrss``, then how many pairs the second side won on each, and how
-many pairs printed byte-identical documents.
+``ru_maxrss``; then each side's median wall as ``perfbench/run.py``'s
+``LAUNCHER`` would read it, every child's exit rounded up to the next poll
+of ``Popen.wait(timeout=...)``, so a wall cut that crosses no poll shows as
+none; then how many pairs the second side won on each, and how many pairs
+printed byte-identical documents.
 
     python scripts/child_probe.py FIRST_CHECKOUT [SECOND_CHECKOUT] \\
         [--runs 10] [--workload all]
@@ -51,20 +54,36 @@ for name in sys.argv[3:]:
 """
 
 
+def launcher_wall(wall: float, spawned: float) -> float:
+    """The wall a ``Popen.wait(timeout=...)`` caller reads for a child that
+    exits ``wall`` seconds after its spawn began, when ``Popen`` returned
+    after ``spawned`` seconds: the first poll at or after the exit.  The
+    wait polls once at once, then after sleeps of 1, 2, 4, ..., 32 ms, then
+    every 50 ms."""
+    t, sleep = spawned, 0.001
+    while t < wall:
+        t += sleep
+        sleep = min(2 * sleep, 0.05)
+    return t
+
+
 def run_child(argv: list[str], cwd: str, env: dict[str, str],
-              out_path: Path) -> tuple[float, float, bytes]:
-    """(wall seconds, ru_maxrss in MB, stdout) of one child reaped by
-    ``os.wait4``; a failed child stops the probe."""
+              out_path: Path) -> tuple[float, float, float, bytes]:
+    """(wall seconds, the wall the launcher would read, ru_maxrss in MB,
+    stdout) of one child reaped by ``os.wait4``; a failed child stops the
+    probe."""
     with open(out_path, "wb") as out:
         t0 = time.perf_counter()
         proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=out,
                                 stderr=subprocess.DEVNULL)
+        spawned = time.perf_counter() - t0
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         sys.exit(f"child exited {proc.returncode}: {' '.join(argv)}")
-    return wall, usage.ru_maxrss / 1024.0, out_path.read_bytes()
+    return (wall, launcher_wall(wall, spawned), usage.ru_maxrss / 1024.0,
+            out_path.read_bytes())
 
 
 def summary(values: list[float]) -> str:
@@ -97,21 +116,25 @@ def main() -> None:
                              **{var: "1" for var in THREAD_VARS}))
         for line in made:
             name, schema, k, *flags = line.split()
-            walls, peaks, docs = ([[], []] for _ in range(3))
+            walls, ticks, peaks, docs = ([[], []] for _ in range(4))
             for run in range(args.runs):
                 argv = [sys.executable, "-m", "relkmeans.cli", "--schema",
                         schema, "--k", k, *flags, "--mode", "cluster",
                         "--seed", str(run)]
                 for i in ((0, 1) if run % 2 == 0 else (1, 0)):
-                    wall, peak, doc = run_child(argv, tmp, envs[i],
-                                                Path(tmp, f"doc{i}"))
+                    wall, tick, peak, doc = run_child(argv, tmp, envs[i],
+                                                      Path(tmp, f"doc{i}"))
                     walls[i].append(wall)
+                    ticks[i].append(tick)
                     peaks[i].append(peak)
                     docs[i].append(doc)
             print(f"== {name}: {args.runs} pairs")
             for i, side in enumerate(sides):
                 print(f"   side {i} ({side}): wall_s {summary(walls[i])}, "
                       f"ru_maxrss_mb {summary(peaks[i])}")
+            print("   launcher wall_s medians: " + ", ".join(
+                f"side {i} {statistics.median(t):.4f}"
+                for i, t in enumerate(ticks)))
             for label, vals in (("wall", walls), ("ru_maxrss", peaks)):
                 wins = sum(b < a for a, b in zip(*vals))
                 print(f"   side 1 lower {label}: {wins} of {args.runs}")

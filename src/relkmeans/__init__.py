@@ -39,7 +39,7 @@ _MODULE_OF = {
     "eval_sumprod_grouped": "oracle",
     "gyo_reduce": "relational",
     "load_database": "relational",
-    "tables_to_schema": "relational",
+    "tables_to_schema": "oracle",
 }
 
 __all__ = list(_MODULE_OF)

@@ -162,9 +162,9 @@ class BallSampler:
     exactly uniform.
 
     One :meth:`sample_batch` call serves any number of balls: each
-    rejection round is one top-down draw (:meth:`DistancePass.draw`) for
-    every ball still short of draws, each draw under its own ball's
-    threshold.  ``candidates`` counts the top-down draws made, rejected
+    rejection round is one top-down draw (:meth:`DistancePass.draw`) of as
+    many draws as each ball is still short of, each draw under its own
+    ball's threshold.  ``candidates`` counts the top-down draws made, rejected
     ones included.
     """
 
@@ -228,18 +228,14 @@ class BallSampler:
             if rounds > MAX_DRAW_ROUNDS:
                 raise SamplingGaveUp("ball sampling keeps rejecting; the shell "
                                      "outside the ball dominates its interior")
-            need = size - got
-            ball = np.repeat(np.arange(n_balls),
-                             np.where(need > 0, need + np.maximum(8, need // 4), 0))
+            # each ball draws what it still needs, so none accepts more
+            ball = np.repeat(np.arange(n_balls), size - got)
             pts = self.ev.gather(self.dists.draw(thresholds[ball], rng))
             self.candidates += ball.size
             member = sq_dists(pts, self.center[None])[:, 0] <= sq_radii[ball]
             ball, pts = ball[member], pts[member]
-            # each ball keeps its first accepted draws, up to what it needs
             rank = np.arange(ball.size) - np.searchsorted(ball, ball)
-            keep = rank < need[ball]
-            ball, rank = ball[keep], rank[keep]
-            out[ball, got[ball] + rank] = pts[keep]
+            out[ball, got[ball] + rank] = pts
             got += np.bincount(ball, minlength=n_balls)
         return out
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import gc
 import json
 import math
 import os
@@ -242,5 +243,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def entry() -> int:
+    """The process entry point of ``python -m relkmeans.cli`` and of the
+    ``relkmeans`` script: :func:`main`, after ``gc.freeze()`` has moved the
+    objects the imports made out of the collector's reach, so that neither
+    the run's full collections nor the interpreter's shutdown traverse
+    them again.  :func:`main` never freezes, so an in-process caller keeps
+    its collector as it was."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -7,6 +7,10 @@ evaluates a SumProd query over any semiring carrier (:class:`SemiringSpec`)
 one row at a time, with dicts keyed by separator values; it is the reference
 :class:`relkmeans.sumprod.JoinEvaluator` is tested against, not a pipeline
 path.
+
+:func:`tables_to_schema` and :func:`rooted_order` serve these references
+and the tests: the pipeline reads a schema from its document and walks the
+tree in :class:`~relkmeans.sumprod.JoinEvaluator`'s own order.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ from typing import Any, Callable, Mapping
 import numpy as np
 
 from .boxes import sq_dists
-from .relational import (DEFAULT_GUARD, CyclicVerdict, JoinTree,
-                         MaterializationGuard, Table, gyo_reduce,
-                         tables_to_schema)
+from .relational import (DEFAULT_GUARD, CyclicVerdict, FeatureId, JoinTree,
+                         MaterializationGuard, SchemaError, SchemaGraph, Table,
+                         gyo_reduce)
 from .sumprod import (COSTPAIR_ONE, COSTPAIR_ZERO, CostPair, JoinEvaluator,
                       default_ownership)
 
@@ -83,6 +87,38 @@ def _node_value(table: Table, row: int, spec: SemiringSpec,
     return val
 
 
+def tables_to_schema(tables: list[Table]) -> SchemaGraph:
+    """Rebuild the hypergraph of an in-memory table list."""
+    seen: dict[str, FeatureId] = {}
+    for t in tables:
+        for f in t.features:
+            if f.name in seen and seen[f.name].index != f.index:
+                raise SchemaError(f"feature {f.name!r} has inconsistent indices")
+            seen.setdefault(f.name, f)
+    vertices = tuple(sorted(seen.values(), key=lambda f: f.index))
+    return SchemaGraph(vertices, tuple(frozenset(t.feature_names()) for t in tables))
+
+
+def rooted_order(tree: JoinTree, root: int) -> list[tuple[int, int | None]]:
+    """Post-order (children before parents) of the tree's nodes for the
+    given root.
+
+    Returns (node, parent) pairs; the root appears last with parent None.
+    """
+    adj = tree.adjacency()
+    seen = {root}
+    stack: list[tuple[int, int | None]] = [(root, None)]
+    pre: list[tuple[int, int | None]] = []
+    while stack:
+        node, par = stack.pop()
+        pre.append((node, par))
+        for nbr in sorted(adj[node]):
+            if nbr not in seen:
+                seen.add(nbr)
+                stack.append((nbr, node))
+    return list(reversed(pre))
+
+
 def _sep_key(table: Table, row: int, separator: tuple[str, ...]) -> tuple:
     names = table.feature_names()
     return tuple(table.rows[row, names.index(s)] for s in separator)
@@ -95,7 +131,7 @@ def eval_sumprod_grouped(tree: JoinTree, tables: list[Table], spec: SemiringSpec
     pinned to its single row r.  One upward pass rooted at the group table.
     """
     owner = dict(ownership) if ownership is not None else default_ownership(tree, tables)
-    order = tree.rooted_order(group)
+    order = rooted_order(tree, group)
 
     # messages[node] = dict: separator key -> carrier, sent to its parent
     messages: dict[int, dict[tuple, Any]] = {}
@@ -177,7 +213,7 @@ def materialize(tables: list[Table], guard: int = DEFAULT_GUARD,
     if n == 0:
         return MaterializedJoin(np.empty((0, d)), guard)
 
-    order = tree.rooted_order(tree.root)
+    order = rooted_order(tree, tree.root)
     keep = {t.id: np.ones(t.n_rows, dtype=bool) for t in tables}
 
     def sep_keys(tid: int, sep: tuple[str, ...]) -> list[tuple]:

@@ -108,24 +108,6 @@ class JoinTree:
         shared = self.node_features[u] & self.node_features[v]
         return tuple(sorted(shared))
 
-    def rooted_order(self, root: int) -> list[tuple[int, int | None]]:
-        """Post-order (children before parents) of nodes for the given root.
-
-        Returns (node, parent) pairs; the root appears last with parent None.
-        """
-        adj = self.adjacency()
-        seen = {root}
-        stack: list[tuple[int, int | None]] = [(root, None)]
-        pre: list[tuple[int, int | None]] = []
-        while stack:
-            node, par = stack.pop()
-            pre.append((node, par))
-            for nbr in sorted(adj[node]):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append((nbr, node))
-        return list(reversed(pre))
-
 
 @dataclass(repr=False)
 class CyclicVerdict:
@@ -226,18 +208,6 @@ def _read_csv(path: Path, expected_cols: list[str]) -> np.ndarray:
                 parsed.append(value)
             rows.append(parsed)
     return np.array(rows, dtype=np.float64).reshape(len(rows), len(expected_cols))
-
-
-def tables_to_schema(tables: list[Table]) -> SchemaGraph:
-    """Rebuild the hypergraph of an in-memory table list."""
-    seen: dict[str, FeatureId] = {}
-    for t in tables:
-        for f in t.features:
-            if f.name in seen and seen[f.name].index != f.index:
-                raise SchemaError(f"feature {f.name!r} has inconsistent indices")
-            seen.setdefault(f.name, f)
-    vertices = tuple(sorted(seen.values(), key=lambda f: f.index))
-    return SchemaGraph(vertices, tuple(frozenset(t.feature_names()) for t in tables))
 
 
 def gyo_reduce(g: SchemaGraph) -> JoinTree | CyclicVerdict:

@@ -28,11 +28,17 @@ center-less distance pass (``JoinEvaluator.distance_pass(None)``), which
 counts the join per key, so it is uniform over the join rows.  The
 surrogate cost of a set of centers
 (:func:`relkmeans.clustering.relational_cost`) is their sampler's mass.
+
+Every uniform the pipeline draws comes from a :class:`UniformStream`
+(:func:`make_rng`): the standard library's Mersenne Twister, seeded with
+the text of (seed, *spawn key), one stream per stage and per weighed
+center.
 """
 
 from __future__ import annotations
 
 import operator
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,73 +128,42 @@ class SamplingState:
         return self._surrogate
 
 
-# SplitMix64 (Steele, Lea and Flood, OOPSLA 2014): the stream's increment
-# and the constants of its output function, as numpy scalars so that no
-# call converts a Python int
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MUL1, _MUL2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-_S11, _S27, _S30, _S31 = (np.uint64(b) for b in (11, 27, 30, 31))
-_WORD = (1 << 64) - 1
-
-
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function, in place on a uint64 array (the
-    multiplications wrap modulo 2^64)."""
-    z ^= z >> _S30
-    z *= _MUL1
-    z ^= z >> _S27
-    z *= _MUL2
-    z ^= z >> _S31
-    return z
-
-
 class UniformStream:
-    """Counter-based uniforms on [0, 1), the only randomness the pipeline
-    draws.  Value i of the stream is SplitMix64's output function applied
-    to ``key + i * 0x9E3779B97F4A7C15`` (mod 2^64), shifted right by 11 and
-    scaled by 2^-53, the 53-bit construction of numpy's
-    ``Generator.random``.  The stream is split-invariant: ``random(3)``
+    """Uniforms on [0, 1), the only randomness the pipeline draws, from the
+    standard library's Mersenne Twister (``random.Random``, which numpy has
+    already imported).  Each value is one 64-bit word of
+    ``getrandbits``, shifted right by 11 and scaled by 2^-53, the 53-bit
+    construction of numpy's ``Generator.random``.  ``getrandbits`` fills
+    its words low first, so the stream is split-invariant: ``random(3)``
     then ``random(5)`` equals ``random(8)``.  Any object with a
     ``random(size)`` method (a numpy ``Generator``, say) may stand in."""
 
-    __slots__ = ("key", "drawn")
+    __slots__ = ("_bits",)
 
-    def __init__(self, key: int):
-        self.key = np.uint64(key)
-        self.drawn = 0
+    def __init__(self, text: str):
+        # a str seed is hashed by SHA-512, never by hash(), so it does not
+        # depend on PYTHONHASHSEED
+        self._bits = random.Random(text).getrandbits
 
     def random(self, size: int) -> np.ndarray:
         """The stream's next ``size`` values, as float64."""
-        z = np.arange(self.drawn, self.drawn + size, dtype=np.uint64)
-        self.drawn += size
-        z *= _GOLDEN
-        z += self.key
-        z = _mix(z) >> _S11
-        return z * 2.0 ** -53
+        words = self._bits(64 * size).to_bytes(8 * size, "little")
+        return (np.frombuffer(words, dtype="<u8") >> 11) * 2.0 ** -53
 
 
 def make_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> UniformStream:
     """The stream of a seed and a spawn key: the same pair reproduces runs
-    bit for bit, and distinct pairs give unrelated streams.  The key folds
-    each part (the seed, then the spawn key's entries) through :func:`_mix`
-    as its count of 64-bit words, then those words, low first: no two
-    sequences of non-negative ints fold the same words, and a part of any
-    size fits."""
-    words = []
-    for part in map(operator.index, (seed, *spawn_key)):
+    bit for bit, and distinct pairs give unrelated streams.  The generator
+    is seeded with the text of ``(seed, *spawn_key)``, each part in
+    hexadecimal (which, unlike decimal, has no digit limit), separated by
+    spaces: no two sequences of non-negative ints share it, whatever their
+    size."""
+    parts = tuple(map(operator.index, (seed, *spawn_key)))
+    for part in parts:
         if part < 0:
             raise ValueError("seed and spawn key parts must be non-negative, "
                              f"got {part}")
-        split = [part & _WORD]
-        while part := part >> 64:
-            split.append(part & _WORD)
-        words += [len(split), *split]
-    key = np.zeros(1, dtype=np.uint64)
-    for w in words:
-        key += _GOLDEN
-        key ^= w
-        _mix(key)
-    return UniformStream(int(key[0]))
+    return UniformStream(" ".join(f"{part:x}" for part in parts))
 
 
 class StageSampler:

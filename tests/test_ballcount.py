@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from relkmeans import (FeatureId, JoinEvaluator, Table, gyo_reduce, sumprod,
-                       tables_to_schema)
+from relkmeans import (FeatureId, JoinEvaluator, Table, gyo_reduce, oracle,
+                       sumprod, tables_to_schema)
 from relkmeans.ballcount import (
     BallSampler,
     Bucketizer,
@@ -277,7 +277,7 @@ class TestAgainstUnfusedPass:
                 bucketizer, dists = sampler.bucketizer, sampler.dists
                 hist = reference_distance_pass(
                     ev, center, delta, bucketizer.v_min if bucketizer else 1.0)
-                for v, par in ev.tree.rooted_order(0):
+                for v, par in oracle.rooted_order(ev.tree, 0):
                     if par is None:
                         got, want = dists.curve, reference_profile(hist[v])
                     else:

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +38,13 @@ def cyclic_path(tmp_path):
     doc = tmp_path / "cyclic.txt"
     doc.write_text("A: a,b @ a.csv\nB: b,c @ b.csv\nC: c,a @ c.csv\n")
     return str(doc)
+
+
+def _child_env(**extra) -> dict[str, str]:
+    """The environment of a CLI child importing this package's source."""
+    src = str(Path(relkmeans.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
 
 
 def run_cli(args, capsys):
@@ -242,13 +251,10 @@ class TestDiagnostics:
         (tmp_path / "t.csv").write_text("\n".join(["x", *values]) + "\n")
         doc = tmp_path / "s.txt"
         doc.write_text("T: x @ t.csv\n")
-        src = str(Path(relkmeans.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-m", "relkmeans.cli", "--schema", str(doc),
              "--k", "2", "--mode", "cluster"],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=_child_env(), timeout=120)
         assert done.returncode == 1 and done.stdout == ""
         errors = [ln for ln in done.stderr.splitlines()
                   if ln.startswith("error:")]
@@ -478,9 +484,9 @@ class TestDeterminism:
 
     def test_seed_past_64_bits_repeats_and_differs(self, schema_path, tmp_path,
                                                    capsys):
-        """Seeds fold in 64-bit words: 2^70 runs, repeats byte for byte, and
+        """A seed past 64 bits, 2^70, runs and repeats byte for byte, and
         its draws differ from those of 0 and of 2^64, which share its low
-        word."""
+        64-bit word."""
         base = ["--schema", schema_path, "--k", "2", "--mode", "coreset",
                 "--ring-cap", "4000"]
         docs = {}
@@ -496,6 +502,62 @@ class TestDeterminism:
         assert draws["a"] != draws["zero"]
         assert draws["a"] != draws["two64"]
         assert draws["zero"] != draws["two64"]
+
+
+def _cluster_child(schema_path, out, **extra) -> subprocess.CompletedProcess:
+    """A ``python -m relkmeans.cli --mode cluster`` child writing ``out``."""
+    return subprocess.run(
+        [sys.executable, "-m", "relkmeans.cli", "--schema", schema_path,
+         "--k", "2", "--mode", "cluster", "--seed", "3", "--ring-cap", "400",
+         "--out", str(out)],
+        capture_output=True, text=True, env=_child_env(**extra), timeout=120)
+
+
+class TestProcess:
+    def test_documents_ignore_the_hash_seed(self, schema_path, tmp_path):
+        """Two children under different ``PYTHONHASHSEED`` values write
+        byte-identical documents: no stream is seeded by ``hash()``."""
+        docs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}.json"
+            done = _cluster_child(schema_path, out, PYTHONHASHSEED=hash_seed)
+            assert done.returncode == 0, done.stderr
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1]
+
+    def test_printed_and_written_documents_complete(self, schema_path,
+                                                    tmp_path):
+        """A child run through ``python -m`` prints the document it writes,
+        whole, with the cluster run's last keys."""
+        out = tmp_path / "doc.json"
+        done = _cluster_child(schema_path, out)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == out.read_text()
+        doc = json.loads(done.stdout)
+        assert list(doc)[-3:] == ["final_centers", "coreset_cost",
+                                  "surrogate_cost"]
+
+    def test_entry_freezes_before_main(self):
+        """``cli.entry`` has frozen the import-time heap when ``main``
+        starts, and returns what ``main`` returns."""
+        probe = ("import gc, sys\n"
+                 "import relkmeans.cli as cli\n"
+                 "assert gc.get_freeze_count() == 0\n"
+                 "cli.main = lambda: print(gc.get_freeze_count()) or 7\n"
+                 "sys.exit(cli.entry())\n")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=_child_env(), timeout=120)
+        assert done.returncode == 7, done.stderr
+        assert int(done.stdout) > 1000
+
+    def test_main_never_freezes(self, schema_path, capsys):
+        """An in-process ``main`` call leaves the collector's frozen
+        generation as it found it."""
+        before = gc.get_freeze_count()
+        code, out, _ = run_cli(["--schema", schema_path, "--k", "2", "--mode",
+                                "cluster", "--ring-cap", "400"], capsys)
+        assert code == 0 and json.loads(out)["final_centers"]
+        assert gc.get_freeze_count() == before
 
 
 class TestColdPath:
@@ -518,13 +580,10 @@ class TestColdPath:
             "print('imported:', [m for m in ('numpy.ma', 'numpy.random', '_hashlib',\n"
             "                                'logging')\n"
             "                    if m in sys.modules], file=sys.stderr)\n")
-        src = str(Path(relkmeans.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run(
             [sys.executable, "-c", probe, "--schema", schema_path, "--k", "2",
              "--mode", "cluster", "--seed", "1", "--ring-cap", "400"],
-            capture_output=True, text=True, env=env, timeout=120)
+            capture_output=True, text=True, env=_child_env(), timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["final_centers"]
         assert done.stderr.splitlines()[-1] == "imported: []"
@@ -552,11 +611,8 @@ class TestColdPath:
             "except AttributeError:\n"
             "    missing = 'AttributeError'\n"
             "print(json.dumps([bare, cli, unresolved, missing]))\n")
-        src = str(Path(relkmeans.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                              text=True, env=env, timeout=120)
+                              text=True, env=_child_env(), timeout=120)
         assert done.returncode == 0, done.stderr
         bare, loaded, unresolved, missing = json.loads(done.stdout)
         assert bare == ["relkmeans"]
@@ -631,23 +687,43 @@ class TestScaleProbe:
 
 
 class TestChildProbe:
+    SCRIPT = Path(__file__).resolve().parents[1] / "scripts/child_probe.py"
+
     def test_checkout_against_itself(self):
         """Two pairs on path-coded, this checkout on both sides: per side a
-        median inside its quartiles, for wall time and ru_maxrss; the win
-        counts; identical documents."""
-        script = Path(__file__).resolve().parents[1] / "scripts/child_probe.py"
+        median inside its quartiles, for wall time and ru_maxrss; per side
+        the launcher's median, at most one 50 ms poll above the exact one;
+        the win counts; identical documents."""
         done = subprocess.run(
-            [sys.executable, str(script), str(script.parents[1]), "--runs", "2",
-             "--workload", "path-coded"],
+            [sys.executable, str(self.SCRIPT), str(self.SCRIPT.parents[1]),
+             "--runs", "2", "--workload", "path-coded"],
             capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        head, *sides, wall, rss, same = done.stdout.splitlines()
+        head, *sides, ticks, wall, rss, same = done.stdout.splitlines()
         assert head == "== path-coded: 2 pairs" and len(sides) == 2
+        walls = []
         for line in sides:
             stats = line.split("): ")[1].replace("[", "").replace("]", "")
             for metric in stats.split(", ru_maxrss_mb "):
                 med, q1, q3 = (float(x.strip(",")) for x in metric.split()[-3:])
                 assert 0 < q1 <= med <= q3
+            walls.append(float(stats.split()[1]))
+        assert ticks.startswith("   launcher wall_s medians: side 0 ")
+        read = [float(part.split()[-1]) for part in ticks.split(", ")]
+        for exact, tick in zip(walls, read, strict=True):
+            assert exact <= tick <= exact + 0.05
         assert wall.startswith("   side 1 lower wall: ")
         assert rss.startswith("   side 1 lower ru_maxrss: ")
         assert same == "   identical documents: 2 of 2"
+
+    def test_launcher_poll_schedule(self):
+        """``Popen.wait(timeout=...)`` polls when Popen returns, then after
+        sleeps of 1, 2, 4, 8, 16 and 32 ms, then every 50 ms: a child that
+        spawned in 1 ms is read at 1, 2, 4, 8, 16, 32, 64, 114, 164, ...
+        ms."""
+        probe = runpy.run_path(str(self.SCRIPT))
+        polls = [0.001, 0.002, 0.004, 0.008, 0.016, 0.032, 0.064, 0.114,
+                 0.164, 0.214, 0.264]
+        for before, at in zip([0.0, *polls], polls):
+            for wall in (before + 1e-6, (before + at) / 2, at):
+                assert probe["launcher_wall"](wall, 0.001) == pytest.approx(at)

@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter, defaultdict
 from dataclasses import fields, replace
@@ -582,7 +583,7 @@ class TestSamplerMemory:
 
 
 class TestUniformStream:
-    """The counter-based stream every stage draws its uniforms from."""
+    """The stream every stage draws its uniforms from."""
 
     def test_same_seed_and_key_same_values(self):
         a = make_rng(7, (2, 3)).random(1000)
@@ -623,3 +624,23 @@ class TestUniformStream:
     def test_negative_parts_rejected(self, seed, key):
         with pytest.raises(ValueError, match="non-negative"):
             make_rng(seed, key)
+
+
+def test_stream_ignores_the_global_random_state():
+    """Seeding and drawing from the ``random`` module, before one stream,
+    between its draws and before another, leaves both streams' values
+    the same."""
+    saved = random.getstate()
+    try:
+        random.seed(1)
+        first = make_rng(7, (2, 3))
+        head = first.random(5)
+        random.seed(2)
+        random.random()
+        tail = first.random(5)
+        random.seed(3)
+        random.getrandbits(640)
+        second = make_rng(7, (2, 3)).random(10)
+    finally:
+        random.setstate(saved)
+    assert np.array_equal(np.concatenate([head, tail]), second)
